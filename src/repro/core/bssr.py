@@ -68,7 +68,6 @@ from repro.core.stats import SearchStats
 from repro.errors import AlgorithmError, QueryError
 from repro.graph.contraction import (
     CHDistanceOracle,
-    ch_enabled,
     contraction_for,
     shared_bucket,
 )
@@ -252,9 +251,7 @@ class BSSRSearch:
         # ALT index, bound lazily by _compute_bounds (memoized per
         # network, so repeated searches pay the table build once)
         self._landmarks = None
-        # CH leg oracle: options flag AND the global gate, decided at
-        # construction (restored searches re-evaluate the gate then)
-        self._use_ch = self.options.use_contraction and ch_enabled()
+        # CH leg oracle under ``use_contraction``, bound lazily the same way
         self._ch = None
         # final-position CH candidate streams, keyed (source, position);
         # transient — deterministic, rebuilt lazily after a restore
@@ -326,7 +323,7 @@ class BSSRSearch:
                     if self.options.use_landmarks
                     else None
                 ),
-                ch=self._ch_index() if self._use_ch else None,
+                ch=self._ch_index() if self.options.use_contraction else None,
             )
             self.stats.init_time = perf_counter() - init_start
             self.stats.extra["init_perfect_length"] = (
@@ -425,7 +422,7 @@ class BSSRSearch:
         Buckets are exact query-independent distances, so unlike shared
         *searches* they need no disjoint-trees condition — only the
         ``caching`` flag gates them."""
-        if not self._use_ch or not self.options.caching:
+        if not self.options.use_contraction or not self.options.caching:
             return None
         return self.shared_cache
 
@@ -440,7 +437,7 @@ class BSSRSearch:
         """
         destination = self.query.destination
         assert destination is not None
-        if self._use_ch:
+        if self.options.use_contraction:
             ch = self._ch_index()
             bucket = shared_bucket(
                 ch,
@@ -465,7 +462,7 @@ class BSSRSearch:
             dest_dist=self.dest_dist,
             stats=self.stats,
             landmarks=self._landmarks,
-            ch=self._ch_index() if self._use_ch else None,
+            ch=self._ch_index() if self.options.use_contraction else None,
             shared_cache=self._bucket_cache(),
         )
 
@@ -542,7 +539,7 @@ class BSSRSearch:
                     anchored = landmarks.min_from_vertex(
                         last, profiles[size]
                     )
-            if self._use_ch and self.options.lower_bounds:
+            if self.options.use_contraction and self.options.lower_bounds:
                 # Exact next-leg distance from the concrete endpoint to
                 # the next position's full candidate set — memoized per
                 # (vertex, category) on the hierarchy, so after the
@@ -708,7 +705,7 @@ class BSSRSearch:
 
         is_final = new_size == self.n
         leg_map = self.dest_dist if is_final else None
-        if is_final and self._use_ch:
+        if is_final and self.options.use_contraction:
             search = self._ch_stream(route, position)
         else:
             search = self._candidate_search(route, position)

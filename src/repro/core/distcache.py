@@ -29,8 +29,8 @@ Budgets follow the :mod:`repro.store` idiom: entry and byte caps with
 LRU eviction (recency serials, no wall-clock ties).  Byte accounting
 is a documented estimate of a live search's footprint, not an exact
 measurement — the point is a stable knob, not forensic accounting.
-Hit/miss/eviction counters feed ``BENCH_core_query.json``'s warm-cache
-scenario.
+Hit/miss/eviction counters feed ``engine.perf_stats()`` and the
+benchmark's ``core.distcache.*`` metrics.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from repro.core.stats import SearchStats
 from repro.errors import QueryError
 from repro.graph.road_network import RoadNetwork
 
-#: rough per-label bytes of a flat-backend search (three float cells +
-#: settled flag across |V|), used by the footprint estimate below
+#: rough per-vertex bytes of a search (label, path similarity,
+#: discovery-order slot and settled flag across |V|), used by the
+#: footprint estimate below
 _FLAT_CELL_BYTES = 25
 
 #: rough bytes per dict entry / heap tuple / candidate triple
@@ -98,11 +99,7 @@ class _Entry:
 def _estimate_bytes(search: PoICandidateSearch) -> int:
     """Documented footprint estimate of a live search (see module doc)."""
     base = len(search._heap) + len(search.candidates)
-    if search._flat is not None:
-        return search._flat[0] * _FLAT_CELL_BYTES + base * _DICT_ENTRY_BYTES
-    return (
-        len(search._dist) + len(search._path_sim) + len(search._settled) + base
-    ) * _DICT_ENTRY_BYTES
+    return len(search._dist) * _FLAT_CELL_BYTES + base * _DICT_ENTRY_BYTES
 
 
 class DistanceCache:

@@ -28,19 +28,10 @@ from repro.core.spec import CompiledQuery
 from repro.core.stats import SearchStats
 from repro.graph.contraction import ContractionHierarchy
 from repro.graph.csr import flat_adjacency
+from repro.graph.dijkstra import ExpansionCounters
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.road_network import RoadNetwork
 from repro.semantics.scoring import SemanticAggregator
-
-
-class _SweepCounters:
-    """Settle/relax sink for CH sweeps (shape of ExpansionCounters)."""
-
-    __slots__ = ("settled", "relaxed")
-
-    def __init__(self) -> None:
-        self.settled = 0
-        self.relaxed = 0
 
 
 def nninit(
@@ -60,7 +51,7 @@ def nninit(
     query has a destination, ``dest_dist`` (distances *to* the
     destination) must be supplied so seeded lengths are total lengths.
 
-    With ``landmarks`` (and the CSR backend), the *non-last* legs run
+    With ``landmarks``, the *non-last* legs run
     goal-directed A* toward the position's perfect set instead of plain
     Dijkstra.  This is sound because those legs only pick the chain's
     next PoI: the seed stays a real route of its exact length, and BSSR
@@ -87,10 +78,7 @@ def nninit(
     length = 0.0
     state = aggregator.initial(n)
     source = query.start
-    # Backend choice mirrors the Dijkstra flavors: CSR kernel when
-    # enabled, dict-based otherwise, with identical settle/relax order
-    # and stats counting.
-    flat = flat_adjacency(network)
+    num_v, indptr, indices, weights = flat_adjacency(network)
 
     for position, spec in enumerate(specs):
         is_last = position == n - 1
@@ -102,11 +90,10 @@ def nninit(
         push = heapq.heappush
         pop = heapq.heappop
         settled_n = relaxed_n = 0
-        # Backend loops are duplicated (rather than branching per pop /
-        # per edge) so each runs with every array in a local; settle and
-        # relax order — and stats totals — are identical.
+        # The A* and plain loops are separate (rather than branching per
+        # pop / per edge) so each runs with every array in a local.
         if ch is not None and spec.share_key is not None and perfect:
-            counters = _SweepCounters()
+            counters = ExpansionCounters()
             if is_last:
                 row = ch.memo_row(
                     "cands", spec.share_key, source, spec.sim_map, counters
@@ -145,8 +132,7 @@ def nninit(
             settled_n = counters.settled
             relaxed_n = counters.relaxed
         elif (
-            flat is not None
-            and landmarks is not None
+            landmarks is not None
             and not is_last
             and spec.share_key is not None
             and perfect
@@ -160,7 +146,6 @@ def nninit(
             # length of a real path, which is all seeding needs.  The
             # heuristic is a memoized flat row (one list index per
             # relaxation), which is why this path needs a ``share_key``.
-            num_v, indptr, indices, weights = flat
             dist_row = [math.inf] * num_v
             dist_row[source] = 0.0
             settled_row = bytearray(num_v)
@@ -186,8 +171,7 @@ def nninit(
                     if nd < dist_row[v]:
                         dist_row[v] = nd
                         push(astar, (nd + hrow[v], nd, v))
-        elif flat is not None:
-            num_v, indptr, indices, weights = flat
+        else:
             dist_row = [math.inf] * num_v
             dist_row[source] = 0.0
             settled_row = bytearray(num_v)
@@ -229,45 +213,6 @@ def nninit(
                     nd = d + weights[i]
                     if nd < dist_row[v]:
                         dist_row[v] = nd
-                        push(heap, (nd, v))
-        else:
-            dist: dict[int, float] = {source: 0.0}
-            settled: set[int] = set()
-            while heap:
-                d, u = pop(heap)
-                if u in settled:
-                    continue
-                settled.add(u)
-                settled_n += 1
-                usable = u not in used
-                if is_last and usable:
-                    sim = sim_of(u)
-                    if sim is not None:
-                        total = length + d
-                        if dest_dist is not None:
-                            leg = dest_dist.get(u, math.inf)
-                            total = length + d + leg
-                        if total < math.inf:
-                            end_state = aggregator.extend(state, sim)
-                            route = SkylineRoute(
-                                pois=tuple(prefix_pois) + (u,),
-                                length=total,
-                                semantic=aggregator.score(end_state),
-                                sims=tuple(prefix_sims) + (sim,),
-                            )
-                            found_routes.append(route)
-                            skyline.update(route)
-                        if u in perfect:
-                            found = (d, u)
-                            break
-                elif usable and u in perfect:
-                    found = (d, u)
-                    break
-                for v, w in network.neighbors(u):
-                    relaxed_n += 1
-                    nd = d + w
-                    if nd < dist.get(v, math.inf):
-                        dist[v] = nd
                         push(heap, (nd, v))
         if stats is not None:
             stats.settled += settled_n

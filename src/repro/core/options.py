@@ -51,9 +51,9 @@ class BSSROptions:
             pruning/acceleration — result scores are unchanged (equal
             bit for bit on integer-weight graphs; within float
             round-off of the summation order otherwise, which the
-            eps-shaved bounds absorb).  Also gated globally by
-            :func:`repro.graph.contraction.set_ch_enabled` /
-            ``REPRO_DISABLE_CH=1``.
+            eps-shaved bounds absorb).  A restored session takes this
+            flag from its checkpoint, so CH candidate-stream offsets
+            line up.
         k: answer the *top-k* sequenced route query — the search keeps
             expanding until the k-skyband (every route dominated by
             fewer than ``k`` others) is complete, and results expose up

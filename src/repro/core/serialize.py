@@ -55,7 +55,6 @@ from repro.errors import (
     SessionDecodeError,
     SessionEncodeError,
 )
-from repro.graph.contraction import ch_enabled
 from repro.semantics.scoring import SemanticAggregator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -302,18 +301,6 @@ def search_from_dict(
             _require(payload, "options", dict, where="search")
         ),
     )
-    if options.use_contraction and not ch_enabled():
-        # CH candidate streams order (and superset) the final position's
-        # stream differently from the modified Dijkstra; consumed
-        # offsets in the payload address that stream, so restoring with
-        # CH disabled would silently misalign them.
-        raise SessionDecodeError(
-            "session was checkpointed with contraction-hierarchy "
-            "candidate streams (use_contraction=true) but CH is "
-            "disabled in this process (REPRO_DISABLE_CH / "
-            "set_ch_enabled); stream offsets would not line up",
-            field="options",
-        )
     search = BSSRSearch(
         network, query, aggregator, options, checkpointable=True
     )

@@ -10,7 +10,7 @@ harness never needs to instrument algorithm internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -106,37 +106,24 @@ class SearchStats:
         return stats
 
     def merge(self, other: "SearchStats") -> None:
-        """Accumulate another query's counters into this one (sums)."""
-        for key in (
-            "elapsed",
-            "settled",
-            "relaxed",
-            "heap_pushes",
-            "mdijkstra_runs",
-            "mdijkstra_resumes",
-            "cache_hits",
-            "routes_enqueued",
-            "routes_expanded",
-            "routes_pruned_on_pop",
-            "routes_pruned_on_insert",
-            "routes_deferred",
-            "skyline_updates",
-            "skyline_rejects",
-            "result_size",
-            "init_routes",
-            "init_time",
-            "first_search_radius",
-            "bounds_time",
-            "sum_ls",
-            "sum_lp",
-            "osr_calls",
-            "super_sequences",
-        ):
+        """Accumulate another query's counters into this one: every
+        numeric field sums, except the :data:`_MAX_FIELDS` peaks."""
+        for key in _SUMMED_FIELDS:
             setattr(self, key, getattr(self, key) + getattr(other, key))
-        self.max_queue_size = max(self.max_queue_size, other.max_queue_size)
-        self.peak_memory_bytes = max(
-            self.peak_memory_bytes, other.peak_memory_bytes
-        )
+        for key in _MAX_FIELDS:
+            setattr(self, key, max(getattr(self, key), getattr(other, key)))
+
+
+#: peaks: merged by max, never averaged
+_MAX_FIELDS = ("max_queue_size", "peak_memory_bytes")
+
+#: every other numeric counter (``init_length_ratio`` is optional and
+#: averaged over the queries that have one, see :func:`mean_stats`)
+_SUMMED_FIELDS = tuple(
+    f.name
+    for f in fields(SearchStats)
+    if type(f.default) in (int, float) and f.name not in _MAX_FIELDS
+)
 
 
 def mean_stats(all_stats: list[SearchStats]) -> SearchStats:
@@ -147,31 +134,7 @@ def mean_stats(all_stats: list[SearchStats]) -> SearchStats:
     for stats in all_stats:
         total.merge(stats)
     n = len(all_stats)
-    for key in (
-        "elapsed",
-        "settled",
-        "relaxed",
-        "heap_pushes",
-        "mdijkstra_runs",
-        "mdijkstra_resumes",
-        "cache_hits",
-        "routes_enqueued",
-        "routes_expanded",
-        "routes_pruned_on_pop",
-        "routes_pruned_on_insert",
-        "routes_deferred",
-        "skyline_updates",
-        "skyline_rejects",
-        "result_size",
-        "init_routes",
-        "init_time",
-        "first_search_radius",
-        "bounds_time",
-        "sum_ls",
-        "sum_lp",
-        "osr_calls",
-        "super_sequences",
-    ):
+    for key in _SUMMED_FIELDS:
         setattr(total, key, getattr(total, key) / n)
     ratios = [
         s.init_length_ratio

@@ -4,7 +4,6 @@ from repro.graph.csr import (
     CSRGraph,
     csr_enabled,
     csr_graph,
-    set_csr_enabled,
 )
 from repro.graph.dijkstra import (
     ExpansionCounters,
@@ -33,7 +32,6 @@ __all__ = [
     "CSRGraph",
     "csr_graph",
     "csr_enabled",
-    "set_csr_enabled",
     "LandmarkIndex",
     "landmarks_for",
     "ExpansionCounters",

@@ -37,16 +37,14 @@ Beyond point-to-point, the pieces BSSR consumes directly:
   distances *to* one vertex, replacing the eager full reverse Dijkstra
   of destination queries.
 
-Like the CSR backend, the hierarchy is memoized per network
-(:func:`contraction_for`) and globally toggleable
-(:func:`set_ch_enabled`, env ``REPRO_DISABLE_CH=1``) so benchmarks and
-CI can force either backend deterministically.
+Like the CSR view, the hierarchy is memoized per network
+(:func:`contraction_for`).  Searches consult it only when
+``BSSROptions.use_contraction`` is set.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
@@ -61,27 +59,9 @@ _INF = math.inf
 #: costs one redundant shortcut (see module docstring)
 WITNESS_SETTLE_CAP = 64
 
-#: global backend switch, pre-seeded from the environment so CI can
-#: prove the CH-free path without touching code
-_ENABLED = not os.environ.get("REPRO_DISABLE_CH")
-
-
-def set_ch_enabled(enabled: bool) -> bool:
-    """Toggle CH usage globally; returns the previous setting.
-
-    Mirrors :func:`repro.graph.csr.set_csr_enabled`: an existing
-    hierarchy stays memoized, the toggle only gates whether searches
-    consult it (``BSSROptions.use_contraction`` must also be set).
-    ``REPRO_DISABLE_CH=1`` in the environment seeds this to ``False``.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
 def ch_enabled() -> bool:
-    return _ENABLED
+    """Always ``True``: ``BSSROptions.use_contraction`` alone selects CH."""
+    return True
 
 
 @dataclass
@@ -658,8 +638,7 @@ def contraction_for(network: "RoadNetwork") -> ContractionHierarchy:
     """The (memoized) contraction hierarchy of ``network``.
 
     Rebuilt when the network gained vertices or edges, mirroring
-    :func:`repro.graph.csr.csr_graph`; independent of
-    :func:`set_ch_enabled` so callers can inspect stats either way.
+    :func:`repro.graph.csr.csr_graph`.
     """
     cached: ContractionHierarchy | None = getattr(network, "_ch_index", None)
     token = (network.num_vertices, network.num_edges)

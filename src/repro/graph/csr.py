@@ -12,28 +12,23 @@ arrays per direction —
 
 using numpy arrays when numpy is installed (bulk/vectorized consumers,
 e.g. the ALT landmark tables) and :mod:`array` arrays otherwise.  The
-scalar Dijkstra kernels additionally read cached *python-list mirrors*
-of the same arrays: CPython list indexing beats both dict hashing and
-numpy scalar access in a tight interpreted loop, which is what makes
-the CSR kernels measurably faster than the dict-based originals
-(``BENCH_core_query.json`` tracks the delta).
+scalar Dijkstra kernels read cached *python-list mirrors* of the same
+arrays: CPython list indexing beats both dict hashing and numpy scalar
+access in a tight interpreted loop.
 
 Edge order within a vertex is exactly the insertion order of
-:meth:`RoadNetwork.add_edge`, so CSR-backed searches relax edges in the
-same sequence as ``network.neighbors(u)`` and produce **bit-identical**
-results (same heap pushes, same tie-breaks) — pinned by the property
-layer in ``tests/test_csr.py``.
+:meth:`RoadNetwork.add_edge`, so searches relax edges in the same
+sequence as ``network.neighbors(u)``.
 
 The CSR view is built lazily and memoized on the network instance; a
 structural mutation (new vertex or edge) invalidates the memo via a
-``(num_vertices, num_edges)`` token.  :func:`set_csr_enabled` toggles
-the whole backend globally — benchmarks use it to compare the dict and
-CSR paths on identical workloads.
+``(num_vertices, num_edges)`` token.  The vectorized sweep
+(:func:`batched_min_distances`) runs whenever numpy imports; without
+it, callers fall back to the scalar kernels.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import TYPE_CHECKING, Iterable
 
@@ -47,50 +42,18 @@ except ImportError:  # pragma: no cover - exercised via the fallback tests
 
 HAVE_NUMPY = _np is not None
 
-#: global backend switch (see :func:`set_csr_enabled`)
-_ENABLED = True
-
-#: vectorized-kernel switch — numpy presence, minus the CI kill switch
-_NUMPY_ENABLED = HAVE_NUMPY and not os.environ.get("REPRO_DISABLE_NUMPY")
-
-
-def set_numpy_enabled(enabled: bool) -> bool:
-    """Toggle the vectorized numpy kernels; returns the previous setting.
-
-    Forced off permanently when numpy is not importable; pre-seeded off
-    by ``REPRO_DISABLE_NUMPY=1`` so CI can prove the scalar fallback on
-    a numpy-equipped machine.  Only the batched sweep dispatch listens
-    to this — CSR array *storage* keeps whatever numpy decision was
-    made at import."""
-    global _NUMPY_ENABLED
-    previous = _NUMPY_ENABLED
-    _NUMPY_ENABLED = bool(enabled) and HAVE_NUMPY
-    return previous
-
-
-def numpy_enabled() -> bool:
-    return _NUMPY_ENABLED
-
 #: python-list adjacency mirror: (num_vertices, indptr, indices, weights)
 FlatAdjacency = tuple[int, list[int], list[int], list[float]]
 
 
-def set_csr_enabled(enabled: bool) -> bool:
-    """Toggle the CSR backend globally; returns the previous setting.
-
-    With the backend disabled every Dijkstra flavor runs its original
-    dict-based implementation — the benchmark baseline.  Searches that
-    captured a backend at construction time keep it; the switch only
-    affects searches created afterwards.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
 def csr_enabled() -> bool:
-    return _ENABLED
+    """Always ``True``: the CSR kernels are the only graph kernels."""
+    return True
+
+
+def numpy_enabled() -> bool:
+    """Whether the vectorized sweep runs (numpy imports)."""
+    return HAVE_NUMPY
 
 
 class CSRGraph:
@@ -216,9 +179,7 @@ def csr_graph(network: "RoadNetwork") -> CSRGraph:
     """The (memoized) CSR view of ``network``.
 
     Rebuilt automatically when the network gained vertices or edges
-    since the last call; independent of :func:`set_csr_enabled`, so
-    index structures (e.g. landmarks) can use CSR arrays even while the
-    scalar kernels run the dict baseline.
+    since the last call.
     """
     cached: CSRGraph | None = getattr(network, "_csr_view", None)
     token = (network.num_vertices, network.num_edges)
@@ -231,15 +192,8 @@ def csr_graph(network: "RoadNetwork") -> CSRGraph:
 
 def flat_adjacency(
     network: "RoadNetwork", *, reverse: bool = False
-) -> FlatAdjacency | None:
-    """Python-list CSR mirror, or ``None`` when the backend is disabled.
-
-    This is the single dispatch point of every Dijkstra flavor: a
-    non-``None`` return selects the CSR kernel, ``None`` the original
-    dict-based implementation.
-    """
-    if not _ENABLED:
-        return None
+) -> FlatAdjacency:
+    """The python-list CSR mirror every scalar kernel runs on."""
     return csr_graph(network).flat(reverse=reverse)
 
 
@@ -250,7 +204,7 @@ def batched_min_distances(
     reverse: bool = False,
 ) -> list[float] | None:
     """Vectorized multi-source sweep: per-vertex min distance from any
-    source, or ``None`` when the numpy kernels are unavailable/disabled.
+    source, or ``None`` when numpy is not installed.
 
     A frontier-driven Bellman–Ford fixpoint over the flat arrays: each
     round gathers ``dist[tail] + weight`` for every edge leaving an
@@ -259,14 +213,14 @@ def batched_min_distances(
     non-negative weights both compute, per vertex, the minimum over all
     paths of the left-to-right float sum of edge weights (float ``+``
     is monotone and float ``min`` order-independent), so the fixpoint
-    is unique.  Pinned by the property layer in ``tests/test_csr.py``.
+    is unique.  Pinned by ``tests/test_contraction.py``.
 
     This is a *bulk* kernel — it always relaxes to the full fixpoint,
     so it backs build-time paths (landmark tables, eccentricities,
     untruncated multi-source queries), never the radius-truncated
     early-exit searches where the scalar kernel's laziness wins.
     """
-    if not _NUMPY_ENABLED:
+    if not HAVE_NUMPY:
         return None
     g = csr_graph(network)
     n = g.num_vertices

@@ -18,16 +18,12 @@ Four flavors, all lazy-deletion binary-heap implementations over
   radius later; this powers both the PNE baseline's progressive
   nearest-neighbor streams and BSSR's on-the-fly cache.
 
-Each flavor has two interchangeable backends behind the same
-signature: the original dict-based implementation, and a CSR kernel
-over flat adjacency arrays (:mod:`repro.graph.csr`) whose inner loop
-indexes python lists instead of hashing dict keys.  Both produce
-bit-identical distances, predecessors and settle orders — edge
-relaxation order and heap tie-breaks are preserved — which the
-property layer pins (``tests/test_csr.py``).  The CSR backend is the
-default; :func:`repro.graph.csr.set_csr_enabled` switches back for
-baseline measurements (and the dict path is the automatic fallback for
-code paths numpy-free environments cannot vectorize anyway).
+Every flavor runs over the flat adjacency arrays of
+:mod:`repro.graph.csr`, so its inner loop indexes python lists instead
+of hashing dict keys; edges relax in ``network.neighbors(u)`` order.
+Untruncated multi-source searches and eccentricities use the numpy
+sweep (:func:`repro.graph.csr.batched_min_distances`) when numpy is
+installed, with bit-identical labels.
 """
 
 from __future__ import annotations
@@ -78,75 +74,44 @@ def dijkstra(
             are final — callers that need all distances must omit it.
         counters: optional :class:`ExpansionCounters` to fill.
     """
-    flat = flat_adjacency(network, reverse=reverse)
-    if flat is not None:
-        n, indptr, indices, weights = flat
-        inf = math.inf
-        dist = [inf] * n
-        dist[source] = 0.0
-        touched = [source]
-        settled = bytearray(n)
-        pred = [-1] * n if with_predecessors else None
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        push, pop = heapq.heappush, heapq.heappop
-        nsettled = 0
-        nrelaxed = 0
-        while heap:
-            d, u = pop(heap)
-            if settled[u]:
-                continue
-            settled[u] = 1
-            nsettled += 1
-            if u == target:
-                break
-            for i in range(indptr[u], indptr[u + 1]):
-                nrelaxed += 1
-                v = indices[i]
-                nd = d + weights[i]
-                if nd < dist[v]:
-                    if dist[v] == inf:
-                        touched.append(v)
-                    dist[v] = nd
-                    if pred is not None:
-                        pred[v] = u
-                    push(heap, (nd, v))
-        if counters is not None:
-            counters.settled += nsettled
-            counters.relaxed += nrelaxed
-        out = {v: dist[v] for v in touched}
-        if with_predecessors:
-            assert pred is not None
-            return out, {v: pred[v] for v in touched if pred[v] >= 0}
-        return out
-
-    # dict-based baseline backend
-    neighbors = network.in_neighbors if reverse else network.neighbors
-    dist_map: dict[int, float] = {source: 0.0}
-    pred_map: dict[int, int] | None = {} if with_predecessors else None
-    settled_set: set[int] = set()
-    heap = [(0.0, source)]
+    n, indptr, indices, weights = flat_adjacency(network, reverse=reverse)
+    inf = math.inf
+    dist = [inf] * n
+    dist[source] = 0.0
+    touched = [source]
+    settled = bytearray(n)
+    pred = [-1] * n if with_predecessors else None
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    push, pop = heapq.heappush, heapq.heappop
+    nsettled = 0
+    nrelaxed = 0
     while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled_set:
+        d, u = pop(heap)
+        if settled[u]:
             continue
-        settled_set.add(u)
-        if counters is not None:
-            counters.settled += 1
+        settled[u] = 1
+        nsettled += 1
         if u == target:
             break
-        for v, w in neighbors(u):
-            if counters is not None:
-                counters.relaxed += 1
-            nd = d + w
-            if nd < dist_map.get(v, math.inf):
-                dist_map[v] = nd
-                if pred_map is not None:
-                    pred_map[v] = u
-                heapq.heappush(heap, (nd, v))
+        for i in range(indptr[u], indptr[u + 1]):
+            nrelaxed += 1
+            v = indices[i]
+            nd = d + weights[i]
+            if nd < dist[v]:
+                if dist[v] == inf:
+                    touched.append(v)
+                dist[v] = nd
+                if pred is not None:
+                    pred[v] = u
+                push(heap, (nd, v))
+    if counters is not None:
+        counters.settled += nsettled
+        counters.relaxed += nrelaxed
+    out = {v: dist[v] for v in touched}
     if with_predecessors:
-        assert pred_map is not None
-        return dist_map, pred_map
-    return dist_map
+        assert pred is not None
+        return out, {v: pred[v] for v in touched if pred[v] >= 0}
+    return out
 
 
 def bounded_dijkstra(
@@ -168,59 +133,33 @@ def bounded_dijkstra(
         )
         assert isinstance(result, dict)
         return result
-    flat = flat_adjacency(network, reverse=reverse)
-    if flat is not None:
-        n, indptr, indices, weights = flat
-        inf = math.inf
-        dist = [inf] * n
-        dist[source] = 0.0
-        settled = bytearray(n)
-        out: dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        push, pop = heapq.heappush, heapq.heappop
-        nrelaxed = 0
-        while heap:
-            d, u = pop(heap)
-            if settled[u]:
-                continue
-            if d >= radius:
-                break
-            settled[u] = 1
-            out[u] = d
-            for i in range(indptr[u], indptr[u + 1]):
-                nrelaxed += 1
-                v = indices[i]
-                nd = d + weights[i]
-                if nd < radius and nd < dist[v]:
-                    dist[v] = nd
-                    push(heap, (nd, v))
-        if counters is not None:
-            counters.settled += len(out)
-            counters.relaxed += nrelaxed
-        return out
-
-    neighbors = network.in_neighbors if reverse else network.neighbors
-    dist_map: dict[int, float] = {source: 0.0}
-    out = {}
-    settled_set: set[int] = set()
-    heap = [(0.0, source)]
+    n, indptr, indices, weights = flat_adjacency(network, reverse=reverse)
+    inf = math.inf
+    dist = [inf] * n
+    dist[source] = 0.0
+    settled = bytearray(n)
+    out: dict[int, float] = {}
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    push, pop = heapq.heappush, heapq.heappop
+    nrelaxed = 0
     while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled_set:
+        d, u = pop(heap)
+        if settled[u]:
             continue
         if d >= radius:
             break
-        settled_set.add(u)
-        if counters is not None:
-            counters.settled += 1
+        settled[u] = 1
         out[u] = d
-        for v, w in neighbors(u):
-            if counters is not None:
-                counters.relaxed += 1
-            nd = d + w
-            if nd < radius and nd < dist_map.get(v, math.inf):
-                dist_map[v] = nd
-                heapq.heappush(heap, (nd, v))
+        for i in range(indptr[u], indptr[u + 1]):
+            nrelaxed += 1
+            v = indices[i]
+            nd = d + weights[i]
+            if nd < radius and nd < dist[v]:
+                dist[v] = nd
+                push(heap, (nd, v))
+    if counters is not None:
+        counters.settled += len(out)
+        counters.relaxed += nrelaxed
     return out
 
 
@@ -290,71 +229,42 @@ def multi_source_min_distance(
         row = batched_min_distances(network, sources, reverse=reverse)
         if row is not None:
             return min((row[t] for t in target_set), default=math.inf)
-    flat = flat_adjacency(network, reverse=reverse)
-    if flat is not None:
-        n, indptr, indices, weights = flat
-        inf = math.inf
-        dist = [inf] * n
-        heap: list[tuple[float, int]] = []
-        for s in sources:
-            dist[s] = 0.0
-            heapq.heappush(heap, (0.0, s))
-        settled = bytearray(n)
-        push, pop = heapq.heappush, heapq.heappop
-        settled_n = relaxed_n = 0
-        result = math.inf
-        while heap:
-            d, u = pop(heap)
-            if settled[u]:
-                continue
-            if d >= radius:
-                result = radius
-                break
-            settled[u] = 1
-            settled_n += 1
-            if u in target_set:
-                result = d
-                break
-            lo = indptr[u]
-            hi = indptr[u + 1]
-            relaxed_n += hi - lo
-            for i in range(lo, hi):
-                v = indices[i]
-                nd = d + weights[i]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    push(heap, (nd, v))
-        if counters is not None:
-            counters.settled += settled_n
-            counters.relaxed += relaxed_n
-        return result
-
-    neighbors = network.in_neighbors if reverse else network.neighbors
-    dist_map: dict[int, float] = {}
-    heap = []
+    n, indptr, indices, weights = flat_adjacency(network, reverse=reverse)
+    inf = math.inf
+    dist = [inf] * n
+    heap: list[tuple[float, int]] = []
     for s in sources:
-        dist_map[s] = 0.0
+        dist[s] = 0.0
         heapq.heappush(heap, (0.0, s))
-    settled_set: set[int] = set()
+    settled = bytearray(n)
+    push, pop = heapq.heappush, heapq.heappop
+    settled_n = relaxed_n = 0
+    result = math.inf
     while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled_set:
+        d, u = pop(heap)
+        if settled[u]:
             continue
         if d >= radius:
-            return radius
-        settled_set.add(u)
-        if counters is not None:
-            counters.settled += 1
+            result = radius
+            break
+        settled[u] = 1
+        settled_n += 1
         if u in target_set:
-            return d
-        for v, w in neighbors(u):
-            if counters is not None:
-                counters.relaxed += 1
-            nd = d + w
-            if nd < dist_map.get(v, math.inf):
-                dist_map[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return math.inf
+            result = d
+            break
+        lo = indptr[u]
+        hi = indptr[u + 1]
+        relaxed_n += hi - lo
+        for i in range(lo, hi):
+            v = indices[i]
+            nd = d + weights[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                push(heap, (nd, v))
+    if counters is not None:
+        counters.settled += settled_n
+        counters.relaxed += relaxed_n
+    return result
 
 
 def eccentricity(
@@ -385,13 +295,10 @@ class ResumableDijkstra:
     The on-the-fly cache of Section 5.3.4 stores one instance per
     (source PoI, query position); the PNE baseline uses one per
     (vertex, category-candidate set) as its progressive nearest-neighbor
-    stream.  Like the function flavors, the instance runs on the CSR
-    backend when enabled at construction time and on the dict backend
-    otherwise, with bit-identical settle sequences.
+    stream.
     """
 
     __slots__ = (
-        "_network",
         "source",
         "_dist",
         "_settled",
@@ -401,17 +308,12 @@ class ResumableDijkstra:
     )
 
     def __init__(self, network: RoadNetwork, source: int) -> None:
-        self._network = network
         self.source = source
         self._flat = flat_adjacency(network)
-        if self._flat is not None:
-            n = self._flat[0]
-            self._dist: list[float] | dict[int, float] = [math.inf] * n
-            self._dist[source] = 0.0
-            self._settled: bytearray | set[int] = bytearray(n)
-        else:
-            self._dist = {source: 0.0}
-            self._settled = set()
+        n = self._flat[0]
+        self._dist = [math.inf] * n
+        self._dist[source] = 0.0
+        self._settled = bytearray(n)
         self._heap: list[tuple[float, int]] = [(0.0, source)]
         #: largest settled distance so far
         self.radius = 0.0
@@ -425,12 +327,8 @@ class ResumableDijkstra:
         """Drop stale heap entries so the head is live."""
         heap = self._heap
         settled = self._settled
-        if self._flat is not None:
-            while heap and settled[heap[0][1]]:
-                heapq.heappop(heap)
-        else:
-            while heap and heap[0][1] in settled:
-                heapq.heappop(heap)
+        while heap and settled[heap[0][1]]:
+            heapq.heappop(heap)
 
     def next_distance(self) -> float:
         """Distance at which the next vertex would settle (inf if done)."""
@@ -444,26 +342,17 @@ class ResumableDijkstra:
             return None
         d, u = heapq.heappop(self._heap)
         self.radius = d
-        if self._flat is not None:
-            _, indptr, indices, weights = self._flat
-            dist = self._dist
-            settled = self._settled
-            settled[u] = 1
-            heap = self._heap
-            push = heapq.heappush
-            for i in range(indptr[u], indptr[u + 1]):
-                v = indices[i]
-                nd = d + weights[i]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    push(heap, (nd, v))
-            return d, u
-        self._settled.add(u)
-        for v, w in self._network.neighbors(u):
-            nd = d + w
-            if nd < self._dist.get(v, math.inf):
-                self._dist[v] = nd
-                heapq.heappush(self._heap, (nd, v))
+        _, indptr, indices, weights = self._flat
+        dist = self._dist
+        self._settled[u] = 1
+        heap = self._heap
+        push = heapq.heappush
+        for i in range(indptr[u], indptr[u + 1]):
+            v = indices[i]
+            nd = d + weights[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                push(heap, (nd, v))
         return d, u
 
     def expand_until(
@@ -487,8 +376,4 @@ class ResumableDijkstra:
 
     def distance(self, vid: int) -> float:
         """Settled distance to ``vid`` (inf when not settled yet)."""
-        if self._flat is not None:
-            return self._dist[vid] if self._settled[vid] else math.inf
-        if vid in self._settled:
-            return self._dist[vid]
-        return math.inf
+        return self._dist[vid] if self._settled[vid] else math.inf

@@ -9,63 +9,37 @@ these tests compare with strict equality at the oracle level; at the
 engine level CH answers are compared at the 9-decimal grain because CH
 sums associate differently along up-then-down paths.
 
-Also pinned here: the global/option toggles (``set_ch_enabled``,
-``REPRO_DISABLE_CH``, ``BSSROptions.use_contraction``), the vectorized
-numpy sweep's bit-identity and its kill switch, the checkpoint
-round-trip under CH candidate streams plus the restore guard that
-refuses CH-relative stream offsets in a CH-less process, the stats
-surfaces, and the benchmark baseline plumbing.
+Also pinned here: the vectorized numpy sweep's bit-identity and the
+scalar paths a numpy-free install takes, the checkpoint round-trip
+under CH candidate streams, and the stats surfaces.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchmarks.baseline import GUARDED, load_baseline, main, read_key
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
-from repro.errors import SessionDecodeError
 from repro.graph.contraction import (
     CHDistanceOracle,
-    ch_enabled,
     contraction_for,
-    set_ch_enabled,
     shared_bucket,
 )
-from repro.graph.csr import (
-    HAVE_NUMPY,
-    batched_min_distances,
-    numpy_enabled,
-    set_numpy_enabled,
+from repro.graph.csr import HAVE_NUMPY, batched_min_distances
+from repro.graph.dijkstra import (
+    dijkstra,
+    eccentricity,
+    multi_source_min_distance,
 )
-from repro.graph.dijkstra import dijkstra
+from repro.graph.landmarks import LandmarkIndex
 from repro.graph.road_network import RoadNetwork
 
 from .conftest import pick_query, random_instance, score_set
-
-
-@contextmanager
-def ch_backend(enabled: bool):
-    prev = set_ch_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_ch_enabled(prev)
-
-
-@contextmanager
-def numpy_backend(enabled: bool):
-    prev = set_numpy_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_numpy_enabled(prev)
 
 
 def min_edge_weight(network: RoadNetwork, u: int, v: int) -> float:
@@ -212,10 +186,9 @@ def test_property_engine_answers_identical_with_ch(seed, directed):
     start, cats = picked
     engine = SkySREngine(network, forest)
     plain = engine.query(start, cats)
-    with ch_backend(True):
-        with_ch = engine.query(
-            start, cats, options=BSSROptions(use_contraction=True)
-        )
+    with_ch = engine.query(
+        start, cats, options=BSSROptions(use_contraction=True)
+    )
     assert score_set(with_ch.routes) == score_set(plain.routes)
 
 
@@ -227,38 +200,17 @@ def test_engine_answers_identical_with_ch_and_destination():
     destination = rng.randrange(network.num_vertices)
     engine = SkySREngine(network, forest)
     plain = engine.query(start, cats, destination=destination)
-    with ch_backend(True):
-        with_ch = engine.query(
-            start,
-            cats,
-            destination=destination,
-            options=BSSROptions(use_contraction=True),
-        )
+    with_ch = engine.query(
+        start,
+        cats,
+        destination=destination,
+        options=BSSROptions(use_contraction=True),
+    )
     assert score_set(with_ch.routes) == score_set(plain.routes)
 
 
 # ----------------------------------------------------------------------
-# toggles: option flag, global switch, env seeding
-
-
-def test_set_ch_enabled_returns_previous_and_gates_option():
-    network, forest, rng = random_instance(5)
-    picked = pick_query(network, forest, rng, 2)
-    assert picked is not None
-    start, cats = picked
-    engine = SkySREngine(network, forest)
-    options = BSSROptions(use_contraction=True)
-    with ch_backend(False):
-        assert not ch_enabled()
-        # the option alone must not engage CH — the run falls back to
-        # the graph kernels and still answers exactly
-        disabled = engine.query(start, cats, options=options)
-        assert "ch" not in disabled.stats.extra
-    with ch_backend(True):
-        assert ch_enabled()
-        enabled = engine.query(start, cats, options=options)
-        assert "ch" in enabled.stats.extra
-    assert score_set(disabled.routes) == score_set(enabled.routes)
+# stats and memoization
 
 
 def test_ch_stats_reported_on_search_and_engine():
@@ -267,10 +219,9 @@ def test_ch_stats_reported_on_search_and_engine():
     assert picked is not None
     start, cats = picked
     engine = SkySREngine(network, forest)
-    with ch_backend(True):
-        result = engine.query(
-            start, cats, options=BSSROptions(use_contraction=True)
-        )
+    result = engine.query(
+        start, cats, options=BSSROptions(use_contraction=True)
+    )
     ch_stats = result.stats.extra["ch"]
     assert ch_stats["vertices"] == network.num_vertices
     assert ch_stats["preprocess_ms"] >= 0.0
@@ -288,27 +239,8 @@ def test_contraction_for_memoized_and_invalidated():
     assert rebuilt.distance(0, 1) <= 3.0
 
 
-def test_disable_env_seeds_global_toggle():
-    import os
-    import subprocess
-    import sys
-
-    code = (
-        "from repro.graph.contraction import ch_enabled\n"
-        "from repro.graph.csr import numpy_enabled\n"
-        "assert not ch_enabled()\n"
-        "assert not numpy_enabled()\n"
-    )
-    env = dict(os.environ)
-    env["REPRO_DISABLE_CH"] = "1"
-    env["REPRO_DISABLE_NUMPY"] = "1"
-    subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True
-    )
-
-
 # ----------------------------------------------------------------------
-# vectorized multi-source sweeps: bit-identity and the kill switch
+# vectorized multi-source sweeps: bit-identity and the numpy-free path
 
 
 @settings(deadline=None, max_examples=20)
@@ -319,11 +251,8 @@ def test_property_batched_sweep_bit_identical(seed, directed):
     network, _forest, rng = random_instance(seed, directed=directed)
     n = network.num_vertices
     sources = rng.sample(range(n), 3)
-    with numpy_backend(True):
-        batched = batched_min_distances(network, sources)
-        reversed_batched = batched_min_distances(
-            network, sources, reverse=True
-        )
+    batched = batched_min_distances(network, sources)
+    reversed_batched = batched_min_distances(network, sources, reverse=True)
     assert batched is not None and reversed_batched is not None
     rows = [dijkstra(network, s) for s in sources]
     rrows = [dijkstra(network, s, reverse=True) for s in sources]
@@ -334,19 +263,38 @@ def test_property_batched_sweep_bit_identical(seed, directed):
         )
 
 
-def test_numpy_toggle_round_trips_and_gates_kernel():
-    network, _forest, _rng = random_instance(1)
-    with numpy_backend(False):
-        assert not numpy_enabled()
-        assert batched_min_distances(network, [0]) is None
-    if HAVE_NUMPY:
-        with numpy_backend(True):
-            assert numpy_enabled()
-            assert batched_min_distances(network, [0]) is not None
+def test_numpy_free_install_matches_numpy_built_values(monkeypatch):
+    """Without numpy the sweep reports ``None`` and every consumer takes
+    its scalar path, producing exactly the numpy-built values."""
+    if not HAVE_NUMPY:
+        pytest.skip("numpy not installed")
+    network, _forest, rng = random_instance(31, directed=True)
+    n = network.num_vertices
+    sources = rng.sample(range(n), 3)
+    targets = rng.sample(range(n), 3)
+
+    def measure():
+        index = LandmarkIndex(network, count=4)
+        return (
+            index.landmarks,
+            index._from,
+            index._to,
+            [eccentricity(network, s) for s in sources],
+            [eccentricity(network, s, reverse=True) for s in sources],
+            multi_source_min_distance(network, sources, targets),
+            multi_source_min_distance(
+                network, sources, targets, reverse=True
+            ),
+        )
+
+    with_numpy = measure()
+    monkeypatch.setattr("repro.graph.csr.HAVE_NUMPY", False)
+    assert batched_min_distances(network, sources) is None
+    assert measure() == with_numpy
 
 
 # ----------------------------------------------------------------------
-# sessions: checkpoint round trip + the stream-offset restore guard
+# sessions: checkpoint round trip over CH candidate streams
 
 
 def test_session_checkpoint_round_trips_with_ch():
@@ -356,70 +304,12 @@ def test_session_checkpoint_round_trips_with_ch():
     start, cats = picked
     options = BSSROptions(use_contraction=True)
     engine = SkySREngine(network, forest)
-    with ch_backend(True):
-        reference = engine.session(start, cats, page_size=1, options=options)
-        session = engine.session(start, cats, page_size=1, options=options)
-        first = list(session.next_page())
-        assert score_set(reference.next_page()) == score_set(first)
-        payload = session.dumps()
-        restored = type(session).loads(engine, payload)
-        assert score_set(restored.next_page()) == score_set(
-            reference.next_page()
-        )
-
-
-def test_restore_refuses_ch_stream_offsets_without_ch():
-    network, forest, rng = random_instance(23)
-    picked = pick_query(network, forest, rng, 3)
-    assert picked is not None
-    start, cats = picked
-    engine = SkySREngine(network, forest)
-    with ch_backend(True):
-        session = engine.session(
-            start,
-            cats,
-            page_size=1,
-            options=BSSROptions(use_contraction=True),
-        )
-        session.next_page()
-        payload = session.dumps()
-        with ch_backend(False):
-            with pytest.raises(SessionDecodeError, match="use_contraction"):
-                type(session).loads(engine, payload)
-        # same payload restores fine once CH is back on
-        type(session).loads(engine, payload).next_page()
-
-
-# ----------------------------------------------------------------------
-# benchmark baseline plumbing (loud skips, --check)
-
-
-def test_read_key_walks_dotted_paths():
-    payload = {"a": {"b": {"c": 1.5}}}
-    assert read_key(payload, "a.b.c") == 1.5
-    assert read_key(payload, "a.b.missing") is None
-    assert read_key(payload, "a.b.c.d") is None
-
-
-def test_load_baseline_is_loud_when_missing(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_CHECK", raising=False)
-    artifact = tmp_path / "BENCH_missing.json"
-    assert load_baseline(artifact, "a.b") is None
-    assert "no baseline" in capsys.readouterr().out
-    artifact.write_text('{"a": {"b": 2.0}}')
-    assert load_baseline(artifact, "a.b") == 2.0
-    assert capsys.readouterr().out == ""
-
-
-def test_load_baseline_fails_under_check_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_CHECK", "1")
-    artifact = tmp_path / "BENCH_missing.json"
-    with pytest.raises(AssertionError, match="REPRO_BENCH_CHECK"):
-        load_baseline(artifact, "a.b")
-
-
-def test_baseline_check_passes_on_committed_artifacts():
-    # the committed BENCH_*.json artifacts must carry every guard key,
-    # and the guard map must cover the CH columns
-    assert "scenarios.figure3.ch.p95_s" in GUARDED["BENCH_core_query.json"]
-    assert main(["--check"]) == 0
+    reference = engine.session(start, cats, page_size=1, options=options)
+    session = engine.session(start, cats, page_size=1, options=options)
+    first = list(session.next_page())
+    assert score_set(reference.next_page()) == score_set(first)
+    payload = session.dumps()
+    restored = type(session).loads(engine, payload)
+    assert score_set(restored.next_page()) == score_set(
+        reference.next_page()
+    )

@@ -1,4 +1,5 @@
-"""Dijkstra variants vs networkx ground truth + resumable semantics."""
+"""Dijkstra variants vs networkx ground truth + resumable semantics,
+plus the CSR view the kernels run on."""
 
 import math
 import random
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.csr import csr_graph, flat_adjacency
 from repro.graph.dijkstra import (
+    ExpansionCounters,
     ResumableDijkstra,
     bounded_dijkstra,
     dijkstra,
@@ -28,14 +31,29 @@ def _nx_distances(net, source):
 
 
 @settings(deadline=None, max_examples=30)
-@given(seed=st.integers(0, 10_000))
-def test_property_dijkstra_matches_networkx(seed):
+@given(seed=st.integers(0, 10_000), directed=st.booleans())
+def test_property_dijkstra_matches_networkx(seed, directed):
     rng = random.Random(seed)
-    net = integer_grid(4, 5, rng, extra_edges=4)
+    net = integer_grid(4, 5, rng, directed=directed, extra_edges=4)
     source = rng.randrange(net.num_vertices)
     ours = dijkstra(net, source)
     theirs = _nx_distances(net, source)
     assert ours == theirs
+    # every predecessor edge closes its distance exactly (integer
+    # weights: float sums are exact)
+    dist, pred = dijkstra(net, source, with_predecessors=True)
+    assert dist == theirs
+    assert source not in pred
+    for v, u in pred.items():
+        assert any(
+            head == v and dist[u] + w == dist[v]
+            for head, w in net.neighbors(u)
+        )
+    # the bounded flavor is the radius cut of the full distances
+    radius = float(rng.randint(1, 8))
+    assert bounded_dijkstra(net, source, radius) == {
+        v: d for v, d in theirs.items() if d < radius
+    }
 
 
 @settings(deadline=None, max_examples=20)
@@ -181,3 +199,65 @@ def test_resumable_expand_until_budget_and_resume():
     assert search.distance(0) == 0.0
     far = max(dijkstra(net, 0), key=lambda v: dijkstra(net, 0)[v])
     assert search.distance(far) == math.inf  # not settled yet
+
+
+# ----------------------------------------------------------------------
+# early termination + predecessor skip
+
+
+def test_target_early_termination_settles_strictly_less():
+    rng = random.Random(9)
+    net = integer_grid(6, 6, rng, extra_edges=0)
+    source, target = 0, 1  # adjacent: settles long before exhaustion
+    full = ExpansionCounters()
+    dijkstra(net, source, counters=full)
+    early = ExpansionCounters()
+    dist = dijkstra(net, source, target=target, counters=early)
+    assert early.settled < full.settled
+    # the settled target's label is final
+    exact = dijkstra(net, source)
+    assert dist[target] == exact[target]
+
+
+def test_predecessor_skip_equivalence():
+    rng = random.Random(10)
+    net = integer_grid(4, 5, rng, extra_edges=3)
+    bare = dijkstra(net, 0)
+    dist, pred = dijkstra(net, 0, with_predecessors=True)
+    assert bare == dist
+    for v, u in pred.items():
+        assert v != 0
+        assert u in dist
+
+
+# ----------------------------------------------------------------------
+# the CSR view
+
+
+def test_csr_view_memoized_and_invalidated():
+    rng = random.Random(11)
+    net = integer_grid(3, 3, rng, extra_edges=0)
+    view = csr_graph(net)
+    assert csr_graph(net) is view
+    net.add_edge(0, 8, 2.0)
+    rebuilt = csr_graph(net)
+    assert rebuilt is not view
+    assert rebuilt.num_edges == net.num_edges
+
+
+def test_flat_adjacency_mirrors_neighbor_order():
+    rng = random.Random(12)
+    net = integer_grid(3, 3, rng, directed=True, extra_edges=2)
+    for reverse, neighbors in (
+        (False, net.neighbors),
+        (True, net.in_neighbors),
+    ):
+        n, indptr, indices, weights = flat_adjacency(net, reverse=reverse)
+        assert n == net.num_vertices
+        assert len(indices) == len(weights) == indptr[-1]
+        for u in range(n):
+            mirror = list(
+                zip(indices[indptr[u] : indptr[u + 1]],
+                    weights[indptr[u] : indptr[u + 1]])
+            )
+            assert mirror == list(neighbors(u))

@@ -1,5 +1,7 @@
 """SearchStats bookkeeping: merge, mean, export."""
 
+from dataclasses import fields
+
 from repro.core.stats import SearchStats, mean_stats
 
 
@@ -40,3 +42,23 @@ def test_mean_stats_empty():
 def test_mean_stats_no_ratios():
     mean = mean_stats([SearchStats(), SearchStats()])
     assert mean.init_length_ratio is None
+
+
+def test_every_numeric_field_is_merged_and_averaged():
+    # a counter added to SearchStats must never be silently dropped
+    peaks = {"max_queue_size", "peak_memory_bytes"}
+    other = {"algorithm", "extra", "init_length_ratio"}
+    numeric = [f.name for f in fields(SearchStats) if f.name not in other]
+    assert peaks <= set(numeric) and len(numeric) > len(peaks)
+    a = SearchStats(**{name: 2 for name in numeric}, init_length_ratio=1.0)
+    b = SearchStats(**{name: 6 for name in numeric}, init_length_ratio=None)
+    merged = SearchStats(**{name: 2 for name in numeric})
+    merged.merge(b)
+    mean = mean_stats([a, b])
+    for name in numeric:
+        if name in peaks:
+            assert getattr(merged, name) == 6, name
+        else:
+            assert getattr(merged, name) == 8, name
+            assert getattr(mean, name) == 4, name
+    assert mean.init_length_ratio == 1.0
