@@ -126,7 +126,10 @@ class _ArchivingSkyband(SkybandSet):
         self.archive = archive
 
     def update(self, route: SkylineRoute) -> bool:
-        self.archive.setdefault(route.pois, route)
+        # like the skyband, keep the shorter of two ULP-apart copies
+        known = self.archive.get(route.pois)
+        if known is None or route.length < known.length:
+            self.archive[route.pois] = route
         return super().update(route)
 
 
@@ -164,7 +167,8 @@ class SearchState:
         dest_dist: reverse distances to the destination, if any.
         cache: the on-the-fly modified-Dijkstra cache (Section 5.3.4) —
             shared across resumes, which is a large part of why resuming
-            beats recomputing.
+            beats recomputing.  Never serialized: a restored state starts
+            empty and rebuilds searches on demand.
         serial: the queue tie-break counter.
         resumes: how many times this state has been widened.
     """
@@ -746,9 +750,17 @@ class BSSRSearch:
                     self._defer(child)
                 else:
                     self._push(child)
-        if index < len(search.candidates) or not search.exhausted:
+        if self.checkpointable and (
+            index < len(search.candidates)
+            or not search.exhausted
+            or search.radius >= budget()
+        ):
             # The budget cut the stream: park the prefix so a wider
             # search can resume it exactly where this pass stopped.
+            # The radius clause makes the decision a function of the
+            # stream and the final budget alone: a cached search that
+            # another consumer drained past the budget defers exactly
+            # like a fresh one rebuilt after a restore.
             self._defer(route, index)
         if not self._first_radius_recorded:
             self.stats.first_search_radius = search.radius

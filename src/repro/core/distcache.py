@@ -26,7 +26,9 @@ Exactness rests on the same conditions as the per-run cache, plus one:
   datasets; :meth:`DistanceCache.lookup` asserts network identity.
 
 Budgets follow the :mod:`repro.store` idiom: entry and byte caps with
-LRU eviction (recency serials, no wall-clock ties).  Byte accounting
+LRU eviction.  Recency is the entry order itself (a hit moves its entry
+to the back, eviction takes the front) and the byte total is kept
+running, so every lookup, admit and eviction is O(1).  Byte accounting
 is a documented estimate of a live search's footprint, not an exact
 measurement — the point is a stable knob, not forensic accounting.
 Hit/miss/eviction counters feed ``engine.perf_stats()`` and the
@@ -35,7 +37,7 @@ benchmark's ``core.distcache.*`` metrics.
 
 from __future__ import annotations
 
-import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.search import PoICandidateSearch
@@ -44,9 +46,9 @@ from repro.core.stats import SearchStats
 from repro.errors import QueryError
 from repro.graph.road_network import RoadNetwork
 
-#: rough per-vertex bytes of a search (label, path similarity,
-#: discovery-order slot and settled flag across |V|), used by the
-#: footprint estimate below
+#: rough, generous per-vertex bytes of a search (label and path
+#: similarity slots plus the settled flag across |V|), used by the
+#: footprint estimate below; kept fixed so byte budgets stay stable
 _FLAT_CELL_BYTES = 25
 
 #: rough bytes per dict entry / heap tuple / candidate triple
@@ -93,7 +95,6 @@ class CacheStats:
 class _Entry:
     value: object  # a live PoICandidateSearch or a CH target bucket
     size: int
-    last_used: int
 
 
 def _estimate_bytes(search: PoICandidateSearch) -> int:
@@ -128,8 +129,9 @@ class DistanceCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = CacheStats()
-        self._entries: dict[tuple, _Entry] = {}
-        self._recency = itertools.count()
+        # least recently used first
+        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        self._bytes = 0
         self._network: RoadNetwork | None = None
 
     # ------------------------------------------------------------------
@@ -171,7 +173,7 @@ class DistanceCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        entry.last_used = next(self._recency)
+        self._entries.move_to_end(key)
         self.stats.hits += 1
         search = entry.value
         assert isinstance(search, PoICandidateSearch)
@@ -198,11 +200,7 @@ class DistanceCache:
         size = _estimate_bytes(search)
         if self.max_bytes is not None and size > self.max_bytes:
             return False
-        self._entries[key] = _Entry(
-            value=search, size=size, last_used=next(self._recency)
-        )
-        self.stats.admissions += 1
-        self._evict_over_budget(keep=key)
+        self._store(key, search, size)
         return True
 
     # ------------------------------------------------------------------
@@ -220,7 +218,7 @@ class DistanceCache:
         if entry is None:
             self.stats.bucket_misses += 1
             return None
-        entry.last_used = next(self._recency)
+        self._entries.move_to_end(key)
         self.stats.bucket_hits += 1
         return entry.value
 
@@ -233,46 +231,40 @@ class DistanceCache:
         )
         if self.max_bytes is not None and size > self.max_bytes:
             return False
-        self._entries[key] = _Entry(
-            value=bucket, size=size, last_used=next(self._recency)
-        )
-        self.stats.admissions += 1
-        self._evict_over_budget(keep=key)
+        self._store(key, bucket, size)
         return True
 
     # ------------------------------------------------------------------
 
     @property
     def total_bytes(self) -> int:
-        return sum(entry.size for entry in self._entries.values())
+        return self._bytes
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._bytes = 0
 
-    def _evict_over_budget(self, *, keep: tuple) -> None:
-        def over() -> bool:
-            if (
-                self.max_entries is not None
-                and len(self._entries) > self.max_entries
-            ):
-                return True
-            return (
-                self.max_bytes is not None
-                and self.total_bytes > self.max_bytes
-            )
-
-        while over():
-            victims = [k for k in self._entries if k != keep]
-            if not victims:
-                # the kept entry alone exceeds the budget; admit()
-                # screened per-entry size, so only entry-count budgets
-                # of 0 could land here — and those are rejected upfront
-                break
-            lru = min(victims, key=lambda k: self._entries[k].last_used)
-            del self._entries[lru]
+    def _store(self, key: tuple, value: object, size: int) -> None:
+        """Insert (or replace) ``key`` as the most recent entry, then
+        evict least-recently-used entries until the budgets hold."""
+        entries = self._entries
+        old = entries.pop(key, None)
+        if old is not None:
+            self._bytes -= old.size
+        entries[key] = _Entry(value=value, size=size)
+        self._bytes += size
+        self.stats.admissions += 1
+        # admit() screened per-entry size and entry budgets are >= 1, so
+        # the newcomer (at the back) always fits alone
+        while len(entries) > 1 and (
+            (self.max_entries is not None and len(entries) > self.max_entries)
+            or (self.max_bytes is not None and self._bytes > self.max_bytes)
+        ):
+            _, victim = entries.popitem(last=False)
+            self._bytes -= victim.size
             self.stats.evictions += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -167,7 +167,24 @@ class SkybandSet:
         routes the member with the lexicographically smallest ``pois``
         tuple is retained, so the surviving representative never
         depends on the order routes were discovered in.
+
+        A PoI tuple holds at most one slot.  The tuple fixes a route's
+        similarity vector, hence its semantic score, but two searches
+        can sum its legs along different equal-length paths and land an
+        ULP apart; the shorter copy is kept, and the longer one never
+        takes a slot or evicts a member.
         """
+        for i, member in enumerate(self._entries):
+            if (
+                member.pois == route.pois
+                and member.semantic == route.semantic
+            ):
+                if route.length >= member.length:
+                    self.rejects += 1
+                    return False
+                del self._keys[i]
+                del self._entries[i]
+                break
         key = (route.length, route.semantic)
         idx = bisect.bisect_left(self._keys, key)
         if idx < len(self._keys) and self._keys[idx] == key:

@@ -25,6 +25,12 @@ caching is only used when query positions draw candidates from disjoint
 category trees; otherwise BSSR builds throw-away instances with
 per-route exclusions (still exact, no reuse).
 
+Searches are never written to a session checkpoint.  Their candidate
+streams are deterministic, so a restored session rebuilds each one
+lazily (or adopts a warm copy from the engine's
+:class:`~repro.core.distcache.DistanceCache`) and replays it from the
+consumer's stored offset.
+
 Like the plain Dijkstra flavors, the expansion loop runs over the flat
 adjacency arrays of :mod:`repro.graph.csr`.
 """
@@ -112,7 +118,6 @@ class PoICandidateSearch:
         "_dist",
         "_path_sim",
         "_settled",
-        "_touched",
         "_heap",
         "candidates",
         "radius",
@@ -139,9 +144,6 @@ class PoICandidateSearch:
         # shortest path from the source (Lemma 5.5 i)
         self._path_sim = [0.0] * n
         self._settled = bytearray(n)
-        # vertices whose labels went finite, in discovery order; the
-        # checkpoint writes only the unsettled ones' labels
-        self._touched = [source]
         self._heap: list[tuple[float, int]] = [(0.0, source)]
         #: emitted candidates ``(distance, vid, similarity)`` in distance order
         self.candidates: list[tuple[float, int, float]] = []
@@ -196,7 +198,9 @@ class PoICandidateSearch:
         :class:`~repro.core.bssr.SearchState`) continues exactly where
         it left off.  Candidate order is deterministic (distance, then
         the heap's vertex-id tie-break), so the offset is meaningful
-        even on a freshly rebuilt search instance.
+        even on a freshly rebuilt search instance — which is how a
+        restored session resumes, since checkpoints never carry
+        searches.
 
         The settle machinery runs inline with every array in a local.
         The budget is re-evaluated only at yield points: between two
@@ -215,11 +219,9 @@ class PoICandidateSearch:
         path_sims = self._path_sim
         settled = self._settled
         heap = self._heap
-        touched = self._touched
         candidates = self.candidates
         push = heapq.heappush
         pop = heapq.heappop
-        inf = math.inf
         i = start
         while True:
             limit = budget_fn()
@@ -271,8 +273,6 @@ class PoICandidateSearch:
                     nd = d + weights[j]
                     old = dist[v]
                     if nd < old:
-                        if old == inf:
-                            touched.append(v)
                         dist[v] = nd
                         path_sims[v] = through
                         push(heap, (nd, v))
@@ -319,80 +319,3 @@ class PoICandidateSearch:
         """Exhaust the search (used by tests and ablations)."""
         for _ in self.candidates_until(math.inf):
             pass
-
-    # ------------------------------------------------------------------
-    # durable checkpoints
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-compatible snapshot of a *cached* search.
-
-        Only route-independent instances are cacheable (BSSR builds
-        throw-away searches for per-route exclusions), so an exclusion
-        set here means the caller is serializing something that should
-        never have reached a durable checkpoint.
-
-        Only unsettled vertices keep their labels (a resume consults
-        nothing but the settled flag of the others), and every row is
-        sorted by vertex id.
-        """
-        from repro.errors import SessionEncodeError
-
-        if self._exclude:
-            raise SessionEncodeError(
-                "candidate searches with per-route exclusions are "
-                "route-local and cannot be checkpointed"
-            )
-        settled = self._settled
-        live = sorted(v for v in self._touched if not settled[v])
-        return {
-            "source": self.source,
-            "dist": [[v, self._dist[v]] for v in live],
-            "path_sim": [[v, self._path_sim[v]] for v in live],
-            "settled": sorted(v for v in self._touched if settled[v]),
-            "heap": [[d, v] for d, v in self._heap],
-            "candidates": [[d, v, s] for d, v, s in self.candidates],
-            "radius": self.radius,
-        }
-
-    @classmethod
-    def from_dict(
-        cls,
-        payload: dict,
-        network: RoadNetwork,
-        spec: PositionSpec,
-        *,
-        stats: SearchStats | None = None,
-    ) -> "PoICandidateSearch":
-        """Rebuild a cached search exactly: same frontier, same settled
-        set, same emitted candidate stream (hence the same deterministic
-        ``candidates_until`` replay offsets)."""
-        search = cls(network, spec, int(payload["source"]), stats=stats)
-        n = search._flat[0]
-        dist = [math.inf] * n
-        path_sim = [0.0] * n
-        settled = bytearray(n)
-        touched: list[int] = []
-        for v, d in payload["dist"]:
-            v = int(v)
-            dist[v] = float(d)
-            touched.append(v)
-        for v, s in payload["path_sim"]:
-            path_sim[int(v)] = float(s)
-        for v in payload["settled"]:
-            # settled labels were dropped at checkpoint time; the
-            # settled flag alone is what resumes consult
-            v = int(v)
-            settled[v] = 1
-            touched.append(v)
-        search._dist = dist
-        search._path_sim = path_sim
-        search._settled = settled
-        search._touched = touched
-        search._heap = [(float(d), int(v)) for d, v in payload["heap"]]
-        heapq.heapify(search._heap)
-        search.candidates = [
-            (float(d), int(v), float(s)) for d, v, s in payload["candidates"]
-        ]
-        search.radius = float(payload["radius"])
-        return search

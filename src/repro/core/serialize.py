@@ -3,9 +3,9 @@
 PR 2 made the BSSR search loop an explicit, checkpointable
 :class:`~repro.core.bssr.SearchState`; this module makes that state
 *durable*.  A :class:`~repro.core.session.PlanningSession` — compiled
-query, served pages, and the full search checkpoint (skyband archive,
-deferred work, priority queue, lower bounds, modified-Dijkstra caches)
-— round-trips through plain JSON-compatible dicts, so a session can be
+query, served pages, and the search checkpoint (skyband archive,
+deferred work, priority queue, lower bounds) — round-trips through
+plain JSON-compatible dicts, so a session can be
 persisted by a :mod:`repro.store` backend, restored in a *different
 process*, and resumed as if nothing happened.
 
@@ -37,7 +37,13 @@ What is deliberately *not* serialized:
   an engine serving the same dataset (the caller owns dataset
   provenance; the CLI wrapper records preset/scale/seed);
 * reverse distances to a destination (``dest_dist``) — recomputed on
-  restore by the same deterministic Dijkstra, keeping payloads lean.
+  restore by the same deterministic Dijkstra, keeping payloads lean;
+* the modified-Dijkstra candidate searches of the on-the-fly cache
+  (Section 5.3.4) — a restored search starts with an empty cache and
+  rebuilds each one on demand (or adopts a warm copy from the engine's
+  :class:`~repro.core.distcache.DistanceCache`).  Candidate streams are
+  deterministic, so every stored ``consumed`` offset replays exactly;
+  this keeps a payload O(routes) instead of O(settled vertices).
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.bounds import LowerBounds
 from repro.core.options import BSSROptions
 from repro.core.routes import PartialRoute, SkylineRoute
-from repro.core.search import PoICandidateSearch
 from repro.core.stats import SearchStats
 from repro.errors import (
     QueryError,
@@ -68,7 +73,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 SESSION_FORMAT = "repro-skysr-session"
 
 #: current schema version; bump on any incompatible payload change
-SCHEMA_VERSION = 1
+#: (version 2 dropped the serialized candidate-search cache)
+SCHEMA_VERSION = 2
 
 _MISSING = object()
 
@@ -271,10 +277,6 @@ def search_to_dict(search: "BSSRSearch") -> dict:
                 for (_priority, serial, route, consumed) in state.queue
             ],
             "bounds": bounds_to_dict(state.bounds),
-            "cache": [
-                {"source": source, "position": position, "search": cs.to_dict()}
-                for (source, position), cs in state.cache.items()
-            ],
         },
     }
 
@@ -289,7 +291,8 @@ def search_from_dict(
 
     The restored object is behaviourally identical to the original at
     its last checkpoint: same skyband members, same deferred work and
-    queue pop order, same bounds, same warm Dijkstra caches.
+    queue pop order, same bounds.  Its candidate-search cache starts
+    empty and refills on demand; stream offsets replay exactly.
     """
     import heapq
 
@@ -380,24 +383,6 @@ def search_from_dict(
     state.bounds = bounds_from_dict(bounds_payload)
     if state.bounds is not None:
         search.bounds = state.bounds
-
-    cache: dict[tuple[int, int], PoICandidateSearch] = {}
-    for entry in _require(state_payload, "cache", list, where="search.state"):
-        source = _require(entry, "source", int, where="search.state.cache")
-        position = _require(
-            entry, "position", int, where="search.state.cache"
-        )
-
-        def rebuild(entry=entry, position=position):
-            return PoICandidateSearch.from_dict(
-                entry["search"],
-                network,
-                query.specs[position],
-                stats=search.stats,
-            )
-
-        cache[(source, position)] = _decoding("search.state.cache", rebuild)
-    state.cache = cache
 
     search._started = _require(payload, "started", bool, where="search")
     search._first_radius_recorded = _require(

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core.distcache import DistanceCache
+from repro.core.distcache import DistanceCache, _estimate_bytes
 from repro.core.engine import SkySREngine
 from repro.core.search import PoICandidateSearch
 from repro.core.spec import PositionSpec
@@ -78,6 +80,48 @@ def test_lru_eviction_respects_recency():
     assert cache.lookup(network, start, specs[0]) is not None
     assert cache.lookup(network, start, specs[1]) is None  # evicted
     assert cache.lookup(network, start, specs[2]) is not None
+
+
+@pytest.mark.parametrize("budget", [{"max_entries": 3}, {"max_bytes": 3}])
+def test_mixed_lookups_and_admits_match_a_reference_lru(budget):
+    """Interleaved hits, misses and admits over many evictions keep the
+    same membership, eviction count and byte total as a naive LRU."""
+    network, start, compiled = _searches()
+    spec = compiled.specs[0]
+    size = _estimate_bytes(PoICandidateSearch(network, spec, start))
+    if "max_bytes" in budget:  # room for exactly three searches
+        budget = {"max_bytes": budget["max_bytes"] * size}
+    capacity = 3
+    cache = DistanceCache(**budget)
+    rng = random.Random(7)
+    sources = list(range(8))
+    reference: list[int] = []  # least recently used first
+    evictions = 0
+    for _ in range(200):
+        source = rng.choice(sources)
+        if rng.random() < 0.5:
+            hit = cache.lookup(network, source, spec)
+            assert (hit is not None) == (source in reference)
+            if hit is not None:
+                reference.remove(source)
+                reference.append(source)
+        else:
+            search = PoICandidateSearch(network, spec, source)
+            assert cache.admit(network, source, spec, search)
+            if source in reference:
+                reference.remove(source)
+            reference.append(source)
+            while len(reference) > capacity:
+                reference.pop(0)
+                evictions += 1
+        assert len(cache) == len(reference)
+        assert cache.total_bytes == size * len(reference)
+    assert evictions > 10
+    assert cache.stats.evictions == evictions
+    for source in sources:
+        assert (cache.lookup(network, source, spec) is not None) == (
+            source in reference
+        )
 
 
 def test_byte_budget_rejects_never_fitting_search():

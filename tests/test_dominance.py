@@ -181,3 +181,30 @@ def test_rank_routes_breaks_score_ties_by_pois():
     assert [r.pois for r in ranked] == [(2, 3), (2, 9), (4, 1)]
     # deterministic under any input order
     assert rank_routes([c, a, b]) == ranked
+
+
+def test_ulp_apart_copies_of_one_poi_tuple_hold_one_slot():
+    """Regression: one route summed along two equal-length paths can
+    differ by an ULP in length.  The longer copy must neither take a
+    slot nor evict a member; a shorter copy replaces the member."""
+    from repro.core.dominance import SkybandSet
+
+    length = 14.569786810066963
+    longer = math.nextafter(length, math.inf)
+    band = SkybandSet(2)
+    band.update(_route(length, 0.0, (508, 475, 510)))
+    band.update(_route(16.0, 0.0, (508, 475, 452)))
+    assert not band.update(_route(longer, 0.0, (508, 475, 510)))
+    assert [(r.pois, r.length) for r in band] == [
+        ((508, 475, 510), length),
+        ((508, 475, 452), 16.0),
+    ]
+
+    band = SkybandSet(2)
+    band.update(_route(longer, 0.0, (508, 475, 510)))
+    band.update(_route(16.0, 0.0, (508, 475, 452)))
+    assert band.update(_route(length, 0.0, (508, 475, 510)))
+    assert [(r.pois, r.length) for r in band] == [
+        ((508, 475, 510), length),
+        ((508, 475, 452), 16.0),
+    ]

@@ -31,6 +31,7 @@ from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.core.serialize import SCHEMA_VERSION
 from repro.core.session import PlanningSession
+from repro.datasets import Dataset
 from repro.errors import (
     AdmissionError,
     QueryError,
@@ -40,6 +41,7 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.graph.io import save_dataset
+from repro.service.prototype import SkySRService
 from repro.store import DiskSessionStore, InMemorySessionStore
 
 from .conftest import pick_query, random_instance
@@ -155,6 +157,49 @@ def test_restored_resume_beats_fresh_recompute(seed):
     assert page2.stats.routes_expanded < fresh.stats.routes_expanded
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_restored_pages_do_not_depend_on_cache_warmth(seed):
+    """One page-1 payload, restored on a warm service engine, on a fresh
+    service engine with a cold cache, and on a cache-free engine, serves
+    identical pages 2-4, pops included.
+
+    The payload carries no candidate searches, so every restore rebuilds
+    them (or adopts warm ones from the engine's cache) and replays the
+    stored offsets.
+    """
+    network, forest, rng = random_instance(seed)
+    picked = pick_query(network, forest, rng, 3)
+    if picked is None:
+        pytest.skip("instance admits no query of this size")
+    start, cats = picked
+    dataset = Dataset(name=f"grid-{seed}", network=network, forest=forest)
+    warm = SkySRService(dataset).engine
+    session = warm.session(start, cats, page_size=2)
+    session.next_page()
+    payload = session.to_dict()
+    assert SCHEMA_VERSION == 2
+    assert payload["version"] == SCHEMA_VERSION
+    assert "cache" not in payload["search"]["state"]
+    # drive the warm engine's shared searches well past page 1's budget
+    warm.query(start, cats, options=BSSROptions().but(k=8))
+
+    engines = {
+        "warm": warm,
+        "cold": SkySRService(dataset).engine,
+        "no-cache": SkySREngine(network, forest),
+    }
+    pages = {}
+    for name, engine in engines.items():
+        text = json.dumps(payload)
+        fingerprints = []
+        for _ in range(PAGES - 1):
+            restored = PlanningSession.loads(engine, text)
+            fingerprints.append(page_fingerprint(restored.next_page()))
+            text = restored.dumps()
+        pages[name] = fingerprints
+    assert pages["warm"] == pages["cold"] == pages["no-cache"]
+
+
 def test_unstarted_session_round_trip():
     """A session serialized before page 1 restores and starts cleanly."""
     engine, start, cats = _engine_and_query(0)
@@ -257,6 +302,17 @@ def test_version_bump_is_rejected_with_field():
         PlanningSession.from_dict(engine, payload)
     assert exc.value.field == "version"
     assert str(SCHEMA_VERSION + 1) in str(exc.value)
+
+
+def test_version_1_payload_with_search_cache_is_rejected():
+    """Version 1 payloads serialized candidate searches; there is no
+    reading path for them, only the typed version error."""
+    engine, payload = _payload()
+    payload["version"] = 1
+    payload["search"]["state"]["cache"] = []
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "version"
 
 
 def test_wrong_format_is_rejected_with_field():

@@ -220,6 +220,36 @@ def test_topk_matches_brute_force_oracle(seed, k):
     assert score_set(result.skyband) == score_set(oracle_band)
 
 
+def test_landmarks_topk_never_returns_one_poi_tuple_twice():
+    """Regression: with ALT, NNinit and the main search can sum one
+    route along different equal-length paths, an ULP apart.  The copy
+    used to take a skyband slot and push the oracle's rank-5 route out;
+    at start 286 the tuple (508, 475, 510) came back twice."""
+    from repro.datasets import generate_workload, tokyo_like
+
+    dataset = tokyo_like(scale=0.12)
+    engine = SkySREngine(dataset.network, dataset.forest)
+    options = BSSROptions(use_landmarks=True, k=5)
+    queries = generate_workload(dataset, 3, 6, seed=7)
+    assert 286 in [q.start for q in queries]
+
+    def grain(routes):
+        return [(round(r.length, 9), round(r.semantic, 9)) for r in routes]
+
+    for q in queries:
+        cats = list(q.categories)
+        result = engine.query(q.start, cats, options=options)
+        compiled = engine.compile(q.start, cats)
+        band = [r.pois for r in result.skyband]
+        assert len(band) == len(set(band))
+        assert grain(result.topk()) == grain(
+            brute_force_topk(dataset.network, compiled, 5)
+        )
+        assert sorted(grain(result.skyband)) == sorted(
+            grain(brute_force_skyband(dataset.network, compiled, 5))
+        )
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_topk_first_entry_equals_seed_shortest(seed):
     """Acceptance: k=3 returns <= 3 ranked routes led by the seed answer."""
