@@ -766,6 +766,3 @@ class BSSRSearch:
             self.stats.first_search_radius = search.radius
             self._first_radius_recorded = True
 
-
-#: backwards-compatible alias (pre-refactor internal name)
-_BSSRRun = BSSRSearch

@@ -1,10 +1,6 @@
 """Road-network substrate: graph, Dijkstra variants, PoI index, spatial."""
 
-from repro.graph.csr import (
-    CSRGraph,
-    csr_enabled,
-    csr_graph,
-)
+from repro.graph.csr import csr_enabled, flat_adjacency
 from repro.graph.dijkstra import (
     ExpansionCounters,
     ResumableDijkstra,
@@ -29,8 +25,7 @@ from repro.graph.spatial import (
 __all__ = [
     "RoadNetwork",
     "PoIIndex",
-    "CSRGraph",
-    "csr_graph",
+    "flat_adjacency",
     "csr_enabled",
     "LandmarkIndex",
     "landmarks_for",

@@ -638,7 +638,7 @@ def contraction_for(network: "RoadNetwork") -> ContractionHierarchy:
     """The (memoized) contraction hierarchy of ``network``.
 
     Rebuilt when the network gained vertices or edges, mirroring
-    :func:`repro.graph.csr.csr_graph`.
+    :func:`repro.graph.csr.flat_adjacency`.
     """
     cached: ContractionHierarchy | None = getattr(network, "_ch_index", None)
     token = (network.num_vertices, network.num_edges)

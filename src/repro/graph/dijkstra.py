@@ -15,15 +15,14 @@ Four flavors, all lazy-deletion binary-heap implementations over
   first settled destination;
 * :class:`ResumableDijkstra` — an incremental expansion that yields
   settled vertices in distance order and can be resumed with a larger
-  radius later; this powers both the PNE baseline's progressive
-  nearest-neighbor streams and BSSR's on-the-fly cache.
+  radius later; this powers the PNE baseline's progressive
+  nearest-neighbor streams.  (BSSR's on-the-fly cache of Section 5.3.4
+  holds :class:`~repro.core.search.PoICandidateSearch` instances
+  instead.)
 
-Every flavor runs over the flat adjacency arrays of
+Every flavor runs over the flat adjacency lists of
 :mod:`repro.graph.csr`, so its inner loop indexes python lists instead
 of hashing dict keys; edges relax in ``network.neighbors(u)`` order.
-Untruncated multi-source searches and eccentricities use the numpy
-sweep (:func:`repro.graph.csr.batched_min_distances`) when numpy is
-installed, with bit-identical labels.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import math
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
-from repro.graph.csr import batched_min_distances, flat_adjacency
+from repro.graph.csr import flat_adjacency
 from repro.graph.road_network import RoadNetwork
 
 
@@ -218,17 +217,6 @@ def multi_source_min_distance(
     if not sources or not targets:
         return math.inf
     target_set = targets if isinstance(targets, (set, frozenset)) else set(targets)
-    if radius == math.inf and counters is None:
-        # Untruncated searches relax until a target settles wherever it
-        # is, so the vectorized full-fixpoint sweep wins; the scalar
-        # kernel keeps the radius-truncated hot path (Algorithm 4),
-        # where stopping at the ball's edge beats any batch width.  The
-        # sweep's labels are bit-identical to Dijkstra's (see
-        # :func:`repro.graph.csr.batched_min_distances`), so the
-        # minimum over targets is the same float either way.
-        row = batched_min_distances(network, sources, reverse=reverse)
-        if row is not None:
-            return min((row[t] for t in target_set), default=math.inf)
     n, indptr, indices, weights = flat_adjacency(network, reverse=reverse)
     inf = math.inf
     dist = [inf] * n
@@ -275,9 +263,6 @@ def eccentricity(
     ``reverse=True`` measures the largest distance *to* ``source`` on
     a directed graph (both directions coincide when undirected).
     """
-    row = batched_min_distances(network, (source,), reverse=reverse)
-    if row is not None:
-        return max((d for d in row if d < math.inf), default=0.0)
     dist = dijkstra(network, source, reverse=reverse)
     assert isinstance(dist, dict)
     return max(dist.values(), default=0.0)
@@ -292,10 +277,8 @@ class ResumableDijkstra:
     re-evaluated) budget.  Once the heap drains the search is
     *exhausted* and resuming is a no-op.
 
-    The on-the-fly cache of Section 5.3.4 stores one instance per
-    (source PoI, query position); the PNE baseline uses one per
-    (vertex, category-candidate set) as its progressive nearest-neighbor
-    stream.
+    The PNE baseline uses one per (vertex, category-candidate set) as
+    its progressive nearest-neighbor stream.
     """
 
     __slots__ = (

@@ -22,9 +22,13 @@ O(#landmarks) regardless of ``|S|``.  ``inf`` entries (disconnected
 components) are guarded explicitly — ``inf - inf`` is NaN and must
 never reach a comparison.
 
-Tables are built on the CSR kernels (:mod:`repro.graph.csr`) and
-memoized per network via :func:`landmarks_for`, so deserialized
-searches (which have a network but no engine) share the same index.
+Tables are rows of the scalar Dijkstra kernel (:mod:`repro.graph.dijkstra`):
+landmark selection already computes each landmark's *from* row, and the
+index keeps those rows instead of recomputing them, so an undirected
+build costs ``count + 1`` single-source searches (directed graphs add
+``count`` reverse ones).  The index is memoized per network via
+:func:`landmarks_for`, so deserialized searches (which have a network
+but no engine) share the same tables.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import math
 from collections.abc import Collection, Sequence
 from typing import TYPE_CHECKING
 
-from repro.graph.csr import batched_min_distances
 from repro.graph.dijkstra import dijkstra
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -67,14 +70,8 @@ def _shaved(a: float, b: float) -> float:
 
 
 def _distance_row(network: "RoadNetwork", source: int, *, reverse: bool) -> list[float]:
-    # The table build is a bulk all-distances pass — exactly the shape
-    # the vectorized sweep is for.  Its labels are bit-identical to the
-    # scalar Dijkstra's (see :func:`batched_min_distances`), so the
-    # tables — and every bound derived from them — do not depend on
-    # whether numpy was available at build time.
-    row = batched_min_distances(network, (source,), reverse=reverse)
-    if row is not None:
-        return row
+    """Dijkstra distances from ``source`` (to it with ``reverse``) as a
+    per-vertex list, ``inf`` where unreachable."""
     dist = dijkstra(network, source, reverse=reverse)
     assert isinstance(dist, dict)
     row = [_INF] * network.num_vertices
@@ -96,16 +93,12 @@ class LandmarkIndex:
     def __init__(
         self, network: "RoadNetwork", *, count: int = DEFAULT_LANDMARKS
     ) -> None:
-        self.landmarks = _select_farthest(network, count)
-        self._from: list[list[float]] = []
-        self._to: list[list[float]] = []
-        for lm in self.landmarks:
-            fr = _distance_row(network, lm, reverse=False)
-            self._from.append(fr)
-            if network.directed:
-                self._to.append(_distance_row(network, lm, reverse=True))
-            else:
-                self._to.append(fr)
+        self.landmarks, self._from = _select_farthest(network, count)
+        self._to: list[list[float]] = (
+            [_distance_row(network, lm, reverse=True) for lm in self.landmarks]
+            if network.directed
+            else self._from
+        )
         self._token = (network.num_vertices, network.num_edges, count)
         self._key_rows: dict[tuple, list[float]] = {}
 
@@ -274,7 +267,9 @@ class LandmarkIndex:
         return f"LandmarkIndex(landmarks={self.landmarks})"
 
 
-def _select_farthest(network: "RoadNetwork", count: int) -> list[int]:
+def _select_farthest(
+    network: "RoadNetwork", count: int
+) -> tuple[list[int], list[list[float]]]:
     """Farthest-point landmark selection (deterministic).
 
     Seed with the vertex farthest from vertex 0, then repeatedly add
@@ -282,25 +277,31 @@ def _select_farthest(network: "RoadNetwork", count: int) -> list[int]:
     Unreachable vertices sort *first* on purpose: a landmark inside an
     otherwise-uncovered component turns "no information" into exact
     infinite bounds there.  Ties break toward the smallest vertex id.
+
+    Returns the landmarks and, per landmark, the distance row *from* it
+    that the selection computed anyway — exactly the index's
+    ``_from`` table.
     """
     n = network.num_vertices
     if n == 0:
-        return []
+        return [], []
     count = min(count, n)
     seed_row = _distance_row(network, 0, reverse=False)
     first = _argmax_row(seed_row)
     landmarks = [first]
-    min_dist = _distance_row(network, first, reverse=False)
+    rows = [_distance_row(network, first, reverse=False)]
+    min_dist = list(rows[0])
     while len(landmarks) < count:
         nxt = _argmax_row(min_dist, exclude=landmarks)
         if nxt is None:
             break
         landmarks.append(nxt)
         row = _distance_row(network, nxt, reverse=False)
+        rows.append(row)
         for v in range(n):
             if row[v] < min_dist[v]:
                 min_dist[v] = row[v]
-    return landmarks
+    return landmarks, rows
 
 
 def _argmax_row(

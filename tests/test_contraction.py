@@ -9,17 +9,14 @@ these tests compare with strict equality at the oracle level; at the
 engine level CH answers are compared at the 9-decimal grain because CH
 sums associate differently along up-then-down paths.
 
-Also pinned here: the vectorized numpy sweep's bit-identity and the
-scalar paths a numpy-free install takes, the checkpoint round-trip
-under CH candidate streams, and the stats surfaces.
+Also pinned here: the checkpoint round-trip under CH candidate
+streams and the stats surfaces.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,13 +27,7 @@ from repro.graph.contraction import (
     contraction_for,
     shared_bucket,
 )
-from repro.graph.csr import HAVE_NUMPY, batched_min_distances
-from repro.graph.dijkstra import (
-    dijkstra,
-    eccentricity,
-    multi_source_min_distance,
-)
-from repro.graph.landmarks import LandmarkIndex
+from repro.graph.dijkstra import dijkstra
 from repro.graph.road_network import RoadNetwork
 
 from .conftest import pick_query, random_instance, score_set
@@ -237,60 +228,6 @@ def test_contraction_for_memoized_and_invalidated():
     rebuilt = contraction_for(network)
     assert rebuilt is not ch
     assert rebuilt.distance(0, 1) <= 3.0
-
-
-# ----------------------------------------------------------------------
-# vectorized multi-source sweeps: bit-identity and the numpy-free path
-
-
-@settings(deadline=None, max_examples=20)
-@given(seed=st.integers(0, 10_000), directed=st.booleans())
-def test_property_batched_sweep_bit_identical(seed, directed):
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    network, _forest, rng = random_instance(seed, directed=directed)
-    n = network.num_vertices
-    sources = rng.sample(range(n), 3)
-    batched = batched_min_distances(network, sources)
-    reversed_batched = batched_min_distances(network, sources, reverse=True)
-    assert batched is not None and reversed_batched is not None
-    rows = [dijkstra(network, s) for s in sources]
-    rrows = [dijkstra(network, s, reverse=True) for s in sources]
-    for v in range(n):
-        assert batched[v] == min(r.get(v, math.inf) for r in rows)
-        assert reversed_batched[v] == min(
-            r.get(v, math.inf) for r in rrows
-        )
-
-
-def test_numpy_free_install_matches_numpy_built_values(monkeypatch):
-    """Without numpy the sweep reports ``None`` and every consumer takes
-    its scalar path, producing exactly the numpy-built values."""
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    network, _forest, rng = random_instance(31, directed=True)
-    n = network.num_vertices
-    sources = rng.sample(range(n), 3)
-    targets = rng.sample(range(n), 3)
-
-    def measure():
-        index = LandmarkIndex(network, count=4)
-        return (
-            index.landmarks,
-            index._from,
-            index._to,
-            [eccentricity(network, s) for s in sources],
-            [eccentricity(network, s, reverse=True) for s in sources],
-            multi_source_min_distance(network, sources, targets),
-            multi_source_min_distance(
-                network, sources, targets, reverse=True
-            ),
-        )
-
-    with_numpy = measure()
-    monkeypatch.setattr("repro.graph.csr.HAVE_NUMPY", False)
-    assert batched_min_distances(network, sources) is None
-    assert measure() == with_numpy
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Dijkstra variants vs networkx ground truth + resumable semantics,
-plus the CSR view the kernels run on."""
+plus the flat CSR adjacency the kernels run on."""
 
 import math
 import random
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import csr_graph, flat_adjacency
+from repro.graph.csr import flat_adjacency
 from repro.graph.dijkstra import (
     ExpansionCounters,
     ResumableDijkstra,
@@ -231,18 +231,21 @@ def test_predecessor_skip_equivalence():
 
 
 # ----------------------------------------------------------------------
-# the CSR view
+# the flat CSR adjacency
 
 
-def test_csr_view_memoized_and_invalidated():
+def test_flat_adjacency_memoized_and_invalidated():
     rng = random.Random(11)
     net = integer_grid(3, 3, rng, extra_edges=0)
-    view = csr_graph(net)
-    assert csr_graph(net) is view
+    flat = flat_adjacency(net)
+    assert flat_adjacency(net) is flat
+    assert flat_adjacency(net, reverse=True) is flat  # undirected
     net.add_edge(0, 8, 2.0)
-    rebuilt = csr_graph(net)
-    assert rebuilt is not view
-    assert rebuilt.num_edges == net.num_edges
+    rebuilt = flat_adjacency(net)
+    assert rebuilt is not flat
+    _n, indptr, indices, weights = rebuilt
+    assert indptr[-1] == 2 * net.num_edges  # both arcs of every edge
+    assert (indices[indptr[1] - 1], weights[indptr[1] - 1]) == (8, 2.0)
 
 
 def test_flat_adjacency_mirrors_neighbor_order():

@@ -68,6 +68,23 @@ def test_property_set_bounds_are_admissible(seed):
     assert index.heuristic_row(("test", seed), second) is row
 
 
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10_000), directed=st.booleans())
+def test_property_tables_are_exact_dijkstra_rows(seed, directed):
+    """The rows landmark selection computed, reused as ``_from``, are
+    the plain Dijkstra rows; undirected ``_to`` shares them."""
+    network, _forest, _rng = random_instance(seed, directed=directed)
+    index = LandmarkIndex(network, count=4)
+    n = network.num_vertices
+    for i, lm in enumerate(index.landmarks):
+        forward = dijkstra(network, lm)
+        backward = dijkstra(network, lm, reverse=True)
+        assert index._from[i] == [forward.get(v, math.inf) for v in range(n)]
+        assert index._to[i] == [backward.get(v, math.inf) for v in range(n)]
+        if not directed:
+            assert index._to[i] is index._from[i]
+
+
 def test_empty_profile_disables_pruning():
     rng = random.Random(3)
     net = integer_grid(3, 3, rng, extra_edges=0)
