@@ -131,13 +131,14 @@ def compute_lower_bounds(
     Full-set minima can only under- (never over-) state the restricted
     ones, so they stay valid lower bounds; they are also never
     radius-truncated, which is where they beat the Dijkstra values.
-    Buckets depend only on the target sets and are cached across
-    queries in ``shared_cache`` (a
-    :class:`~repro.core.distcache.DistanceCache`) — a warm query skips
-    every downward sweep.  CH sums associate differently from the
-    search's left-to-right accumulation, so each value is eps-shaved
-    exactly like the ALT bounds before use.  With CH (and no landmark
-    restriction in play) the l̄(ϕ)-ball Dijkstra is skipped entirely.
+    Buckets depend only on the target sets and are memoized on the
+    hierarchy (``shared_cache``, a
+    :class:`~repro.core.distcache.DistanceCache`, only counts their
+    traffic) — a warm query skips every downward sweep.  CH sums
+    associate differently from the search's left-to-right accumulation,
+    so each value is eps-shaved exactly like the ALT bounds before use.
+    With CH (and no landmark restriction in play) the l̄(ϕ)-ball
+    Dijkstra is skipped entirely.
     """
     n = query.size
     specs = query.specs
@@ -194,7 +195,7 @@ def compute_lower_bounds(
             # minima only under-state restricted ones (still valid), and
             # the ALT max below restores per-query tightness.
             bucket = shared_bucket(
-                ch, network, shared_cache, "cands",
+                ch, shared_cache, "cands",
                 specs[j + 1].share_key, specs[j + 1].sim_map,
             )
             src_key = specs[j].share_key
@@ -234,7 +235,7 @@ def compute_lower_bounds(
         if perfect_enabled:
             if ch is not None:
                 pbucket = shared_bucket(
-                    ch, network, shared_cache, "perfect",
+                    ch, shared_cache, "perfect",
                     specs[j + 1].share_key, specs[j + 1].perfect,
                 )
                 if src_key is not None and tgt_key is not None:

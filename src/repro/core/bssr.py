@@ -421,11 +421,12 @@ class BSSRSearch:
         return self._ch
 
     def _bucket_cache(self) -> DistanceCache | None:
-        """The cross-query home for CH target buckets.
+        """The cache that counts CH target-bucket traffic.
 
-        Buckets are exact query-independent distances, so unlike shared
-        *searches* they need no disjoint-trees condition — only the
-        ``caching`` flag gates them."""
+        Buckets themselves live on the hierarchy; they are exact
+        query-independent distances, so unlike shared *searches* their
+        counting needs no disjoint-trees condition — only the
+        ``caching`` flag gates it."""
         if not self.options.use_contraction or not self.options.caching:
             return None
         return self.shared_cache
@@ -434,7 +435,7 @@ class BSSRSearch:
         """Distances *to* the destination for the final-leg scoring.
 
         The lazy :class:`CHDistanceOracle` under ``use_contraction``
-        (its bucket rides the cross-query cache, keyed by destination),
+        (its bucket is memoized on the hierarchy, keyed by destination),
         the eager full reverse Dijkstra otherwise.  Checkpoint restore
         goes through this same seam so restored sessions carry the same
         oracle type as live ones.
@@ -445,7 +446,6 @@ class BSSRSearch:
             ch = self._ch_index()
             bucket = shared_bucket(
                 ch,
-                self.network,
                 self._bucket_cache(),
                 "dest",
                 (destination,),
@@ -666,15 +666,7 @@ class BSSRSearch:
                     spec.share_key, source, spec.sim_map
                 )
             else:
-                bucket = shared_bucket(
-                    ch,
-                    self.network,
-                    self._bucket_cache(),
-                    "cands",
-                    spec.share_key,
-                    spec.sim_map,
-                )
-                row = ch.distances_from(source, bucket)
+                row = ch.distances_from(source, ch.bucket(spec.sim_map))
                 sim_of = spec.sim_map.__getitem__
                 entries = sorted(
                     (d, vid, sim_of(vid)) for vid, d in row.items()

@@ -25,6 +25,11 @@ Exactness rests on the same conditions as the per-run cache, plus one:
   engine and must never be shared across engines serving different
   datasets; :meth:`DistanceCache.lookup` asserts network identity.
 
+Contraction-hierarchy target buckets are *not* cached here: they are
+per-network constants memoized once per target set on the hierarchy
+(:meth:`repro.graph.contraction.ContractionHierarchy.memo_bucket`), so
+the whole budget goes to searches; the cache only counts their traffic.
+
 Budgets follow the :mod:`repro.store` idiom: entry and byte caps with
 LRU eviction.  Recency is the entry order itself (a hit moves its entry
 to the back, eviction takes the front) and the byte total is kept
@@ -59,10 +64,13 @@ _DICT_ENTRY_BYTES = 72
 class CacheStats:
     """Operation counters (shape mirrors ``repro.store.StoreStats``).
 
-    ``bucket_hits``/``bucket_misses`` count the CH target-bucket side
-    (:meth:`DistanceCache.lookup_bucket`) separately from the search
-    side — a warm bucket hit is a skipped set of downward sweeps, not a
-    skipped modified Dijkstra, and the benchmarks report both.
+    ``bucket_hits``/``bucket_misses`` are hierarchy bucket memo
+    hits/misses seen through this engine
+    (:func:`repro.graph.contraction.shared_bucket`): CH target buckets
+    live on the hierarchy, never in this cache, but their traffic is
+    counted here next to the search side — a warm bucket hit is a
+    skipped set of downward sweeps, not a skipped modified Dijkstra,
+    and the benchmarks report both.
     """
 
     hits: int = 0
@@ -93,7 +101,7 @@ class CacheStats:
 
 @dataclass
 class _Entry:
-    value: object  # a live PoICandidateSearch or a CH target bucket
+    search: PoICandidateSearch
     size: int
 
 
@@ -175,8 +183,7 @@ class DistanceCache:
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        search = entry.value
-        assert isinstance(search, PoICandidateSearch)
+        search = entry.search
         search.adopt_stats(stats)
         return search
 
@@ -200,38 +207,22 @@ class DistanceCache:
         size = _estimate_bytes(search)
         if self.max_bytes is not None and size > self.max_bytes:
             return False
-        self._store(key, search, size)
-        return True
-
-    # ------------------------------------------------------------------
-    # CH target buckets (see repro.graph.contraction.shared_bucket)
-
-    def lookup_bucket(self, network: RoadNetwork, key: tuple):
-        """The cached CH target bucket under ``key``, or ``None``.
-
-        Buckets depend only on (network, target set) — the caller
-        builds keys from the hierarchy token plus a ``share_key``, so a
-        hit makes a warm query skip every backward (downward-serving)
-        sweep for that target set."""
-        self._bind(network)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.bucket_misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.bucket_hits += 1
-        return entry.value
-
-    def admit_bucket(self, network: RoadNetwork, key: tuple, bucket) -> bool:
-        """Offer a freshly built CH target bucket for future queries."""
-        self._bind(network)
-        pairs = bucket.pairs
-        size = _DICT_ENTRY_BYTES * (
-            2 * len(pairs) + sum(len(row) for row in pairs.values())
-        )
-        if self.max_bytes is not None and size > self.max_bytes:
-            return False
-        self._store(key, bucket, size)
+        entries = self._entries
+        old = entries.pop(key, None)
+        if old is not None:
+            self._bytes -= old.size
+        entries[key] = _Entry(search=search, size=size)
+        self._bytes += size
+        self.stats.admissions += 1
+        # the size screen above and entry budgets >= 1 mean the newcomer
+        # (at the back) always fits alone
+        while len(entries) > 1 and (
+            (self.max_entries is not None and len(entries) > self.max_entries)
+            or (self.max_bytes is not None and self._bytes > self.max_bytes)
+        ):
+            _, victim = entries.popitem(last=False)
+            self._bytes -= victim.size
+            self.stats.evictions += 1
         return True
 
     # ------------------------------------------------------------------
@@ -246,26 +237,6 @@ class DistanceCache:
     def clear(self) -> None:
         self._entries.clear()
         self._bytes = 0
-
-    def _store(self, key: tuple, value: object, size: int) -> None:
-        """Insert (or replace) ``key`` as the most recent entry, then
-        evict least-recently-used entries until the budgets hold."""
-        entries = self._entries
-        old = entries.pop(key, None)
-        if old is not None:
-            self._bytes -= old.size
-        entries[key] = _Entry(value=value, size=size)
-        self._bytes += size
-        self.stats.admissions += 1
-        # admit() screened per-entry size and entry budgets are >= 1, so
-        # the newcomer (at the back) always fits alone
-        while len(entries) > 1 and (
-            (self.max_entries is not None and len(entries) > self.max_entries)
-            or (self.max_bytes is not None and self._bytes > self.max_bytes)
-        ):
-            _, victim = entries.popitem(last=False)
-            self._bytes -= victim.size
-            self.stats.evictions += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

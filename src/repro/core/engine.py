@@ -398,9 +398,10 @@ class SkySREngine:
         """Engine-level performance counters (service/CLI ``stats``).
 
         Reports the cross-query :class:`~repro.core.distcache.DistanceCache`
-        (search hits/misses plus CH bucket traffic) and, when a
-        contraction hierarchy has been built for this network, its
-        preprocessing stats.  Purely observational — never builds an
+        (search hits/misses, plus the hierarchy bucket memo hits/misses
+        seen through this engine — the buckets themselves live on the
+        hierarchy) and, when a contraction hierarchy has been built for
+        this network, its preprocessing stats.  Purely observational — never builds an
         index, so calling it on a cold engine is free.
         """
         out: dict = {}

@@ -24,8 +24,9 @@ Beyond point-to-point, the pieces BSSR consumes directly:
 * :meth:`~ContractionHierarchy.bucket` — per-target backward upward
   sweeps folded into a hub table (the many-to-many "bucket" trick).
   Buckets depend only on the target set, so
-  :class:`~repro.core.distcache.DistanceCache` caches them across
-  queries (warm queries skip every downward sweep);
+  :meth:`~ContractionHierarchy.memo_bucket` builds each distinct set's
+  bucket once per hierarchy and keeps it (warm queries skip every
+  downward sweep);
 * :meth:`~ContractionHierarchy.distances_from` — one forward upward
   sweep from a source scanned against a bucket: exact one-to-many
   distances (NNinit's legs);
@@ -131,9 +132,10 @@ class ContractionHierarchy:
                         row[v] = w
 
         #: per-hierarchy memo for buckets and leg minima keyed by
-        #: ``share_key`` — both depend only on the network and the
-        #: (query-independent) category sets, so they are preprocessing
-        #: in disguise, exactly like landmark heuristic rows
+        #: ``share_key`` (buckets also by target set) — both depend only
+        #: on the network and the (query-independent) category sets, so
+        #: they are preprocessing in disguise, exactly like landmark
+        #: heuristic rows, and are never evicted
         self._memo: dict = {}
         self._middle: dict[tuple[int, int], int] = {}
         #: upward adjacency, snapshotted at each vertex's contraction:
@@ -449,6 +451,33 @@ class ContractionHierarchy:
                 best = g + d
         return best
 
+    def memo_bucket(
+        self,
+        kind: str,
+        share_key: tuple,
+        targets: Collection[int],
+        counters=None,
+    ) -> CHBucket:
+        """:meth:`bucket` of a share-keyed target set, built at most once.
+
+        Looked up by name (``kind``, ``share_key``) first, then by the
+        target set itself, so two names for one set — a category whose
+        candidate and perfect sets coincide — share one bucket.  The
+        memo grows by at most one bucket per distinct target set: a
+        per-network constant, like the landmark tables.
+        """
+        memo = self._memo
+        key = ("bucket", kind, share_key)
+        bucket = memo.get(key)
+        if bucket is None:
+            set_key = ("bucketset", frozenset(targets))
+            bucket = memo.get(set_key)
+            if bucket is None:
+                bucket = self.bucket(targets, counters)
+                memo[set_key] = bucket
+            memo[key] = bucket
+        return bucket
+
     def vertex_min(
         self,
         kind: str,
@@ -468,11 +497,7 @@ class ContractionHierarchy:
         key = ("vmin", kind, share_key, u)
         value = memo.get(key)
         if value is None:
-            bucket_key = ("bucket", kind, share_key)
-            bucket = memo.get(bucket_key)
-            if bucket is None:
-                bucket = self.bucket(targets)
-                memo[bucket_key] = bucket
+            bucket = self.memo_bucket(kind, share_key, targets)
             value = self._row_min(self.forward_row(u), bucket.hubmin)
             memo[key] = value
         return value
@@ -499,11 +524,7 @@ class ContractionHierarchy:
         key = ("drow", kind, share_key, source)
         row = memo.get(key)
         if row is None:
-            bucket_key = ("bucket", kind, share_key)
-            bucket = memo.get(bucket_key)
-            if bucket is None:
-                bucket = self.bucket(targets, counters)
-                memo[bucket_key] = bucket
+            bucket = self.memo_bucket(kind, share_key, targets, counters)
             row = self.distances_from(source, bucket, counters)
             memo[key] = row
         return row
@@ -596,42 +617,29 @@ class CHDistanceOracle:
 
 def shared_bucket(
     ch: ContractionHierarchy,
-    network: "RoadNetwork",
     cache,
     kind: str,
     share_key: tuple | None,
     targets: Collection[int],
 ) -> CHBucket:
-    """A target bucket, through the cross-query cache when possible.
+    """A target bucket, from the hierarchy's memo when it has a name.
 
-    ``cache`` is a :class:`~repro.core.distcache.DistanceCache` (or
-    ``None``); ``share_key`` names the target set query-independently —
-    without one the bucket is built fresh (exactly like unshareable
-    modified-Dijkstra searches).  With a cache the bucket lives there
-    (budgeted, evictable, hit/miss counted); without one it is memoized
-    on the hierarchy itself, because a shareable bucket is a per-network
-    constant and rebuilding it per query would make "cold" CH queries
-    pay the downward sweeps forever.  The hierarchy token in the cache
-    key guards against a rebuilt-after-mutation hierarchy reading stale
-    buckets (the hierarchy memo dies with the hierarchy, so it needs no
-    token).
+    ``share_key`` names the target set query-independently; without one
+    the bucket is built fresh (exactly like unshareable modified-Dijkstra
+    searches).  Named buckets live only in
+    :meth:`ContractionHierarchy.memo_bucket`, whether or not a cache is
+    given: ``cache`` (a :class:`~repro.core.distcache.DistanceCache` or
+    ``None``) merely counts the traffic — a hit when the name was
+    already memoized, a miss otherwise — and stores nothing.
     """
     if share_key is None:
         return ch.bucket(targets)
     if cache is not None:
-        key = ("chb", ch._token, kind, share_key)
-        hit = cache.lookup_bucket(network, key)
-        if hit is not None:
-            return hit
-        bucket = ch.bucket(targets)
-        cache.admit_bucket(network, key, bucket)
-        return bucket
-    memo_key = ("bucket", kind, share_key)
-    bucket = ch._memo.get(memo_key)
-    if bucket is None:
-        bucket = ch.bucket(targets)
-        ch._memo[memo_key] = bucket
-    return bucket
+        if ("bucket", kind, share_key) in ch._memo:
+            cache.stats.bucket_hits += 1
+        else:
+            cache.stats.bucket_misses += 1
+    return ch.memo_bucket(kind, share_key, targets)
 
 
 def contraction_for(network: "RoadNetwork") -> ContractionHierarchy:

@@ -10,7 +10,8 @@ engine level CH answers are compared at the 9-decimal grain because CH
 sums associate differently along up-then-down paths.
 
 Also pinned here: the checkpoint round-trip under CH candidate
-streams and the stats surfaces.
+streams, the stats surfaces, and that every target bucket is built at
+most once per distinct target set per hierarchy, cache or no cache.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.distcache import DistanceCache
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
+from repro.core.search import PoICandidateSearch
+from repro.datasets.presets import tokyo_like
+from repro.datasets.workloads import generate_workload
 from repro.graph.contraction import (
     CHDistanceOracle,
+    ContractionHierarchy,
     contraction_for,
     shared_bucket,
 )
@@ -153,14 +159,97 @@ def test_shared_bucket_memoizes_on_hierarchy_without_cache():
     assert picked is not None
     start, cats = picked
     spec = engine.compile(start, cats).specs[0]
-    a = shared_bucket(ch, network, None, "cands", spec.share_key, spec.sim_map)
-    b = shared_bucket(ch, network, None, "cands", spec.share_key, spec.sim_map)
+    a = shared_bucket(ch, None, "cands", spec.share_key, spec.sim_map)
+    b = shared_bucket(ch, None, "cands", spec.share_key, spec.sim_map)
     assert a is b
     # no share_key: built fresh every time (unshareable target sets)
-    c = shared_bucket(ch, network, None, "cands", None, spec.sim_map)
-    assert c is not shared_bucket(
-        ch, network, None, "cands", None, spec.sim_map
+    c = shared_bucket(ch, None, "cands", None, spec.sim_map)
+    assert c is not shared_bucket(ch, None, "cands", None, spec.sim_map)
+
+
+def _count_bucket_builds(monkeypatch) -> list[int]:
+    """Patch :meth:`ContractionHierarchy.bucket` to count its calls."""
+    calls = [0]
+    build = ContractionHierarchy.bucket
+
+    def counted(self, targets, counters=None):
+        calls[0] += 1
+        return build(self, targets, counters)
+
+    monkeypatch.setattr(ContractionHierarchy, "bucket", counted)
+    return calls
+
+
+def test_memo_bucket_shares_one_bucket_per_target_set(monkeypatch):
+    network, forest, rng = random_instance(17)
+    ch = contraction_for(network)
+    engine = SkySREngine(network, forest)
+    picked = pick_query(network, forest, rng, 2)
+    assert picked is not None
+    start, cats = picked
+    spec = engine.compile(start, cats).specs[0]
+    calls = _count_bucket_builds(monkeypatch)
+    a = ch.memo_bucket("cands", spec.share_key, spec.sim_map)
+    b = ch.memo_bucket("perfect", ("alias",), frozenset(spec.sim_map))
+    assert a is b
+    assert calls[0] == 1
+    assert a == ch.bucket(spec.sim_map)
+
+
+def test_bucket_traffic_counted_on_cache_not_stored_in_it():
+    network, forest, rng = random_instance(29)
+    picked = pick_query(network, forest, rng, 3)
+    assert picked is not None
+    start, cats = picked
+    cache = DistanceCache(max_entries=64)
+    engine = SkySREngine(network, forest, distance_cache=cache)
+    options = BSSROptions(use_contraction=True)
+    engine.query(start, cats, options=options)
+    first_hits = cache.stats.bucket_hits
+    first_misses = cache.stats.bucket_misses
+    assert first_misses > 0
+    engine.query(start, cats, options=options)
+    assert cache.stats.bucket_misses == first_misses
+    assert cache.stats.bucket_hits > first_hits
+    # the LRU holds only modified-Dijkstra searches
+    assert all(
+        isinstance(entry.search, PoICandidateSearch)
+        for entry in cache._entries.values()
     )
+
+
+def test_buckets_survive_a_one_entry_cache(monkeypatch):
+    """Query A, B, A on a one-entry cache: the repeat builds no bucket,
+    and all answers match cache-free ALT+CH (exactly) and default
+    options (9 decimals)."""
+    data = tokyo_like(0.12, seed=11)
+    workload = generate_workload(data, 3, 40, seed=3)
+    query_a = workload[0]
+    query_b = next(
+        q for q in workload if set(q.categories) != set(query_a.categories)
+    )
+    options = BSSROptions(use_landmarks=True, use_contraction=True)
+    cached = SkySREngine(
+        data.network, data.forest, distance_cache=DistanceCache(max_entries=1)
+    )
+    calls = _count_bucket_builds(monkeypatch)
+    answers = []
+    builds = []
+    for q in (query_a, query_b, query_a):
+        before = calls[0]
+        answers.append(cached.query(q.start, list(q.categories), options=options))
+        builds.append(calls[0] - before)
+    assert builds[0] > 0
+    assert builds[2] == 0
+
+    plain = SkySREngine(data.network, data.forest)
+    for q, got in zip((query_a, query_b, query_a), answers):
+        exact = plain.query(q.start, list(q.categories), options=options)
+        assert {r.scores() for r in got.routes} == {
+            r.scores() for r in exact.routes
+        }
+        default = plain.query(q.start, list(q.categories))
+        assert score_set(got.routes) == score_set(default.routes)
 
 
 # ----------------------------------------------------------------------
