@@ -83,16 +83,12 @@ def run_bssr(
     *,
     aggregator: SemanticAggregator | None = None,
     options: BSSROptions | None = None,
-    precomputed_bounds: LowerBounds | None = None,
     distance_cache: DistanceCache | None = None,
 ) -> tuple[list[SkylineRoute], SearchStats]:
     """Execute a SkySR query with BSSR; returns (skyline routes, stats).
 
-    ``precomputed_bounds`` (e.g. from
-    :class:`repro.extensions.preprocessing.TreePairDistanceIndex`)
-    replaces the per-query Algorithm-4 computation with index lookups;
-    destination queries ignore it, since the destination leg bound is
-    query-specific.
+    The leg lower bounds are Algorithm 4's, computed per query (see
+    :mod:`repro.core.bounds`).
 
     ``distance_cache`` shares modified-Dijkstra expansions *across*
     queries (see :mod:`repro.core.distcache`); it is only consulted
@@ -100,16 +96,14 @@ def run_bssr(
     """
     # One-shot callers never resume, so skip the checkpoint machinery:
     # no route archive, no deferred-work retention.
-    runner = BSSRSearch(
+    return BSSRSearch(
         network,
         query,
         aggregator,
         options,
         checkpointable=False,
         shared_cache=distance_cache,
-    )
-    runner.precomputed_bounds = precomputed_bounds
-    return runner.run()
+    ).run()
 
 
 class _ArchivingSkyband(SkybandSet):
@@ -251,7 +245,6 @@ class BSSRSearch:
         self._use_cache = self.options.caching and query.disjoint_trees
         self._first_radius_recorded = False
         self._started = False
-        self.precomputed_bounds: LowerBounds | None = None
         # ALT index, bound lazily by _compute_bounds (memoized per
         # network, so repeated searches pay the table build once)
         self._landmarks = None
@@ -334,17 +327,7 @@ class BSSRSearch:
                 self.skyline.perfect_route_length()
             )
 
-        if (
-            self.precomputed_bounds is not None
-            and self.options.lower_bounds
-            and self.dest_dist is None
-        ):
-            self.bounds = self.precomputed_bounds
-            self.stats.sum_ls = self.bounds.suffix_ls[1]
-            self.stats.sum_lp = self.bounds.suffix_lp[1]
-            self.stats.extra["preprocessed_bounds"] = True
-        else:
-            self._compute_bounds()
+        self._compute_bounds()
         self.state.bounds = self.bounds
 
         empty = PartialRoute(

@@ -191,7 +191,6 @@ class SkySREngine:
         similarity: SimilarityMeasure | None = None,
         aggregator: SemanticAggregator | None = None,
         options: BSSROptions | None = None,
-        preprocessing: bool = False,
         distance_cache=None,
     ) -> None:
         self.network = network
@@ -199,16 +198,12 @@ class SkySREngine:
         self.similarity = similarity or DEFAULT_SIMILARITY
         self.aggregator = aggregator or DEFAULT_AGGREGATOR
         self.options = options or BSSROptions()
-        #: build a tree-pair distance index once and serve Algorithm 4's
-        #: lower bounds from it (the paper's future-work preprocessing)
-        self.preprocessing = preprocessing
         #: optional cross-query :class:`~repro.core.distcache.DistanceCache`
         #: shared by every BSSR query this engine answers; ``None``
         #: (default) keeps queries fully independent, which is what the
         #: stats-sensitive experiments expect
         self.distance_cache = distance_cache
         self._index: PoIIndex | None = None
-        self._tree_index = None
 
     @property
     def index(self) -> PoIIndex:
@@ -220,16 +215,6 @@ class SkySREngine:
 
     def refresh_index(self) -> None:
         self._index = None
-        self._tree_index = None
-
-    @property
-    def tree_index(self):
-        """The preprocessing index (built lazily on first use)."""
-        if self._tree_index is None:
-            from repro.extensions.preprocessing import TreePairDistanceIndex
-
-            self._tree_index = TreePairDistanceIndex(self.network, self.index)
-        return self._tree_index
 
     # ------------------------------------------------------------------
 
@@ -308,15 +293,11 @@ class SkySREngine:
                 opts = BSSROptions.without_optimizations().but(
                     k=opts.k, max_routes_expanded=opts.max_routes_expanded
                 )
-            precomputed = None
-            if self.preprocessing and opts.lower_bounds:
-                precomputed = self.tree_index.bounds_for(compiled)
             routes, stats = run_bssr(
                 self.network,
                 compiled,
                 aggregator=self.aggregator,
                 options=opts,
-                precomputed_bounds=precomputed,
                 distance_cache=self.distance_cache,
             )
         elif algorithm in ("dij", "pne"):

@@ -1,11 +1,11 @@
 """Versioned, stateless REST-style session API.
 
-:class:`~repro.service.prototype.SkySRService` keeps its paging
-sessions in process memory — fine for one prototype worker, useless
-behind a load balancer.  :class:`SessionApi` is the production shape:
-every session lives *only* in a pluggable
+:class:`SessionApi` is the service's one paging surface
+(:class:`~repro.service.prototype.SkySRService` answers one-shot
+requests only).  Every session lives *only* in a pluggable
 :class:`~repro.store.SessionStore` as a versioned JSON payload
-(:mod:`repro.core.serialize`), and **every call restores the session
+(:mod:`repro.core.serialize`), so the store's TTL, LRU and byte budgets
+bound what open sessions cost, and **every call restores the session
 from the store, operates, and writes it back**.  No request depends on
 which worker answered the previous one: two ``SessionApi`` instances
 sharing a store (or one per process over a
@@ -27,8 +27,9 @@ DELETE  ``/v1/sessions/{id}``           :meth:`SessionApi.close_session`
 GET     ``/v1/stats``                   :meth:`SessionApi.stats`
 ======  ==============================  ===========================
 
-Typed failures map onto the obvious statuses: malformed requests are
-400 (:class:`~repro.errors.QueryError`), unknown/closed sessions 404
+Typed failures map onto the obvious statuses: malformed requests —
+including any body field of the wrong type — are 400
+(:class:`~repro.errors.QueryError`), unknown/closed sessions 404
 (:class:`~repro.errors.SessionNotFoundError`), TTL-lapsed ones 410
 (:class:`~repro.errors.SessionExpiredError`), store/admission
 backpressure 429 (:class:`~repro.errors.AdmissionError`), and a
@@ -126,20 +127,85 @@ def _status_for(exc: ReproError) -> int:
 
 
 # ----------------------------------------------------------------------
+# request bodies
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(map(_is_number, value))
+    )
+
+
+def _is_categories(value) -> bool:
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(isinstance(ref, str) or _is_int(ref) for ref in value)
+    )
+
+
+#: body field -> (type check, what the field must be); ``None`` = unset
+_CREATE_FIELDS = {
+    "categories": (_is_categories, "a non-empty list of category refs"),
+    "start": (_is_int, "an integer vertex id"),
+    "near": (_is_pair, "a pair of numbers"),
+    "destination": (_is_int, "an integer vertex id"),
+    "page_size": (_is_int, "an integer"),
+    "diversity_lambda": (_is_number, "a number"),
+    "session_id": (lambda value: isinstance(value, str), "a string"),
+}
+_PAGE_FIELDS = {"n": (_is_int, "an integer")}
+
+
+def _checked_body(request, fields: dict, what: str) -> dict:
+    """Reject a body that is not an object, or has an unknown or
+    mistyped field, with :class:`~repro.errors.QueryError`."""
+    if not isinstance(request, dict):
+        raise QueryError(
+            f"{what} body must be an object, got {type(request).__name__}"
+        )
+    unknown = set(request) - set(fields)
+    if unknown:
+        raise QueryError(
+            f"unknown {what} field(s): {sorted(unknown)}; "
+            f"allowed: {sorted(fields)}"
+        )
+    for name, value in request.items():
+        valid, kind = fields[name]
+        if value is not None and not valid(value):
+            raise QueryError(
+                f"{what} field {name!r} must be {kind}, got {value!r}"
+            )
+    return request
+
+
+# ----------------------------------------------------------------------
 
 
 class SessionApi:
     """Stateless session endpoints over a service facade and a store.
 
     Args:
-        service: the engine/dataset facade (its ``max_k`` /
-            ``max_session_routes`` admission caps apply here too).
+        service: the engine/dataset facade (its ``max_k`` admission cap
+            applies to ``page_size`` and ``n`` here).
         store: where sessions durably live between calls.  Pass the
             same store to several ``SessionApi`` instances (or a
             :class:`~repro.store.DiskSessionStore` directory to several
             processes) and they serve the same sessions.
         id_factory: session-id generator, injectable for deterministic
             tests (default: random hex).
+        max_session_routes: admission cap on the *cumulative* routes a
+            single session may enumerate across all its pages.
     """
 
     def __init__(
@@ -148,10 +214,22 @@ class SessionApi:
         store: SessionStore,
         *,
         id_factory: Callable[[], str] | None = None,
+        max_session_routes: int | None = None,
     ) -> None:
         self.service = service
         self.store = store
         self._new_id = id_factory or (lambda: f"sess-{uuid.uuid4().hex[:12]}")
+        self.max_session_routes = max_session_routes
+
+    def _admit_session_budget(
+        self, session: PlanningSession, n: int
+    ) -> None:
+        cap = self.max_session_routes
+        if cap is not None and len(session.served) + n > cap:
+            raise AdmissionError(
+                f"session budget exhausted: serving {n} more routes "
+                f"would exceed the cap of {cap} per session"
+            )
 
     # ------------------------------------------------------------------
     # endpoints
@@ -159,54 +237,42 @@ class SessionApi:
     def create_session(self, request: dict) -> SessionResource:
         """Open a session from a request body and persist it.
 
-        The body mirrors :meth:`SkySRService.create_session` keywords —
-        ``categories`` (required), ``start`` or ``near``,
-        ``destination``, ``page_size``, ``diversity_lambda`` — plus an
-        optional client-chosen ``session_id``.  No search runs yet; the
-        serialized newborn session is written straight to the store.
+        The body carries ``categories`` (required: a non-empty list of
+        category names or ids), ``start`` or ``near``, ``destination``,
+        ``page_size`` and ``diversity_lambda``, plus an optional
+        client-chosen ``session_id``.  Any other field, or a field of
+        the wrong type, is a :class:`~repro.errors.QueryError`.  No
+        search runs yet; the serialized newborn session is written
+        straight to the store.
         """
-        if not isinstance(request, dict):
+        body = _checked_body(request, _CREATE_FIELDS, "create-session")
+        categories = body.get("categories")
+        if not categories:
             raise QueryError(
-                f"create-session body must be an object, got "
-                f"{type(request).__name__}"
+                "create-session body needs a non-empty 'categories' list"
             )
-        body = dict(request)
-        session_id = body.pop("session_id", None)
+        forest = self.service.engine.forest
+        unknown = [ref for ref in categories if ref not in forest]
+        if unknown:
+            raise QueryError(f"unknown categories: {unknown}")
+        session_id = body.get("session_id")
         if session_id is None:
             session_id = self._new_id()
         validate_session_id(session_id)
         if session_id in self.store:
             raise QueryError(f"session {session_id!r} already exists")
-        categories = body.pop("categories", None)
-        if not categories:
-            raise QueryError(
-                "create-session body needs a non-empty 'categories' list"
-            )
-        allowed = {
-            "start",
-            "near",
-            "destination",
-            "page_size",
-            "diversity_lambda",
-        }
-        unknown = set(body) - allowed
-        if unknown:
-            raise QueryError(
-                f"unknown create-session field(s): {sorted(unknown)}; "
-                f"allowed: {sorted(allowed | {'categories', 'session_id'})}"
-            )
-        near = body.pop("near", None)
+        near = body.get("near")
         if near is not None:
             near = tuple(near)
         page_size = body.get("page_size")
         self.service._admit_k(page_size, what="page_size")
-        start = self.service._resolve_start(body.pop("start", None), near)
+        start = self.service._resolve_start(body.get("start"), near)
         session = self.service.engine.session(
             start,
             list(categories),
-            destination=body.pop("destination", None),
+            destination=body.get("destination"),
             page_size=page_size,
-            diversity_lambda=body.pop("diversity_lambda", None),
+            diversity_lambda=body.get("diversity_lambda"),
         )
         self.store.put(session_id, session.to_dict())
         return self._resource(session_id, session)
@@ -226,20 +292,17 @@ class SessionApi:
         checkpointed search, write the widened session back.
 
         The optional body carries ``n``, the page-size override for
-        this one call.  Admission caps are enforced exactly as in the
-        in-process facade.
+        this one call.  ``n`` is admission-checked against the
+        service's ``max_k``, and the page against
+        ``max_session_routes``.
         """
-        body = dict(request or {})
-        n = body.pop("n", None)
-        if body:
-            raise QueryError(
-                f"unknown next-page field(s): {sorted(body)}; allowed: ['n']"
-            )
-        if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
-            raise QueryError(f"page size n must be an integer, got {n!r}")
+        body = _checked_body(
+            {} if request is None else request, _PAGE_FIELDS, "next-page"
+        )
+        n = body.get("n")
         session = self._restore(session_id)
         self.service._admit_k(n, what="page size n")
-        self.service._admit_session_budget(session, n or session.page_size)
+        self._admit_session_budget(session, n or session.page_size)
         page = session.next_page(n)
         self.store.put(session_id, session.to_dict())
         result = session.to_result(page)

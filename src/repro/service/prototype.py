@@ -10,34 +10,30 @@ simulated user study drive it, and :mod:`repro.service.geojson` turns
 its answers into map-ready payloads.
 
 Production route services return *ranked alternatives*, not a single
-answer set, and they page: :meth:`SkySRService.plan` accepts a
-per-request ``k`` (top-k alternatives from the k-skyband),
-:meth:`SkySRService.create_session` / :meth:`SkySRService.next_page`
-expose resumable pagination (ranks ``k+1..2k`` continue the
-checkpointed search instead of recomputing — see
-:mod:`repro.core.session`), and :meth:`SkySRService.plan_batch` /
-:meth:`SkySRService.batch_geojson` answer many requests in one call,
-the latter as map-ready GeoJSON — the shape of the prototype's HTTP
-batch endpoint.  Batch entries may create or resume sessions inline.
+answer set: :meth:`SkySRService.plan` accepts a per-request ``k``
+(top-k alternatives from the k-skyband), and
+:meth:`SkySRService.plan_batch` / :meth:`SkySRService.batch_geojson`
+answer many one-shot requests in one call, the latter as map-ready
+GeoJSON — the shape of the prototype's HTTP batch endpoint.  Paging
+through further alternatives is served only by
+:class:`~repro.service.api.SessionApi`, which keeps every session in a
+budgeted :class:`~repro.store.SessionStore`.
 
-Under load a service must also say *no*: the ``max_k`` /
-``max_session_routes`` knobs are per-request admission control —
-requests above the caps are rejected with
+Under load a service must also say *no*: ``max_k`` is per-request
+admission control — requests above the cap are rejected with
 :class:`~repro.errors.AdmissionError` before any search work is done.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.core.distcache import DistanceCache
 from repro.core.engine import SkySREngine, SkySRResult
 from repro.core.options import BSSROptions
 from repro.core.routes import SkylineRoute
-from repro.core.session import PlanningSession
 from repro.datasets.paper_example import Dataset
-from repro.errors import AdmissionError, QueryError, SessionNotFoundError
+from repro.errors import AdmissionError, QueryError
 from repro.graph.spatial import nearest_vertex
 
 
@@ -59,27 +55,18 @@ class RouteCard:
 
 @dataclass
 class ServiceResponse:
-    """A full service answer: cards plus the raw engine result.
-
-    Session-backed answers also carry the session id and page number so
-    a client can keep paging; ``exhausted`` tells it when to stop.
-    """
+    """A full service answer: cards plus the raw engine result."""
 
     query: list[str]
     start: int
     cards: list[RouteCard]
     result: SkySRResult = field(repr=False)
-    session_id: str | None = None
-    page: int | None = None
-    exhausted: bool | None = None
 
     def best(self) -> RouteCard | None:
         return self.cards[0] if self.cards else None
 
     def render_text(self) -> str:
         lines = [f"Routes for: {' -> '.join(self.query)}"]
-        if self.session_id is not None:
-            lines[0] += f"  (session {self.session_id}, page {self.page})"
         if not self.cards:
             lines.append("  (no feasible route)")
         lines.extend("  " + card.headline() for card in self.cards)
@@ -94,11 +81,10 @@ class SkySRService:
         options: engine-wide BSSR options.
         max_routes: presentation cap on cards per response.
         max_k: admission cap — any request asking for more than this
-            many alternatives at once (``k`` or a session
-            ``page_size``) is rejected with
+            many alternatives at once (``k`` here, or a session
+            ``page_size`` / ``n`` through
+            :class:`~repro.service.api.SessionApi`) is rejected with
             :class:`~repro.errors.AdmissionError`.
-        max_session_routes: admission cap on the *cumulative* routes a
-            single session may enumerate across all its pages.
         distance_cache: cross-query Dijkstra cache shared by every
             request this service answers (see
             :mod:`repro.core.distcache`).  The default is a modestly
@@ -120,7 +106,6 @@ class SkySRService:
         options: BSSROptions | None = None,
         max_routes: int | None = None,
         max_k: int | None = None,
-        max_session_routes: int | None = None,
         distance_cache: DistanceCache | None = None,
     ) -> None:
         self.dataset = dataset
@@ -137,9 +122,6 @@ class SkySRService:
         )
         self.max_routes = max_routes
         self.max_k = max_k
-        self.max_session_routes = max_session_routes
-        self._sessions: dict[str, PlanningSession] = {}
-        self._session_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # admission control
@@ -151,16 +133,6 @@ class SkySRService:
             raise AdmissionError(
                 f"requested {what}={k} exceeds this service's cap of "
                 f"{self.max_k} alternatives per request"
-            )
-
-    def _admit_session_budget(
-        self, session: PlanningSession, n: int
-    ) -> None:
-        cap = self.max_session_routes
-        if cap is not None and len(session.served) + n > cap:
-            raise AdmissionError(
-                f"session budget exhausted: serving {n} more routes "
-                f"would exceed the cap of {cap} per session"
             )
 
     # ------------------------------------------------------------------
@@ -211,71 +183,6 @@ class SkySRService:
         )
 
     # ------------------------------------------------------------------
-    # resumable sessions
-
-    def create_session(
-        self,
-        categories: list[str],
-        *,
-        start: int | None = None,
-        near: tuple[float, float] | None = None,
-        destination: int | None = None,
-        page_size: int | None = None,
-        diversity_lambda: float | None = None,
-    ) -> str:
-        """Open a paging session; returns its id (no search runs yet).
-
-        The first :meth:`next_page` call executes the initial search;
-        every further call resumes the checkpointed state for the next
-        ranks.  ``page_size`` is admission-checked against ``max_k``.
-        """
-        self._admit_k(page_size, what="page_size")
-        start = self._resolve_start(start, near)
-        session = self.engine.session(
-            start,
-            list(categories),
-            destination=destination,
-            page_size=page_size,
-            diversity_lambda=diversity_lambda,
-        )
-        session_id = f"sess-{next(self._session_ids)}"
-        self._sessions[session_id] = session
-        return session_id
-
-    def get_session(self, session_id: str) -> PlanningSession:
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise SessionNotFoundError(
-                f"unknown session {session_id!r}"
-            ) from None
-
-    def next_page(
-        self, session_id: str, n: int | None = None
-    ) -> ServiceResponse:
-        """Serve (and advance to) the next page of a session."""
-        session = self.get_session(session_id)
-        self._admit_k(n, what="page size n")
-        self._admit_session_budget(session, n or session.page_size)
-        page = session.next_page(n)
-        result = session.to_result(page)
-        return ServiceResponse(
-            query=session.compiled.labels(),
-            start=session.compiled.start,
-            cards=self._capped(
-                self._cards(result, first_rank=page.first_rank)
-            ),
-            result=result,
-            session_id=session_id,
-            page=page.number,
-            exhausted=page.exhausted,
-        )
-
-    def close_session(self, session_id: str) -> None:
-        """Drop a session's checkpointed state."""
-        self._sessions.pop(session_id, None)
-
-    # ------------------------------------------------------------------
     # batch endpoints
 
     def plan_batch(
@@ -288,42 +195,14 @@ class SkySRService:
 
         Each request is a dict of :meth:`plan` keyword arguments plus
         the mandatory ``categories``; a per-request ``k`` overrides the
-        batch-wide one.  Two session forms ride along:
-
-        * ``{"session": "sess-3"}`` (optional ``n``) — resume an open
-          session and answer with its next page;
-        * ``{"categories": [...], "page_size": 3, ...}`` — create a
-          session and answer with its first page (the response carries
-          the session id for follow-ups).
+        batch-wide one.  Every entry is checked before any search runs,
+        and a malformed one raises :class:`~repro.errors.QueryError`.
         """
+        entries = [_batch_entry(request) for request in requests]
         responses = []
-        for request in requests:
-            kwargs = dict(request)
-            session_id = kwargs.pop("session", None)
-            if session_id is not None:
-                responses.append(
-                    self.next_page(session_id, kwargs.pop("n", None))
-                )
-                continue
-            page_size = kwargs.pop("page_size", None)
-            categories = kwargs.pop("categories")
-            if page_size is not None:
-                allowed = {"start", "near", "destination", "diversity_lambda"}
-                unknown = set(kwargs) - allowed
-                if unknown:
-                    raise QueryError(
-                        "session batch entries (page_size) accept "
-                        f"{sorted(allowed)}; got unsupported key(s) "
-                        f"{sorted(unknown)} — one-shot options like 'k' "
-                        "or 'ordered' do not apply to sessions"
-                    )
-                sid = self.create_session(
-                    categories, page_size=page_size, **kwargs
-                )
-                responses.append(self.next_page(sid))
-                continue
+        for kwargs in entries:
             kwargs.setdefault("k", k)
-            responses.append(self.plan(categories, **kwargs))
+            responses.append(self.plan(kwargs.pop("categories"), **kwargs))
         return responses
 
     def batch_geojson(
@@ -337,51 +216,26 @@ class SkySRService:
 
         Returns one entry per request, each carrying the request echo
         and a FeatureCollection of the ranked alternatives (feature
-        ``properties.rank`` is the presentation rank).  Session-backed
-        entries echo the session id, page number, and global first
-        rank so clients can keep paging.
+        ``properties.rank`` is the presentation rank).
         """
         from repro.service.geojson import routes_to_geojson
 
-        responses = self.plan_batch(requests, k=k)
-        batch = []
-        for response in responses:
-            result = response.result
-            # For k > 1 ``routes`` is already the ranked truncation.
-            routes = result.routes
-            entry = {
+        batch = [
+            {
                 "query": response.query,
                 "start": response.start,
-                "k": result.k,
+                "k": response.result.k,
+                # For k > 1 ``routes`` is already the ranked truncation.
                 "routes": routes_to_geojson(
                     self.dataset.network,
                     response.start,
-                    routes,
+                    response.result.routes,
                     full_geometry=full_geometry,
                 ),
             }
-            if response.session_id is not None:
-                entry["session"] = response.session_id
-                entry["page"] = response.page
-                entry["exhausted"] = response.exhausted
-                if response.cards:
-                    entry["first_rank"] = response.cards[0].rank
-            batch.append(entry)
+            for response in self.plan_batch(requests, k=k)
+        ]
         return {"type": "SkySRBatch", "responses": batch}
-
-    # ------------------------------------------------------------------
-    # observability
-
-    def perf_stats(self) -> dict:
-        """Service performance counters (the ``/v1/stats`` endpoint).
-
-        Delegates to :meth:`~repro.core.engine.SkySREngine.perf_stats`
-        (cross-query cache traffic, CH preprocessing) and adds the
-        service-level session census.
-        """
-        stats = self.engine.perf_stats()
-        stats["sessions_open"] = len(self._sessions)
-        return stats
 
     # ------------------------------------------------------------------
 
@@ -426,3 +280,43 @@ class SkySRService:
                 stop["x"], stop["y"] = coords
             stops.append(stop)
         return stops
+
+
+#: the keys one :meth:`SkySRService.plan_batch` entry may carry
+_BATCH_KEYS = frozenset(
+    {
+        "categories",
+        "start",
+        "near",
+        "destination",
+        "ordered",
+        "k",
+        "diversity_lambda",
+    }
+)
+#: paging keys, which only :class:`~repro.service.api.SessionApi` serves
+_SESSION_KEYS = frozenset({"session", "page_size", "n"})
+
+
+def _batch_entry(request: dict) -> dict:
+    """Check one batch entry; returns a copy of its :meth:`plan` kwargs."""
+    allowed = f"allowed keys: {sorted(_BATCH_KEYS)}"
+    if not isinstance(request, dict):
+        raise QueryError(
+            f"batch entries must be objects, got {type(request).__name__}; "
+            f"{allowed}"
+        )
+    unknown = set(request) - _BATCH_KEYS
+    paging = sorted(unknown & _SESSION_KEYS)
+    if paging:
+        raise QueryError(
+            f"batch entries do not page (got {paging}); open a session "
+            f"with POST /v1/sessions instead; {allowed}"
+        )
+    if unknown:
+        raise QueryError(
+            f"unknown batch entry key(s) {sorted(unknown)}; {allowed}"
+        )
+    if "categories" not in request:
+        raise QueryError(f"batch entry needs 'categories'; {allowed}")
+    return dict(request)

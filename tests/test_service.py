@@ -142,7 +142,7 @@ def test_user_study_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# resumable sessions + admission control (the production-facing facade)
+# ranked alternatives + admission control (the production-facing facade)
 
 
 def _topk_service(**kwargs):
@@ -160,64 +160,6 @@ def _start(data):
     return scenario_start(data, seed=5)
 
 
-def test_service_session_create_resume_round_trip():
-    service, data = _topk_service()
-    start = _start(data)
-    sid = service.create_session(
-        ["Beer Garden", "Sake Bar"], start=start, page_size=2
-    )
-    first = service.next_page(sid)
-    assert first.session_id == sid and first.page == 1
-    assert [card.rank for card in first.cards] == list(
-        range(1, len(first.cards) + 1)
-    )
-    second = service.next_page(sid)
-    assert second.page == 2
-    if second.cards:
-        # global ranks continue across pages
-        assert second.cards[0].rank == len(first.cards) + 1
-    # the two pages together equal the one-shot top-4
-    oneshot = service.plan(
-        ["Beer Garden", "Sake Bar"], start=start, k=4
-    )
-    served = [c.pois for c in first.cards + second.cards]
-    assert served == [r.pois for r in oneshot.result.routes][: len(served)]
-    service.close_session(sid)
-    with pytest.raises(QueryError):
-        service.next_page(sid)
-
-
-def test_service_session_through_plan_batch_and_geojson():
-    service, data = _topk_service()
-    start = _start(data)
-    # batch entry 1 creates a session; entry 2 is a plain plan
-    payload = service.batch_geojson(
-        [
-            {
-                "categories": ["Beer Garden", "Sake Bar"],
-                "start": start,
-                "page_size": 2,
-            },
-            {"categories": ["Sake Bar"], "start": start, "k": 2},
-        ]
-    )
-    assert payload["type"] == "SkySRBatch"
-    first, second = payload["responses"]
-    sid = first["session"]
-    assert first["page"] == 1 and sid.startswith("sess-")
-    assert "session" not in second
-    # round-trip: resume the same session through the batch endpoint
-    followup = service.batch_geojson([{"session": sid}])
-    entry = followup["responses"][0]
-    assert entry["session"] == sid and entry["page"] == 2
-    if entry["routes"]["features"]:
-        assert entry["first_rank"] == len(first["routes"]["features"]) + 1
-    # no feature served twice across the two pages
-    def poiset(e):
-        return {tuple(f["properties"]["pois"]) for f in e["routes"]["features"]}
-    assert not (poiset(first) & poiset(entry))
-
-
 def test_service_admission_rejects_oversized_k():
     from repro.errors import AdmissionError
 
@@ -225,10 +167,6 @@ def test_service_admission_rejects_oversized_k():
     start = _start(data)
     with pytest.raises(AdmissionError):
         service.plan(["Beer Garden", "Sake Bar"], start=start, k=4)
-    with pytest.raises(AdmissionError):
-        service.create_session(
-            ["Beer Garden", "Sake Bar"], start=start, page_size=5
-        )
     with pytest.raises(AdmissionError):
         service.plan_batch(
             [{"categories": ["Sake Bar"], "start": start, "k": 10}]
@@ -243,16 +181,22 @@ def test_service_admission_rejects_oversized_k():
 
 def test_service_admission_caps_session_budget():
     from repro.errors import AdmissionError
+    from repro.service import SessionApi
+    from repro.store import InMemorySessionStore
 
-    service, data = _topk_service(max_session_routes=3)
-    start = _start(data)
-    sid = service.create_session(
-        ["Beer Garden", "Sake Bar"], start=start, page_size=2
-    )
-    service.next_page(sid)  # serves <= 2 routes
+    service, data = _topk_service()
+    api = SessionApi(service, InMemorySessionStore(), max_session_routes=3)
+    sid = api.create_session(
+        {
+            "categories": ["Beer Garden", "Sake Bar"],
+            "start": _start(data),
+            "page_size": 2,
+        }
+    ).session_id
+    api.next_page(sid)  # serves <= 2 routes
     with pytest.raises(AdmissionError):
-        service.next_page(sid)  # would exceed the 3-route budget
-    assert service.next_page(sid, n=1).page == 2  # within budget
+        api.next_page(sid)  # would exceed the 3-route budget
+    assert api.next_page(sid, {"n": 1}).page == 2  # within budget
 
 
 def test_service_diversity_lambda_plumbs_through():
@@ -270,3 +214,31 @@ def test_service_diversity_lambda_plumbs_through():
     }
     if diverse.cards and plain.cards:
         assert diverse.cards[0].pois == plain.cards[0].pois
+
+
+@pytest.mark.parametrize(
+    "entry, fragment",
+    [
+        ({"start": 0}, "categories"),
+        ({"categories": ["Sake Bar"], "start": 0, "bogus": 1}, "bogus"),
+        (["Sake Bar"], "objects"),
+        ({"session": "sess-1"}, "/v1/sessions"),
+        ({"categories": ["Sake Bar"], "start": 0, "page_size": 2},
+         "/v1/sessions"),
+        ({"session": "sess-1", "n": 2}, "/v1/sessions"),
+    ],
+)
+def test_plan_batch_rejects_malformed_entries(
+    service, monkeypatch, entry, fragment
+):
+    """Every bad entry is a QueryError naming the allowed keys, and
+    nothing is planned: the good entry before it never runs."""
+    planned = []
+    monkeypatch.setattr(service, "plan", lambda *a, **kw: planned.append(a))
+    good = {"categories": ["Gift Shop"], "start": 0}
+    with pytest.raises(QueryError) as info:
+        service.plan_batch([good, entry])
+    assert planned == []
+    message = str(info.value)
+    assert fragment in message
+    assert "allowed keys" in message and "'categories'" in message

@@ -31,7 +31,7 @@ def city():
 
 @pytest.fixture()
 def service(city):
-    return SkySRService(city, max_k=10, max_session_routes=40)
+    return SkySRService(city, max_k=10)
 
 
 @pytest.fixture()
@@ -41,6 +41,7 @@ def api(service):
         service,
         InMemorySessionStore(),
         id_factory=lambda: f"s{next(counter)}",
+        max_session_routes=40,
     )
 
 
@@ -184,12 +185,41 @@ def test_store_backpressure_is_429(service, city):
 
 
 def test_session_budget_cap_is_429(city):
-    service = SkySRService(city, max_session_routes=3)
-    api = SessionApi(service, InMemorySessionStore())
+    api = SessionApi(
+        SkySRService(city), InMemorySessionStore(), max_session_routes=3
+    )
     sid = _create(api, city).body["session_id"]
     assert api.dispatch("POST", f"/v1/sessions/{sid}/pages").status == 200
     refused = api.dispatch("POST", f"/v1/sessions/{sid}/pages")
     assert refused.status == 429
+    assert refused.body["error"] == "AdmissionError"
+    # a page that fits the remaining budget is still served
+    within = api.dispatch("POST", f"/v1/sessions/{sid}/pages", {"n": 1})
+    assert within.status == 200
+    assert within.body["page"] == 2 and within.body["first_rank"] == 3
+
+
+def test_store_budget_evicts_least_recently_used_session(service, city):
+    """More sessions than the store holds: the LRU one is gone (404),
+    the others still page."""
+    counter = itertools.count(1)
+    api = SessionApi(
+        service,
+        InMemorySessionStore(max_entries=2),
+        id_factory=lambda: f"s{next(counter)}",
+    )
+    assert _create(api, city).status == 201  # s1
+    assert _create(api, city).status == 201  # s2
+    # paging s1 makes s2 the least recently used
+    assert api.dispatch("POST", "/v1/sessions/s1/pages").status == 200
+    assert _create(api, city).status == 201  # s3 evicts s2
+    gone = api.dispatch("POST", "/v1/sessions/s2/pages")
+    assert gone.status == 404
+    assert gone.body["error"] == "SessionNotFoundError"
+    for sid, page in [("s1", 2), ("s3", 1)]:
+        served = api.dispatch("POST", f"/v1/sessions/{sid}/pages")
+        assert served.status == 200 and served.body["page"] == page
+    assert sorted(api.list_sessions()) == ["s1", "s3"]
 
 
 @pytest.mark.parametrize(
@@ -199,28 +229,40 @@ def test_session_budget_cap_is_429(city):
         ({"categories": []}, "categories"),
         ({"categories": CATS, "start": 0, "bogus": 1}, "bogus"),
         ({"categories": CATS}, "start"),
+        ({"categories": CATS, "start": 0, "page_size": "3"}, "page_size"),
+        ({"categories": CATS, "start": 0, "page_size": True}, "page_size"),
+        ({"categories": CATS, "start": 0, "page_size": 2.5}, "page_size"),
+        ({"categories": CATS, "start": 0, "page_size": 0}, "page_size"),
+        ({"categories": CATS, "start": "x"}, "start"),
+        ({"categories": CATS, "start": True}, "start"),
+        ({"categories": CATS, "start": 0, "destination": "y"}, "destination"),
+        ({"categories": CATS, "start": 0, "diversity_lambda": "a"},
+         "diversity_lambda"),
+        ({"categories": CATS, "near": [1]}, "near"),
+        ({"categories": CATS, "near": [1, "y"]}, "near"),
+        ({"categories": "Gift Shop", "start": 0}, "categories"),
+        ({"categories": ["Gift Shop", 2.5], "start": 0}, "categories"),
+        ({"categories": [True], "start": 0}, "categories"),
+        ({"categories": [10**6], "start": 0}, "1000000"),
+        ({"categories": ["No Such Place"], "start": 0}, "No Such Place"),
+        ([1], "object"),
     ],
 )
 def test_bad_create_bodies_are_400(api, body, fragment):
     response = api.dispatch("POST", "/v1/sessions", body)
     assert response.status == 400
     assert fragment in response.body["message"]
+    assert api.store.ids() == []  # nothing malformed is ever stored
 
 
 def test_bad_page_bodies_are_400(api, city):
     sid = _create(api, city).body["session_id"]
-    assert (
-        api.dispatch(
-            "POST", f"/v1/sessions/{sid}/pages", {"n": "two"}
-        ).status
-        == 400
-    )
-    assert (
-        api.dispatch(
-            "POST", f"/v1/sessions/{sid}/pages", {"pages": 2}
-        ).status
-        == 400
-    )
+    for body in [{"n": "two"}, {"pages": 2}, {"n": True}, {"n": 1.5}, [1]]:
+        response = api.dispatch("POST", f"/v1/sessions/{sid}/pages", body)
+        assert response.status == 400, body
+        assert response.body["error"] == "QueryError", body
+    # no rejected call advanced the session
+    assert api.dispatch("GET", f"/v1/sessions/{sid}").body["pages_served"] == 0
 
 
 def test_duplicate_session_id_is_400(api, city):
