@@ -67,9 +67,11 @@ from repro.core.spec import CompiledQuery
 from repro.core.stats import SearchStats
 from repro.errors import AlgorithmError, QueryError
 from repro.graph.contraction import (
+    CHBucket,
     CHDistanceOracle,
     contraction_for,
     shared_bucket,
+    sorted_row,
 )
 from repro.graph.dijkstra import dijkstra
 from repro.graph.landmarks import _shaved, landmarks_for
@@ -250,9 +252,12 @@ class BSSRSearch:
         self._landmarks = None
         # CH leg oracle under ``use_contraction``, bound lazily the same way
         self._ch = None
-        # final-position CH candidate streams, keyed (source, position);
-        # transient — deterministic, rebuilt lazily after a restore
+        # CH candidate streams (every position under use_contraction),
+        # keyed (source, position); transient — deterministic, rebuilt
+        # lazily after a restore
         self._ch_streams: dict[tuple[int, int], CHCandidateStream] = {}
+        # target buckets of positions without a share_key, per position
+        self._ch_buckets: dict[int, CHBucket] = {}
 
     # Durable checkpoints ----------------------------------------------
 
@@ -632,12 +637,15 @@ class BSSRSearch:
     def _ch_stream(
         self, route: PartialRoute, position: int
     ) -> CHCandidateStream:
-        """The final position's CH label-row stream (see
-        :class:`~repro.core.search.CHCandidateStream`): exact distances
-        to the full candidate set, sorted, no road-graph settles.
-        Streams carry no suppression state, so they are shareable
-        across routes unconditionally — distinctness is enforced by the
-        caller's ``vid in route.pois`` filter either way."""
+        """The CH label-row stream of ``position`` from the route's
+        endpoint (see :class:`~repro.core.search.CHCandidateStream`):
+        exact distances to the full candidate set, sorted, no road-graph
+        settles.  Streams carry no suppression state, so they are
+        shareable across routes unconditionally — distinctness is
+        enforced by the caller's ``vid in route.pois`` filter either
+        way.  Share-keyed rows come from the hierarchy's memo; others
+        (and their buckets) are built for this search only, in the same
+        typed form."""
         source = route.pois[-1] if route.pois else self.query.start
         key = (source, position)
         stream = self._ch_streams.get(key)
@@ -645,16 +653,16 @@ class BSSRSearch:
             spec = self.query.specs[position]
             ch = self._ch_index()
             if spec.share_key is not None:
-                entries = ch.memo_stream(
+                dists, vids = ch.memo_stream(
                     spec.share_key, source, spec.sim_map
                 )
             else:
-                row = ch.distances_from(source, ch.bucket(spec.sim_map))
-                sim_of = spec.sim_map.__getitem__
-                entries = sorted(
-                    (d, vid, sim_of(vid)) for vid, d in row.items()
-                )
-            stream = CHCandidateStream(entries)
+                bucket = self._ch_buckets.get(position)
+                if bucket is None:
+                    bucket = ch.bucket(spec.sim_map)
+                    self._ch_buckets[position] = bucket
+                dists, vids = sorted_row(ch.distances_from(source, bucket))
+            stream = CHCandidateStream(dists, vids, spec.sim_map)
             self._ch_streams[key] = stream
         return stream
 
@@ -684,7 +692,7 @@ class BSSRSearch:
 
         is_final = new_size == self.n
         leg_map = self.dest_dist if is_final else None
-        if is_final and self.options.use_contraction:
+        if self.options.use_contraction:
             search = self._ch_stream(route, position)
         else:
             search = self._candidate_search(route, position)

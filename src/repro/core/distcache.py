@@ -29,6 +29,9 @@ Contraction-hierarchy target buckets are *not* cached here: they are
 per-network constants memoized once per target set on the hierarchy
 (:meth:`repro.graph.contraction.ContractionHierarchy.memo_bucket`), so
 the whole budget goes to searches; the cache only counts their traffic.
+Under ``use_contraction`` no search is built at all (every position
+reads a CH label-row stream), so the cache then stores nothing and only
+counts bucket traffic.
 
 Budgets follow the :mod:`repro.store` idiom: entry and byte caps with
 LRU eviction.  Recency is the entry order itself (a hit moves its entry

@@ -65,10 +65,12 @@ def nninit(
     sweep against the position's cached target bucket yields exact
     distances to every candidate.  Non-last legs pick the ``(d, vid)``-
     smallest unused perfect match — the vertex Dijkstra would settle
-    first; the last leg replays the settle order by iterating candidates
-    sorted by ``(d, vid)``, emitting the same seeds and stopping at the
-    same perfect match.  Legs without a ``share_key`` (or without
-    perfect matches) fall back per-leg to the scalar kernels.
+    first; the last leg replays the settle order by iterating the
+    position's memoized candidate stream (sorted by ``(d, vid)``, the
+    same one BSSR's expansions read), emitting the same seeds and
+    stopping at the same perfect match.  Legs without a ``share_key``
+    (or without perfect matches) fall back per-leg to the scalar
+    kernels.
     """
     n = query.size
     specs = query.specs
@@ -95,15 +97,13 @@ def nninit(
         if ch is not None and spec.share_key is not None and perfect:
             counters = ExpansionCounters()
             if is_last:
-                row = ch.memo_row(
-                    "cands", spec.share_key, source, spec.sim_map, counters
+                dists, vids = ch.memo_stream(
+                    spec.share_key, source, spec.sim_map, counters
                 )
-                for d, u in sorted((d, u) for u, d in row.items()):
+                for d, u in zip(dists, vids):
                     if u in used:
                         continue
                     sim = sim_of(u)
-                    if sim is None:
-                        continue
                     total = length + d
                     if dest_dist is not None:
                         leg = dest_dist.get(u, math.inf)

@@ -46,7 +46,9 @@ class BSSROptions:
             hierarchy (:mod:`repro.graph.contraction`, memoized per
             network): the Section 5.3.3 leg bounds become exact
             set-to-set minima, NNinit's chain runs on one-to-many
-            upward sweeps, and destination queries replace the eager
+            upward sweeps, every position's candidates come from a
+            memoized CH label-row stream instead of the modified
+            Dijkstra, and destination queries replace the eager
             full reverse Dijkstra with a lazy CH oracle.  Pure
             pruning/acceleration — result scores are unchanged (equal
             bit for bit on integer-weight graphs; within float

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from typing import Callable, Iterator
 
 from repro.core.spec import PositionSpec
@@ -48,44 +49,56 @@ from repro.graph.road_network import RoadNetwork
 
 
 class CHCandidateStream:
-    """A final-position candidate stream served from a CH label row.
+    """A candidate stream served from a CH label row, at any position.
 
-    With contraction hierarchies enabled, the *last* position's
-    expansion does not need the modified Dijkstra at all: the exact
-    one-to-many row from the route's endpoint to the position's full
-    candidate set (one memoized label scan) is emitted sorted by
-    ``(distance, vertex)`` — the heap's own tie-break.  No road-graph
-    vertex is settled, so final-leg expansion cost stops scaling with
-    the settle radius.
+    With contraction hierarchies enabled, BSSR's expansions do not need
+    the modified Dijkstra at all: the exact one-to-many row from the
+    route's endpoint to the position's full candidate set (one memoized
+    label scan, :meth:`~repro.graph.contraction.ContractionHierarchy.memo_stream`)
+    is emitted sorted by ``(distance, vertex)`` — the heap's own
+    tie-break.  No road-graph vertex is settled, so expansion cost stops
+    scaling with the settle radius.
 
     Exactness: Lemma 5.5's filters only ever suppress *dominated*
-    candidates, so emitting the unfiltered superset is skyline-exact —
-    suppressed completions now lose inside the skyband instead of never
-    being scored.  Distances are true shortest-path values (a
-    modified-Dijkstra distance can exceed them when the shortest path
-    runs through a perfect match; either way the completion is
-    dominated by the route using that match, which is also scored).
-    With ``k`` > 1 the relaxed skyband may therefore retain an
-    alternative the substitution filters would have collapsed — the
-    skyline level is identical, the alternatives are equivalent
-    substitutions.
+    candidates, so emitting the unfiltered superset is exact — a
+    suppressed completion now loses inside the skyband instead of never
+    being scored.  Every distance is the true shortest-path value, which
+    is exactly the leg a sequenced route pays (a modified-Dijkstra
+    distance can exceed it when the shortest path runs through a perfect
+    match).  At the final position the emit is scored directly; at any
+    earlier one it becomes a partial route whose length is the true
+    prefix length, so its further expansion, bounds and pruning are
+    those of the real route.  Because nothing is filtered, no emit ever
+    depends on whether the PoI that would have suppressed it is valid
+    for the route (it may already be on the prefix, or be needed again
+    later), which the filtered search's rule (i) takes for granted.  The
+    budget cut is the same Lemma 5.3 argument as Algorithm 2's: a child
+    whose leg alone reaches the budget cannot beat the threshold at any
+    semantic score it can still attain.
 
-    The interface mirrors the consumer-facing subset of
-    :class:`PoICandidateSearch` (``scored_until`` / ``candidates`` /
-    ``exhausted`` / ``radius``), and ``start`` offsets address this
-    stream's deterministic order.  A checkpoint carries
-    ``use_contraction`` in its options, so a restored search rebuilds
-    the same streams and the offsets line up.
+    The stream is the memoized ``(dists, vids)`` typed-array pair;
+    similarities come from ``sim_map`` as candidates are read, so the
+    stream stores nothing per route.  The interface mirrors the
+    consumer-facing subset of :class:`PoICandidateSearch`
+    (``scored_until`` / ``candidates`` / ``exhausted`` / ``radius``),
+    and ``start`` offsets address this stream's deterministic order.  A
+    checkpoint carries ``use_contraction`` in its options, so a restored
+    search rebuilds the same streams and the offsets line up.
     """
 
-    __slots__ = ("candidates", "radius")
+    __slots__ = ("_dists", "candidates", "_sim_map", "radius")
 
     #: the row is complete by construction; only budgets cut it short
     exhausted = True
 
-    def __init__(self, entries: list[tuple[float, int, float]]) -> None:
-        self.candidates = entries
-        self.radius = entries[-1][0] if entries else 0.0
+    def __init__(
+        self, dists: array, vids: array, sim_map: dict[int, float]
+    ) -> None:
+        self._dists = dists
+        #: candidate vertex ids in stream order (``len`` is the stream size)
+        self.candidates = vids
+        self._sim_map = sim_map
+        self.radius = dists[-1] if dists else 0.0
 
     def scored_until(
         self,
@@ -98,12 +111,15 @@ class CHCandidateStream:
             budget if callable(budget) else (lambda: budget)  # type: ignore[assignment]
         )
         get = leg.get if leg is not None else None
-        candidates = self.candidates
-        for i in range(start, len(candidates)):
-            d, vid, sim = candidates[i]
+        dists = self._dists
+        vids = self.candidates
+        sim_of = self._sim_map.__getitem__
+        for i in range(start, len(vids)):
+            d = dists[i]
             if d >= budget_fn():
                 return
-            yield d, vid, sim, 0.0 if get is None else get(vid, math.inf)
+            vid = vids[i]
+            yield d, vid, sim_of(vid), 0.0 if get is None else get(vid, math.inf)
 
 
 class PoICandidateSearch:

@@ -43,7 +43,9 @@ What is deliberately *not* serialized:
   rebuilds each one on demand (or adopts a warm copy from the engine's
   :class:`~repro.core.distcache.DistanceCache`).  Candidate streams are
   deterministic, so every stored ``consumed`` offset replays exactly;
-  this keeps a payload O(routes) instead of O(settled vertices).
+  this keeps a payload O(routes) instead of O(settled vertices).  Under
+  ``use_contraction`` every offset addresses a CH label-row stream
+  instead, rebuilt the same way from the hierarchy's memo.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 SESSION_FORMAT = "repro-skysr-session"
 
 #: current schema version; bump on any incompatible payload change
-#: (version 2 dropped the serialized candidate-search cache)
-SCHEMA_VERSION = 2
+#: (version 2 dropped the serialized candidate-search cache; version 3
+#: moved ``use_contraction`` offsets at every position onto CH streams)
+SCHEMA_VERSION = 3
 
 _MISSING = object()
 

@@ -46,6 +46,7 @@ Like the CSR view, the hierarchy is memoized per network
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
@@ -95,6 +96,16 @@ class CHBucket:
 
     pairs: dict[int, list[tuple[int, float]]]
     hubmin: dict[int, float]
+
+
+def sorted_row(row: dict[int, float]) -> tuple[array, array]:
+    """A ``{vid: d}`` row as ``(dists, vids)`` typed arrays sorted by
+    ``(d, vid)`` — the modified Dijkstra's own settle tie-break."""
+    entries = sorted(zip(row.values(), row.keys()))
+    return (
+        array("d", [d for d, _ in entries]),
+        array("i", [vid for _, vid in entries]),
+    )
 
 
 class ContractionHierarchy:
@@ -513,12 +524,13 @@ class ContractionHierarchy:
         """:meth:`distances_from` against a share-keyed target set,
         memoized per ``(source, share_key)``.
 
-        The exact one-to-many row from a vertex to a category's full
-        candidate set is a per-network constant — NNinit legs and
-        final-position candidate streams re-request the same rows every
-        query, so after the first build they are dict lookups.
-        ``counters`` only ticks when the row (or its bucket) is actually
-        swept — memo hits report zero work, which is the point.
+        The exact one-to-many row from a vertex to a share-keyed target
+        set is a per-network constant — NNinit's ``"perfect"`` legs
+        re-request the same rows every query, so after the first build
+        they are dict lookups.  Candidate rows are not stored here: they
+        live once, sorted, in :meth:`memo_stream`.  ``counters`` only
+        ticks when the row (or its bucket) is actually swept — memo hits
+        report zero work, which is the point.
         """
         memo = self._memo
         key = ("drow", kind, share_key, source)
@@ -533,29 +545,32 @@ class ContractionHierarchy:
         self,
         share_key: tuple,
         source: int,
-        sim_map: dict[int, float],
+        targets: Collection[int],
         counters=None,
-    ) -> list[tuple[float, int, float]]:
-        """The sorted ``(d, vid, sim)`` candidate stream from ``source``
-        to a share-keyed candidate set, memoized.
+    ) -> tuple[array, array]:
+        """The candidate stream from ``source`` to a share-keyed
+        candidate set, memoized: ``(dists, vids)`` typed arrays in
+        ``(d, vid)`` order (see :func:`sorted_row`).
 
-        Equal ``share_key`` implies equal ``sim_map`` (see
-        ``PositionSpec.share_key``), so the stream — row *and* sims and
-        their sort order — is a per-network constant.  Final-position
-        expansions re-read it every query; after the first build it is
-        one dict lookup per search.
+        The row is a per-network constant, so BSSR's expansions at every
+        position and NNinit's last leg re-read it every query; after the
+        first build it is one dict lookup.  It is stored only here, once,
+        at about 12 bytes per entry (no ``(d, vid, sim)`` tuples — equal
+        ``share_key`` implies equal ``sim_map``, see
+        ``PositionSpec.share_key``, so consumers look similarities up as
+        they read).  Growth bound: at most one stream per
+        ``(share_key, source)``, each at most ``|targets| x 12`` bytes;
+        1,700 ``hot_city_ch`` requests at tokyo@0.5 leave 11,127 streams
+        holding 836k entries (about 10 MB).
         """
         memo = self._memo
         key = ("stream", share_key, source)
-        entries = memo.get(key)
-        if entries is None:
-            row = self.memo_row("cands", share_key, source, sim_map, counters)
-            sim_of = sim_map.__getitem__
-            entries = sorted(
-                (d, vid, sim_of(vid)) for vid, d in row.items()
-            )
-            memo[key] = entries
-        return entries
+        stream = memo.get(key)
+        if stream is None:
+            bucket = self.memo_bucket("cands", share_key, targets, counters)
+            stream = sorted_row(self.distances_from(source, bucket, counters))
+            memo[key] = stream
+        return stream
 
     def memo_min(
         self, key: tuple, sources: Collection[int], bucket: CHBucket

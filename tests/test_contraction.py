@@ -5,9 +5,10 @@ distances — preprocessing may add redundant shortcuts but never a wrong
 one, and every query primitive (point-to-point, one-to-many buckets,
 set-to-set minima, the lazy destination oracle) must agree with the
 plain Dijkstra kernels.  Integer edge weights make float sums exact, so
-these tests compare with strict equality at the oracle level; at the
-engine level CH answers are compared at the 9-decimal grain because CH
-sums associate differently along up-then-down paths.
+these tests compare with strict equality at the oracle level and
+against the exhaustive skyline/top-k oracles; against the default
+search backends, engine-level CH answers are compared at the 9-decimal
+grain because CH sums associate differently along up-then-down paths.
 
 Also pinned here: the checkpoint round-trip under CH candidate
 streams, the stats surfaces, and that every target bucket is built at
@@ -18,13 +19,17 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.brute_force import brute_force_skysr
+from repro.baselines.topk import brute_force_topk
+from repro.core.bssr import BSSRSearch
 from repro.core.distcache import DistanceCache
+from repro.core.dominance import rank_routes
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
-from repro.core.search import PoICandidateSearch
 from repro.datasets.presets import tokyo_like
 from repro.datasets.workloads import generate_workload
 from repro.graph.contraction import (
@@ -132,15 +137,22 @@ def test_memoized_rows_and_streams_are_consistent():
     start, cats = picked
     spec = engine.compile(start, cats).specs[-1]
     assert spec.share_key is not None
+    # an engine query under CH reads candidate rows only as streams: no
+    # ("drow", "cands", ...) copy is memoized beside them
+    engine.query(start, cats, options=BSSROptions(use_contraction=True))
+    assert any(key[0] == "stream" for key in ch._memo)
+    assert not any(key[:2] == ("drow", "cands") for key in ch._memo)
     bucket = ch.bucket(spec.sim_map)
     row = ch.distances_from(start, bucket)
     assert ch.memo_row("cands", spec.share_key, start, spec.sim_map) == row
     # memo hit: same object, no recomputation
     memo = ch.memo_row("cands", spec.share_key, start, spec.sim_map)
     assert memo is ch.memo_row("cands", spec.share_key, start, spec.sim_map)
-    stream = ch.memo_stream(spec.share_key, start, spec.sim_map)
-    assert stream == sorted(
-        (d, vid, spec.sim_map[vid]) for vid, d in row.items()
+    # the stream is the row as (dists, vids) typed arrays in (d, vid)
+    # order, stored once: a memo hit returns the same object
+    dists, vids = stream = ch.memo_stream(spec.share_key, start, spec.sim_map)
+    assert list(zip(dists, vids)) == sorted(
+        (d, vid) for vid, d in row.items()
     )
     assert stream is ch.memo_stream(spec.share_key, start, spec.sim_map)
     if row:
@@ -211,11 +223,8 @@ def test_bucket_traffic_counted_on_cache_not_stored_in_it():
     engine.query(start, cats, options=options)
     assert cache.stats.bucket_misses == first_misses
     assert cache.stats.bucket_hits > first_hits
-    # the LRU holds only modified-Dijkstra searches
-    assert all(
-        isinstance(entry.search, PoICandidateSearch)
-        for entry in cache._entries.values()
-    )
+    # every position reads a CH stream: the LRU holds no search at all
+    assert not cache._entries
 
 
 def test_buckets_survive_a_one_entry_cache(monkeypatch):
@@ -287,6 +296,83 @@ def test_engine_answers_identical_with_ch_and_destination():
         options=BSSROptions(use_contraction=True),
     )
     assert score_set(with_ch.routes) == score_set(plain.routes)
+
+
+# ----------------------------------------------------------------------
+# engine level: CH at every position ≡ the exhaustive oracle, exactly
+#
+# Integer weights make every route length an exact float sum, so these
+# compare with strict equality.  The seeds are the ones of range(150)
+# where serving only the final position from CH missed an oracle route,
+# plus the first 26 for spread.
+
+ORACLE_SEEDS = sorted(
+    set(range(26)) | {42, 73, 81, 84, 93, 100, 106, 124, 127, 134, 135}
+)
+
+
+def _oracle_cases(seed):
+    """Directed and undirected, disjoint and shared category trees, with
+    and without a destination: ``(network, forest, start, cats, dest)``."""
+    for directed in (False, True):
+        for distinct in (True, False):
+            network, forest, rng = random_instance(
+                seed, directed=directed, num_pois=12
+            )
+            picked = pick_query(
+                network, forest, rng, 3, distinct_trees=distinct
+            )
+            if picked is None:
+                continue
+            start, cats = picked
+            destination = rng.randrange(network.num_vertices)
+            for dest in (None, destination):
+                yield network, forest, start, cats, dest
+
+
+def _scores(routes):
+    return [r.scores() for r in routes]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_ch_at_every_position_matches_oracle_exactly(seed):
+    options = BSSROptions(use_contraction=True)
+    for network, forest, start, cats, dest in _oracle_cases(seed):
+        engine = SkySREngine(network, forest)
+        compiled = engine.compile(start, cats, destination=dest)
+        skyline = engine.query(start, cats, destination=dest, options=options)
+        assert sorted(_scores(skyline.routes)) == sorted(
+            _scores(brute_force_skysr(network, compiled))
+        )
+        search = BSSRSearch(network, compiled, options=options)
+        search.run()
+        for k in (2, 3):
+            oracle = _scores(brute_force_topk(network, compiled, k))
+            one_shot = engine.query(
+                start, cats, destination=dest, options=options.but(k=k)
+            )
+            assert _scores(one_shot.topk()) == oracle
+            resumed, _stats = search.resume(k)
+            assert _scores(rank_routes(resumed, k)) == oracle
+
+
+def test_ch_returns_the_route_a_start_poi_would_suppress():
+    """Regression: start vertex 23 is itself a position-0 PoI (sim 2/3).
+    Lemma 5.5 (i) would suppress PoI 26 behind it, yet the only route
+    dominating (26, 17, 23) is (23, 17, 23), which reuses 23.  Unfiltered
+    CH streams keep the oracle's route at length 17."""
+    network, forest, _rng = random_instance(146, directed=True, num_pois=12)
+    engine = SkySREngine(network, forest)
+    compiled = engine.compile(23, [5, 4, 3], destination=4)
+    oracle = brute_force_skysr(network, compiled)
+    assert ((26, 17, 23), 17.0) in [(r.pois, r.length) for r in oracle]
+    result = engine.query(
+        23, [5, 4, 3], destination=4,
+        options=BSSROptions(use_contraction=True),
+    )
+    assert [(r.pois, r.scores()) for r in result.routes] == [
+        (r.pois, r.scores()) for r in oracle
+    ]
 
 
 # ----------------------------------------------------------------------

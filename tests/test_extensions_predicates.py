@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.brute_force import brute_force_skysr
 from repro.core.bssr import run_bssr
+from repro.core.options import BSSROptions
 from repro.core.spec import compile_query
 from repro.errors import QueryError
 from repro.extensions.predicates import AllOf, AnyOf, Excluding
@@ -126,3 +127,9 @@ def test_bssr_parity_with_predicates():
         expected = brute_force_skysr(network, compiled)
         actual, _ = run_bssr(network, compiled)
         assert score_set(actual) == score_set(expected), f"seed={seed}"
+        # predicate positions have no share_key: CH builds their streams
+        # (and buckets) per search instead of memoizing them
+        with_ch, _ = run_bssr(
+            network, compiled, options=BSSROptions(use_contraction=True)
+        )
+        assert score_set(with_ch) == score_set(expected), f"seed={seed}"

@@ -41,6 +41,7 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.graph.io import save_dataset
+from repro.service import SessionApi
 from repro.service.prototype import SkySRService
 from repro.store import DiskSessionStore, InMemorySessionStore
 
@@ -177,7 +178,7 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
     session = warm.session(start, cats, page_size=2)
     session.next_page()
     payload = session.to_dict()
-    assert SCHEMA_VERSION == 2
+    assert SCHEMA_VERSION == 3
     assert payload["version"] == SCHEMA_VERSION
     assert "cache" not in payload["search"]["state"]
     # drive the warm engine's shared searches well past page 1's budget
@@ -198,6 +199,42 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
             text = restored.dumps()
         pages[name] = fingerprints
     assert pages["warm"] == pages["cold"] == pages["no-cache"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 6])
+def test_ch_session_pages_through_the_api_match_in_process(seed):
+    """A ``use_contraction`` session paged through ``SessionApi`` is
+    restored from the store on every page — its offsets replay on
+    rebuilt CH streams at every position — and serves the in-process
+    session's pages exactly."""
+    network, forest, rng = random_instance(seed, num_pois=12)
+    picked = pick_query(network, forest, rng, 3)
+    assert picked is not None
+    start, cats = picked
+    dataset = Dataset(name=f"grid-{seed}", network=network, forest=forest)
+    options = BSSROptions(use_contraction=True)
+    api = SessionApi(
+        SkySRService(dataset, options=options), InMemorySessionStore()
+    )
+    created = api.dispatch(
+        "POST", "/v1/sessions",
+        {"categories": cats, "start": start, "page_size": 2},
+    )
+    assert created.status == 201
+    path = f"/v1/sessions/{created.body['session_id']}/pages"
+    oracle = SkySREngine(network, forest, options=options).session(
+        start, cats, page_size=2
+    )
+    for _ in range(PAGES):
+        body = api.dispatch("POST", path).body
+        page = oracle.next_page()
+        assert [(tuple(r["pois"]), r["distance"]) for r in body["routes"]] == [
+            (r.pois, r.length) for r in page.routes
+        ]
+        assert body["first_rank"] == page.first_rank
+        assert body["exhausted"] == page.exhausted
+        if page.exhausted:
+            break
 
 
 def test_unstarted_session_round_trip():
