@@ -202,7 +202,8 @@ def compute_lower_bounds(
             tgt_key = specs[j + 1].share_key
             if src_key is not None and tgt_key is not None:
                 leg = ch.memo_min(
-                    ("ls", src_key, tgt_key), specs[j].sim_map, bucket
+                    ("ls", src_key, tgt_key), src_key, specs[j].sim_map,
+                    bucket,
                 )
                 if sources and len(sources) < len(specs[j].sim_map):
                     # The l̄(ϕ) ball restricted the source side; the
@@ -240,7 +241,8 @@ def compute_lower_bounds(
                 )
                 if src_key is not None and tgt_key is not None:
                     leg_p = ch.memo_min(
-                        ("lp", src_key, tgt_key), specs[j].sim_map, pbucket
+                        ("lp", src_key, tgt_key), src_key, specs[j].sim_map,
+                        pbucket,
                     )
                     if sources and len(sources) < len(specs[j].sim_map):
                         leg_p = max(
@@ -303,6 +305,7 @@ def compute_lower_bounds(
             if last_key is not None and query.destination is not None:
                 dest_min = ch.memo_min(
                     ("dest", last_key, query.destination),
+                    last_key,
                     specs[n - 1].sim_map,
                     dest_dist.bucket,
                 )

@@ -23,7 +23,9 @@ Exactness rests on the same conditions as the per-run cache, plus one:
 * specs with equal ``share_key`` compile identically under one engine
   (same forest, similarity, PoI index) — the cache belongs to an
   engine and must never be shared across engines serving different
-  datasets; :meth:`DistanceCache.lookup` asserts network identity.
+  datasets; :meth:`DistanceCache.lookup` asserts network identity, and
+  drops every entry once the network's PoIs changed
+  (``RoadNetwork.poi_version``).
 
 Contraction-hierarchy target buckets are *not* cached here: they are
 per-network constants memoized once per target set on the hierarchy
@@ -144,6 +146,7 @@ class DistanceCache:
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._bytes = 0
         self._network: RoadNetwork | None = None
+        self._poi_version = 0
 
     # ------------------------------------------------------------------
 
@@ -155,11 +158,17 @@ class DistanceCache:
     def _bind(self, network: RoadNetwork) -> None:
         if self._network is None:
             self._network = network
+            self._poi_version = network.poi_version
         elif self._network is not network:
             raise QueryError(
                 "a DistanceCache serves exactly one network; create one "
                 "cache per engine/dataset"
             )
+        elif self._poi_version != network.poi_version:
+            # entries are keyed by category share_key, which names
+            # another candidate set after a PoI edit
+            self.clear()
+            self._poi_version = network.poi_version
 
     def lookup(
         self,

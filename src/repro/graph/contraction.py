@@ -19,6 +19,20 @@ summing at the best meeting hub yields the exact distance.  Shortcuts
 remember their middle vertex, so :meth:`ContractionHierarchy.path`
 unpacks back to original-edge paths.
 
+Every label row a sweep returns is *stall-pruned* (Geisberger et al.'s
+stall test, applied after the sweep): a label ``row[v]`` is dropped
+when a higher-ranked neighbour ``x`` in the same row beats it over the
+arc between them in the opposite direction, ``row[x] + w < row[v]``.
+This keeps every answer exact.  Take any shortest path's meeting hub
+``h``, the highest vertex of its up-then-down form: the upward half is
+itself a shortest path, so both of ``h``'s labels are exact.  An exact
+label never loses a strict ``<`` test, since every ``row[x]`` is a
+real path length.  A beaten label is longer than the true distance, so
+no shortest path meets there, and any total through it is longer than
+the one through ``h``.  On tokyo@0.5 the filter keeps about a third of
+the settled forward labels and of the bucket pairs, so a label scan
+visits about a sixth of the ``(hub, target)`` pairs it would without.
+
 Beyond point-to-point, the pieces BSSR consumes directly:
 
 * :meth:`~ContractionHierarchy.bucket` — per-target backward upward
@@ -33,14 +47,19 @@ Beyond point-to-point, the pieces BSSR consumes directly:
 * :meth:`~ContractionHierarchy.min_from_set` — a multi-source forward
   upward sweep against a bucket's per-hub minimum: the exact
   set-to-set minimum distance (the Section 5.3.3 leg bounds), in one
-  sweep regardless of set sizes;
+  sweep regardless of set sizes.  For named source sets
+  :meth:`~ContractionHierarchy.memo_min` keeps that sweep's row, so a
+  category's legs to every other category share one sweep;
 * :class:`CHDistanceOracle` — a lazy dict-like ``.get`` view of
   distances *to* one vertex, replacing the eager full reverse Dijkstra
   of destination queries.
 
 Like the CSR view, the hierarchy is memoized per network
 (:func:`contraction_for`).  Searches consult it only when
-``BSSROptions.use_contraction`` is set.
+``BSSROptions.use_contraction`` is set.  Memo entries built from PoI
+sets are dropped when the network's PoIs change
+(``RoadNetwork.poi_version``); the forward rows, which depend on the
+topology alone, stay.
 """
 
 from __future__ import annotations
@@ -112,7 +131,7 @@ class ContractionHierarchy:
     """Contracted view of one network; build via :func:`contraction_for`."""
 
     __slots__ = ("num_vertices", "directed", "_up_out", "_up_in",
-                 "_middle", "stats", "_token", "_memo")
+                 "_middle", "stats", "_token", "_poi_version", "_memo")
 
     def __init__(self, network: "RoadNetwork") -> None:
         started = perf_counter()
@@ -120,6 +139,7 @@ class ContractionHierarchy:
         self.num_vertices = n
         self.directed = network.directed
         self._token = (n, network.num_edges)
+        self._poi_version = network.poi_version
 
         # Working adjacency as weight dicts (parallel edges collapse to
         # their minimum — distances are unaffected).  For undirected
@@ -142,11 +162,13 @@ class ContractionHierarchy:
                     if w < row.get(v, _INF):
                         row[v] = w
 
-        #: per-hierarchy memo for buckets and leg minima keyed by
-        #: ``share_key`` (buckets also by target set) — both depend only
-        #: on the network and the (query-independent) category sets, so
-        #: they are preprocessing in disguise, exactly like landmark
-        #: heuristic rows, and are never evicted
+        #: per-hierarchy memo: forward rows by vertex, and buckets,
+        #: streams and leg minima keyed by ``share_key`` (buckets also
+        #: by target set) — all depend only on the network and the
+        #: (query-independent) category sets, so they are preprocessing
+        #: in disguise, exactly like landmark heuristic rows, and are
+        #: never evicted; a PoI edit drops all but the forward rows
+        #: (:func:`contraction_for`)
         self._memo: dict = {}
         self._middle: dict[tuple[int, int], int] = {}
         #: upward adjacency, snapshotted at each vertex's contraction:
@@ -262,15 +284,26 @@ class ContractionHierarchy:
     def _sweep(
         self,
         sources: Iterable[tuple[int, float]],
-        adj: list[list[tuple[int, float]]],
+        forward: bool,
         counters=None,
     ) -> dict[int, float]:
-        """Full Dijkstra over an upward graph; returns settled labels.
+        """Full Dijkstra over an upward graph; returns the stall-pruned
+        labels (``forward`` climbs ``_up_out``, else ``_up_in``).
 
         Upward search spaces are tiny (arcs only climb ranks), so the
         sweep always runs to exhaustion — that is what makes its result
-        reusable as a bucket or a one-to-many row.
+        reusable as a bucket or a one-to-many row.  Afterwards every
+        label that a higher neighbour ``x`` in the row beats over the
+        opposite-direction arc ``x -> v`` (forward) or ``v -> x``
+        (backward), ``row[x] + w < row[v]``, is dropped: it is longer
+        than the true distance, so no shortest path meets there, while
+        every meeting hub's label is exact and survives (module
+        docstring).  ``counters`` count every settle, pruned or not.
         """
+        if forward:
+            adj, down = self._up_out, self._up_in
+        else:
+            adj, down = self._up_in, self._up_out
         dist: dict[int, float] = {}
         heap: list[tuple[float, int]] = []
         for s, d0 in sources:
@@ -294,15 +327,24 @@ class ContractionHierarchy:
         if counters is not None:
             counters.settled += len(out)
             counters.relaxed += relaxed
-        return out
+        get = out.get
+        kept: dict[int, float] = {}
+        for v, d in out.items():
+            for x, w in down[v]:
+                dx = get(x)
+                if dx is not None and dx + w < d:
+                    break
+            else:
+                kept[v] = d
+        return kept
 
     # ------------------------------------------------------------------
     # queries
 
     def distance(self, source: int, target: int) -> float:
         """Exact shortest-path distance (inf when unreachable)."""
-        fwd = self._sweep([(source, 0.0)], self._up_out)
-        bwd = self._sweep([(target, 0.0)], self._up_in)
+        fwd = self._sweep([(source, 0.0)], True)
+        bwd = self._sweep([(target, 0.0)], False)
         best = _INF
         if len(bwd) < len(fwd):
             small, large = bwd, fwd
@@ -384,7 +426,7 @@ class ContractionHierarchy:
         pairs: dict[int, list[tuple[int, float]]] = {}
         hubmin: dict[int, float] = {}
         for t in targets:
-            row = self._sweep([(t, 0.0)], self._up_in, counters)
+            row = self._sweep([(t, 0.0)], False, counters)
             for h, d in row.items():
                 entry = pairs.get(h)
                 if entry is None:
@@ -396,7 +438,7 @@ class ContractionHierarchy:
                         hubmin[h] = d
         return CHBucket(pairs=pairs, hubmin=hubmin)
 
-    def forward_row(self, u: int) -> dict[int, float]:
+    def forward_row(self, u: int, counters=None) -> dict[int, float]:
         """``u``'s forward hub labels: ``{hub: d(u, hub)}``, memoized.
 
         One upward sweep on first use, a dict lookup after — the lazy
@@ -404,11 +446,12 @@ class ContractionHierarchy:
         (:meth:`distances_from`, :class:`CHDistanceOracle`,
         :meth:`vertex_min`) reads through this, so repeated queries
         touching the same vertices degrade to pure label scans.
+        ``counters`` only tick on the sweep.
         """
         key = ("fwd", u)
         row = self._memo.get(key)
         if row is None:
-            row = self._sweep([(u, 0.0)], self._up_out)
+            row = self._sweep([(u, 0.0)], True, counters)
             self._memo[key] = row
         return row
 
@@ -416,18 +459,15 @@ class ContractionHierarchy:
         self, source: int, bucket: CHBucket, counters=None
     ) -> dict[int, float]:
         """Exact distances from ``source`` to every bucket target
-        (missing key == unreachable) via one forward upward sweep."""
-        key = ("fwd", source)
-        fwd = self._memo.get(key)
-        if fwd is None:
-            fwd = self._sweep([(source, 0.0)], self._up_out, counters)
-            self._memo[key] = fwd
+        (missing key == unreachable): ``source``'s forward row scanned
+        against the bucket."""
         pairs = bucket.pairs
         best: dict[int, float] = {}
-        for h, g in fwd.items():
+        get = best.get
+        for h, g in self.forward_row(source, counters).items():
             for t, d in pairs.get(h, ()):
                 total = g + d
-                if total < best.get(t, _INF):
+                if total < get(t, _INF):
                     best[t] = total
         return best
 
@@ -438,16 +478,8 @@ class ContractionHierarchy:
         multi-source forward upward sweep against the hub minima."""
         if not sources:
             return _INF
-        fwd = self._sweep(
-            [(s, 0.0) for s in sources], self._up_out, counters
-        )
-        hubmin = bucket.hubmin
-        best = _INF
-        for h, g in fwd.items():
-            d = hubmin.get(h)
-            if d is not None and g + d < best:
-                best = g + d
-        return best
+        fwd = self._sweep([(s, 0.0) for s in sources], True, counters)
+        return self._row_min(fwd, bucket.hubmin)
 
     @staticmethod
     def _row_min(row: dict[int, float], hubmin: dict[int, float]) -> float:
@@ -561,7 +593,11 @@ class ContractionHierarchy:
         they read).  Growth bound: at most one stream per
         ``(share_key, source)``, each at most ``|targets| x 12`` bytes;
         1,700 ``hot_city_ch`` requests at tokyo@0.5 leave 11,127 streams
-        holding 836k entries (about 10 MB).
+        holding 836k entries (about 10 MB).  Stall pruning leaves stream
+        contents as they were; the labels they are scanned from shrink
+        (same replay: 1,149 forward rows, 51.5k labels instead of 162k;
+        73 distinct buckets, 58k pairs instead of 183k; plus 63
+        ``memo_min`` source-set rows, 31k labels).
         """
         memo = self._memo
         key = ("stream", share_key, source)
@@ -573,7 +609,11 @@ class ContractionHierarchy:
         return stream
 
     def memo_min(
-        self, key: tuple, sources: Collection[int], bucket: CHBucket
+        self,
+        key: tuple,
+        src_key: tuple,
+        sources: Collection[int],
+        bucket: CHBucket,
     ) -> float:
         """:meth:`min_from_set`, memoized on the hierarchy under ``key``.
 
@@ -581,12 +621,22 @@ class ContractionHierarchy:
         named query-independently (full category candidate sets): the
         value is a per-network constant, so computing it per query is
         pure waste.  Callers must fold the share keys of both sets into
-        ``key``.
+        ``key``; ``src_key`` names the source set alone.  The source
+        set's multi-source forward row is memoized too, under
+        ``("fwdset", src_key)``, so every leg leaving one category —
+        ``"ls"``, ``"lp"`` or ``"dest"``, to any target — shares one
+        sweep and costs one label scan.
         """
-        value = self._memo.get(key)
+        memo = self._memo
+        value = memo.get(key)
         if value is None:
-            value = self.min_from_set(sources, bucket)
-            self._memo[key] = value
+            row_key = ("fwdset", src_key)
+            row = memo.get(row_key)
+            if row is None:
+                row = self._sweep([(s, 0.0) for s in sources], True)
+                memo[row_key] = row
+            value = self._row_min(row, bucket.hubmin)
+            memo[key] = value
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -661,11 +711,21 @@ def contraction_for(network: "RoadNetwork") -> ContractionHierarchy:
     """The (memoized) contraction hierarchy of ``network``.
 
     Rebuilt when the network gained vertices or edges, mirroring
-    :func:`repro.graph.csr.flat_adjacency`.
+    :func:`repro.graph.csr.flat_adjacency`; a PoI edit
+    (``RoadNetwork.poi_version``) only drops the memo entries built from
+    PoI sets.
     """
     cached: ContractionHierarchy | None = getattr(network, "_ch_index", None)
     token = (network.num_vertices, network.num_edges)
     if cached is not None and cached._token == token:
+        if cached._poi_version != network.poi_version:
+            # everything but the forward rows is keyed by category
+            # share_key, which names another vertex set after a PoI edit
+            cached._memo = {
+                key: row for key, row in cached._memo.items()
+                if key[0] == "fwd"
+            }
+            cached._poi_version = network.poi_version
         return cached
     index = ContractionHierarchy(network)
     network._ch_index = index  # type: ignore[attr-defined]

@@ -88,7 +88,8 @@ class LandmarkIndex:
     Build via :func:`landmarks_for`, which memoizes per network.
     """
 
-    __slots__ = ("landmarks", "_from", "_to", "_token", "_key_rows")
+    __slots__ = ("landmarks", "_from", "_to", "_token", "_poi_version",
+                 "_key_rows")
 
     def __init__(
         self, network: "RoadNetwork", *, count: int = DEFAULT_LANDMARKS
@@ -100,6 +101,7 @@ class LandmarkIndex:
             else self._from
         )
         self._token = (network.num_vertices, network.num_edges, count)
+        self._poi_version = network.poi_version
         self._key_rows: dict[tuple, list[float]] = {}
 
     def lower_bound(self, u: int, v: int) -> float:
@@ -324,13 +326,19 @@ def landmarks_for(
     """The (memoized) landmark index of ``network``.
 
     Rebuilt when the network's structure or the requested count
-    changed.  Memoizing on the network instance (not an engine) lets
+    changed; a PoI edit (``RoadNetwork.poi_version``) only drops the
+    heuristic rows.  Memoizing on the network instance (not an engine) lets
     deserialized sessions — which reconstruct searches from a network
     reference alone — reuse the tables already paid for.
     """
     cached: LandmarkIndex | None = getattr(network, "_landmark_index", None)
     token = (network.num_vertices, network.num_edges, count)
     if cached is not None and cached._token == token:
+        if cached._poi_version != network.poi_version:
+            # heuristic rows are keyed by category share_key, which
+            # names another vertex set after a PoI edit
+            cached._key_rows.clear()
+            cached._poi_version = network.poi_version
         return cached
     index = LandmarkIndex(network, count=count)
     network._landmark_index = index  # type: ignore[attr-defined]

@@ -35,6 +35,7 @@ class RoadNetwork:
         self._coords: list[tuple[float, float] | None] = []
         self._poi_cats: dict[int, tuple[int, ...]] = {}
         self._num_edges = 0
+        self._poi_version = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -80,10 +81,12 @@ class RoadNetwork:
         if not cats:
             raise GraphError("a PoI needs at least one category")
         self._poi_cats[vid] = cats
+        self._poi_version += 1
 
     def clear_poi(self, vid: int) -> None:
         """Demote a PoI vertex back to a plain road vertex."""
         self._poi_cats.pop(vid, None)
+        self._poi_version += 1
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
         """Add an edge (one arc when directed, both directions otherwise)."""
@@ -117,6 +120,13 @@ class RoadNetwork:
     @property
     def num_edges(self) -> int:
         return self._num_edges
+
+    @property
+    def poi_version(self) -> int:
+        """Bumped by every :meth:`set_poi`/:meth:`clear_poi`: per-network
+        memos keyed by category (CH buckets and streams, landmark
+        heuristic rows, the query LRU) drop their entries when it moved."""
+        return self._poi_version
 
     @property
     def num_pois(self) -> int:

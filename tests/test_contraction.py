@@ -10,17 +10,21 @@ against the exhaustive skyline/top-k oracles; against the default
 search backends, engine-level CH answers are compared at the 9-decimal
 grain because CH sums associate differently along up-then-down paths.
 
-Also pinned here: the checkpoint round-trip under CH candidate
-streams, the stats surfaces, and that every target bucket is built at
-most once per distinct target set per hierarchy, cache or no cache.
+Also pinned here: that the stall filter fires and keeps every consumer
+exact, that legs from one category share one sweep, that a PoI edit
+drops every category-keyed memo, the checkpoint round-trip under CH
+candidate streams, the stats surfaces, and that every target bucket is
+built at most once per distinct target set per hierarchy, cache or no
+cache.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.brute_force import brute_force_skysr
@@ -30,6 +34,7 @@ from repro.core.distcache import DistanceCache
 from repro.core.dominance import rank_routes
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
+from repro.core.stats import SearchStats
 from repro.datasets.presets import tokyo_like
 from repro.datasets.workloads import generate_workload
 from repro.graph.contraction import (
@@ -39,6 +44,7 @@ from repro.graph.contraction import (
     shared_bucket,
 )
 from repro.graph.dijkstra import dijkstra
+from repro.graph.landmarks import landmarks_for
 from repro.graph.road_network import RoadNetwork
 
 from .conftest import pick_query, random_instance, score_set
@@ -116,6 +122,109 @@ def test_property_many_to_many_identical_to_dijkstra(seed, directed):
         reference[t].get(s, math.inf) for t in targets for s in sources
     )
     assert ch.min_from_set(sources, bucket) == expected
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10_000), directed=st.booleans())
+# directed seeds whose labels turn inexact when the forward sweep's
+# stall test reads the upward arcs instead of the downward ones
+@example(seed=4, directed=True)
+@example(seed=79, directed=True)
+def test_property_stall_pruned_labels_exact_from_every_vertex(seed, directed):
+    """Every consumer of the stall-pruned labels — point-to-point,
+    one-to-many rows, per-vertex floors, the destination oracle and the
+    memoized ``"ls"``/``"lp"``/``"dest"`` leg minima — equals Dijkstra
+    from every vertex."""
+    network, forest, rng = random_instance(seed, directed=directed)
+    ch = contraction_for(network)
+    n = network.num_vertices
+    exact = {u: dijkstra(network, u) for u in range(n)}
+
+    def d(u, v):
+        return exact[u].get(v, math.inf)
+
+    for u in range(n):
+        for v in range(n):
+            assert ch.distance(u, v) == d(u, v)
+    picked = pick_query(network, forest, rng, 2, distinct_trees=False)
+    if picked is None:
+        return
+    start, cats = picked
+    first, second = SkySREngine(network, forest).compile(start, cats).specs
+
+    destination = rng.randrange(n)
+    oracle = CHDistanceOracle(ch, destination)
+    bucket = ch.memo_bucket("cands", second.share_key, second.sim_map)
+    for u in range(n):
+        row = ch.distances_from(u, bucket)
+        for t in second.sim_map:
+            assert row.get(t, math.inf) == d(u, t)
+        assert ch.vertex_min(
+            "cands", second.share_key, u, second.sim_map
+        ) == min(d(u, t) for t in second.sim_map)
+        assert oracle.get(u, math.inf) == d(u, destination)
+
+    def set_min(sources, targets):
+        return min(
+            (d(s, t) for s in sources for t in targets), default=math.inf
+        )
+
+    src_key, tgt_key = first.share_key, second.share_key
+    pbucket = ch.memo_bucket("perfect", tgt_key, second.perfect)
+    legs = [
+        (("ls", src_key, tgt_key), bucket, second.sim_map),
+        (("lp", src_key, tgt_key), pbucket, second.perfect),
+        (("dest", src_key, destination), oracle.bucket, (destination,)),
+    ]
+    for key, target_bucket, targets in legs:
+        assert ch.memo_min(
+            key, src_key, first.sim_map, target_bucket
+        ) == set_min(first.sim_map, targets)
+
+
+def test_stall_filter_prunes_forward_labels():
+    """Pin that the filter fires: over 100 sources on tokyo@0.12 the
+    kept forward labels are at most 0.7 of the settles (about 0.55)."""
+    data = tokyo_like(0.12)
+    ch = contraction_for(data.network)
+    counters = SearchStats()
+    sources = random.Random(0).sample(range(data.network.num_vertices), 100)
+    kept = sum(len(ch.forward_row(u, counters)) for u in sources)
+    assert kept <= 0.7 * counters.settled
+
+
+def test_legs_from_one_source_set_share_one_sweep(monkeypatch):
+    """Two ``"ls"`` legs leaving one category sweep its set once."""
+    network, forest, rng = random_instance(1, num_pois=12)
+    ch = contraction_for(network)
+    engine = SkySREngine(network, forest)
+    picked = pick_query(network, forest, rng, 3)
+    assert picked is not None
+    start, cats = picked
+    first, second, third = engine.compile(start, cats).specs
+    buckets = [
+        ch.memo_bucket("cands", spec.share_key, spec.sim_map)
+        for spec in (second, third)
+    ]
+    sweeps = [0]
+    sweep = ContractionHierarchy._sweep
+
+    def counted(self, sources, forward, counters=None):
+        sweeps[0] += 1
+        return sweep(self, sources, forward, counters)
+
+    monkeypatch.setattr(ContractionHierarchy, "_sweep", counted)
+    values = [
+        ch.memo_min(
+            ("ls", first.share_key, spec.share_key),
+            first.share_key,
+            first.sim_map,
+            bucket,
+        )
+        for spec, bucket in zip((second, third), buckets)
+    ]
+    assert sweeps[0] == 1
+    assert values == [ch.min_from_set(first.sim_map, b) for b in buckets]
 
 
 def test_destination_oracle_matches_reverse_dijkstra():
@@ -403,6 +512,38 @@ def test_contraction_for_memoized_and_invalidated():
     rebuilt = contraction_for(network)
     assert rebuilt is not ch
     assert rebuilt.distance(0, 1) <= 3.0
+
+
+@pytest.mark.parametrize("use_contraction", [True, False])
+def test_poi_edit_drops_category_memos(use_contraction):
+    """Regression: after ``set_poi`` and ``refresh_index`` an engine
+    that already answered the query (CH, or default options with a
+    shared query LRU) answers like a fresh engine.  The hierarchy's,
+    the landmark index's and the cache's category-keyed entries used to
+    survive the edit (23 and 10 of these 40 seeds differed)."""
+    options = BSSROptions(use_contraction=use_contraction)
+    for seed in range(40):
+        network, forest, rng = random_instance(seed, num_pois=10)
+        picked = pick_query(network, forest, rng, 2)
+        if picked is None:
+            continue
+        start, cats = picked
+        cache = None if use_contraction else DistanceCache(max_entries=64)
+        engine = SkySREngine(network, forest, distance_cache=cache)
+        engine.query(start, cats, options=options)
+        landmarks = landmarks_for(network)
+        landmarks.heuristic_row(("cat", cats[-1]), [start])
+        vid = next(
+            v for v in range(network.num_vertices)
+            if not network.is_poi(v) and v != start
+        )
+        network.set_poi(vid, cats[-1])
+        engine.refresh_index()
+        got = engine.query(start, cats, options=options)
+        fresh = SkySREngine(network, forest).query(start, cats)
+        assert score_set(got.routes) == score_set(fresh.routes), seed
+        assert landmarks_for(network) is landmarks
+        assert not landmarks._key_rows
 
 
 # ----------------------------------------------------------------------
