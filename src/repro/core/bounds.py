@@ -13,27 +13,26 @@ bound of a partial route:
   5.8's side conditions — when any non-perfect deviation would already
   make the route dominated, so it *must* chain perfect matches.
 
-Both are computed with the multi-source multi-destination Dijkstra
-(Lemma 5.9), with candidate sets restricted to the ``l̄(ϕ)`` ball around
-the start (Algorithm 4 lines 3–4): PoIs farther than the best perfect
-route are unreachable by any non-pruned route.  Radius-truncated
-searches return the radius — still a valid lower bound.
+Every leg of either family is computed by one function, ``leg`` in
+:func:`compute_lower_bounds`, over one of two accelerators chosen by
+the caller:
 
-With a :class:`~repro.graph.landmarks.LandmarkIndex` supplied
-(``BSSROptions.use_landmarks``), two sharpenings apply on top:
-
-* each leg is maxed with the ALT set-to-set bound over the same
-  restricted candidate sets — it can exceed the Dijkstra value exactly
-  when the multi-source search was radius-truncated or the sets are
-  disconnected;
-* per-position candidate *profiles* (landmark-table extremes over each
-  restricted set) are retained on the result, letting BSSR's pruning
-  test bound the next leg from the concrete last vertex of each
-  partial route — including the start → position-0 leg, which the
-  per-leg family cannot see at all.
-
-Profiles are advisory and never serialized; a restored checkpoint
-recomputes them with the bounds on its next resume.
+* **Dijkstra** (the paper's path): the multi-source multi-destination
+  Dijkstra of Lemma 5.9, with candidate sets restricted to the
+  ``l̄(ϕ)`` ball around the start (Algorithm 4 lines 3–4): PoIs farther
+  than the best perfect route are unreachable by any non-pruned route.
+  Radius-truncated searches return the radius — still a valid lower
+  bound.  A :class:`~repro.graph.landmarks.LandmarkIndex`
+  (``BSSROptions.use_landmarks``) replaces the ball Dijkstra with the
+  ALT superset test, maxes each leg with the ALT set-to-set bound, and
+  keeps per-position candidate *profiles* on the result for BSSR's
+  per-route next-leg floor.  Profiles are advisory and never
+  serialized; a restored checkpoint recomputes them with the bounds on
+  its next resume.
+* **Contraction hierarchy** (``BSSROptions.use_contraction``): each
+  leg is the exact set-to-set minimum over the *full* candidate sets,
+  memoized on the hierarchy.  It supersedes ALT, so no landmark code
+  runs under it.
 """
 
 from __future__ import annotations
@@ -51,8 +50,29 @@ from repro.graph.contraction import (
     shared_bucket,
 )
 from repro.graph.dijkstra import bounded_dijkstra, multi_source_min_distance
-from repro.graph.landmarks import LandmarkIndex, Profile, _shaved
+from repro.graph.landmarks import LandmarkIndex, Profile
 from repro.graph.road_network import RoadNetwork
+
+#: relative slack absorbing float accumulation noise (see :func:`shaved`)
+_EPS = 1e-9
+
+#: target bucket kind of each leg family
+_BUCKET_KIND = {"ls": "cands", "lp": "perfect"}
+
+
+def shaved(value: float) -> float:
+    """Robust lower bound on a CH distance ``value``.
+
+    CH sums associate differently from the search's left-to-right
+    accumulation, so the float can exceed the length the search reaches
+    by a few ULPs — enough to prune a route that ties a threshold
+    exactly.  Shaving by a relative epsilon keeps every bound strictly
+    safe while costing ~1e-9 of pruning power.  ``inf`` stays ``inf``:
+    unreachability is exact set logic, not arithmetic.
+    """
+    if value == math.inf:
+        return value
+    return value - _EPS * value
 
 
 @dataclass
@@ -120,26 +140,26 @@ def compute_lower_bounds(
 ) -> LowerBounds:
     """Algorithm 4 — compute ``l_s``/``l_p`` legs and their suffixes.
 
-    ``landmarks`` optionally sharpens each leg with the ALT set-to-set
-    bound and attaches per-position candidate profiles for BSSR's
-    per-route next-leg floor (see the module docstring).
+    Takes at most one of ``landmarks`` and ``ch`` (see the module
+    docstring).  ``landmarks`` sharpens each Dijkstra leg with the ALT
+    set-to-set bound and attaches per-position candidate profiles for
+    BSSR's per-route next-leg floor.
 
-    ``ch`` (``BSSROptions.use_contraction``) replaces the multi-source
-    Dijkstras outright: each leg becomes the **exact** set-to-set
-    minimum distance over the *full* candidate sets, served by one
-    multi-source upward sweep against the target set's hub bucket.
-    Full-set minima can only under- (never over-) state the restricted
-    ones, so they stay valid lower bounds; they are also never
-    radius-truncated, which is where they beat the Dijkstra values.
+    ``ch`` replaces the multi-source Dijkstras outright: each leg
+    becomes the **exact** set-to-set minimum distance over the *full*
+    candidate sets, served by one multi-source upward sweep against the
+    target set's hub bucket.  Full-set minima can only under- (never
+    over-) state the restricted ones, so they stay valid lower bounds;
+    they are also never radius-truncated, which is where they beat the
+    Dijkstra values, so the l̄(ϕ)-ball Dijkstra is skipped entirely.
     Buckets depend only on the target sets and are memoized on the
     hierarchy (``shared_cache``, a
     :class:`~repro.core.distcache.DistanceCache`, only counts their
-    traffic) — a warm query skips every downward sweep.  CH sums
-    associate differently from the search's left-to-right accumulation,
-    so each value is eps-shaved exactly like the ALT bounds before use.
-    With CH (and no landmark restriction in play) the l̄(ϕ)-ball
-    Dijkstra is skipped entirely.
+    traffic) — a warm query skips every downward sweep.  Each CH value
+    is :func:`shaved` before use.
     """
+    if landmarks is not None and ch is not None:
+        raise ValueError("pass at most one of landmarks and ch")
     n = query.size
     specs = query.specs
     per_position_np = [spec.best_nonperfect for spec in specs]
@@ -153,28 +173,27 @@ def compute_lower_bounds(
 
     started = perf_counter()
     radius = skyline.perfect_route_length()  # l̄(ϕ)
-    ball: dict[int, float] | None = None
-    if radius < math.inf and landmarks is None and ch is None:
-        # With CH the legs are exact over the full sets and never
-        # radius-truncated, so the ball buys nothing worth its Dijkstra.
-        ball = bounded_dijkstra(network, query.start, radius)
 
-    if radius < math.inf and landmarks is not None:
+    start = query.start
+    if ch is not None or radius == math.inf:
+
+        def restrict(vids):
+            return vids
+
+    elif landmarks is not None:
         # ALT replaces the exact ball: lb(start, v) > radius implies
         # d(start, v) > radius, so this keeps a superset of the ball —
         # legs over supersets are weaker but still valid lower bounds,
         # and the l̄(ϕ)-ball Dijkstra is skipped entirely.
-        start = query.start
         within = landmarks.restrict_within
 
-        def restrict(vids) -> list[int]:
+        def restrict(vids):
             return within(start, vids, radius)
 
     else:
+        ball = bounded_dijkstra(network, start, radius)
 
-        def restrict(vids) -> list[int]:
-            if ball is None:
-                return list(vids)
+        def restrict(vids):
             return [v for v in vids if v in ball]
 
     candidate_sets = [restrict(spec.sim_map) for spec in specs]
@@ -183,104 +202,46 @@ def compute_lower_bounds(
         profiles = [landmarks.profile(c) for c in candidate_sets]
         bounds.position_profiles = profiles
 
+    def leg(j: int, kind: str, targets) -> float:
+        """Minimum distance from position ``j``'s candidates to
+        ``targets`` (position ``j+1``'s candidates for ``"ls"``, its
+        perfect matches for ``"lp"``)."""
+        sources = candidate_sets[j]
+        if ch is not None:
+            # Exact minimum over the full sets: when both are named the
+            # value is a per-network constant the hierarchy memoizes,
+            # so after the first query a CH leg costs a dict lookup.
+            src_key = specs[j].share_key
+            tgt_key = specs[j + 1].share_key
+            bucket = shared_bucket(
+                ch, shared_cache, _BUCKET_KIND[kind], tgt_key, targets
+            )
+            if src_key is not None and tgt_key is not None:
+                return shaved(ch.memo_min(
+                    (kind, src_key, tgt_key), src_key, sources, bucket
+                ))
+            return shaved(ch.min_from_set(sources, bucket))
+        value = multi_source_min_distance(
+            network, sources, targets, radius=radius
+        )
+        if profiles is not None:
+            target_profile = (
+                profiles[j + 1] if kind == "ls" else landmarks.profile(targets)
+            )
+            alt = landmarks.min_between(profiles[j], target_profile)
+            if alt > value:
+                value = alt
+        return value
+
     legs_ls: list[float] = []
     legs_lp: list[float] = []
     for j in range(n - 1):
-        sources = candidate_sets[j]
-        if ch is not None:
-            # Exact set-to-set minimum over the *full* source and target
-            # sets: both sides are then query-independent, so the value
-            # is a per-network constant the hierarchy memoizes — after
-            # the first query a CH leg costs a dict lookup.  Full-set
-            # minima only under-state restricted ones (still valid), and
-            # the ALT max below restores per-query tightness.
-            bucket = shared_bucket(
-                ch, shared_cache, "cands",
-                specs[j + 1].share_key, specs[j + 1].sim_map,
-            )
-            src_key = specs[j].share_key
-            tgt_key = specs[j + 1].share_key
-            if src_key is not None and tgt_key is not None:
-                leg = ch.memo_min(
-                    ("ls", src_key, tgt_key), src_key, specs[j].sim_map,
-                    bucket,
-                )
-                if sources and len(sources) < len(specs[j].sim_map):
-                    # The l̄(ϕ) ball restricted the source side; the
-                    # min of the per-vertex exact floors over just the
-                    # surviving sources is tighter than the full-set
-                    # constant, and each floor is a memoized dict
-                    # lookup (shared with BSSR's per-route floor).
-                    leg = max(
-                        leg,
-                        min(
-                            ch.vertex_min(
-                                "cands", tgt_key, u, specs[j + 1].sim_map
-                            )
-                            for u in sources
-                        ),
-                    )
-            else:
-                leg = ch.min_from_set(sources, bucket)
-            leg = _shaved(leg, 0.0)
-        else:
-            sem_targets = candidate_sets[j + 1]
-            leg = multi_source_min_distance(
-                network, sources, sem_targets, radius=radius
-            )
-        if profiles is not None:
-            alt = landmarks.min_between(profiles[j], profiles[j + 1])
-            if alt > leg:
-                leg = alt
-        legs_ls.append(leg)
-        if perfect_enabled:
-            if ch is not None:
-                pbucket = shared_bucket(
-                    ch, shared_cache, "perfect",
-                    specs[j + 1].share_key, specs[j + 1].perfect,
-                )
-                if src_key is not None and tgt_key is not None:
-                    leg_p = ch.memo_min(
-                        ("lp", src_key, tgt_key), src_key, specs[j].sim_map,
-                        pbucket,
-                    )
-                    if sources and len(sources) < len(specs[j].sim_map):
-                        leg_p = max(
-                            leg_p,
-                            min(
-                                ch.vertex_min(
-                                    "perfect",
-                                    tgt_key,
-                                    u,
-                                    specs[j + 1].perfect,
-                                )
-                                for u in sources
-                            ),
-                        )
-                else:
-                    leg_p = ch.min_from_set(sources, pbucket)
-                leg_p = _shaved(leg_p, 0.0)
-                if profiles is not None:
-                    alt_p = landmarks.min_between(
-                        profiles[j],
-                        landmarks.profile(restrict(specs[j + 1].perfect)),
-                    )
-                    if alt_p > leg_p:
-                        leg_p = alt_p
-            else:
-                perfect_targets = restrict(specs[j + 1].perfect)
-                leg_p = multi_source_min_distance(
-                    network, sources, perfect_targets, radius=radius
-                )
-                if profiles is not None:
-                    alt_p = landmarks.min_between(
-                        profiles[j], landmarks.profile(perfect_targets)
-                    )
-                    if alt_p > leg_p:
-                        leg_p = alt_p
-            legs_lp.append(leg_p)
-        else:
-            legs_lp.append(0.0)
+        legs_ls.append(leg(j, "ls", candidate_sets[j + 1]))
+        legs_lp.append(
+            leg(j, "lp", restrict(specs[j + 1].perfect))
+            if perfect_enabled
+            else 0.0
+        )
 
     # suffix over remaining legs: a route of size k has legs k-1 … n-2
     # still ahead of it (0-based legs between positions j and j+1).
@@ -306,12 +267,12 @@ def compute_lower_bounds(
                 dest_min = ch.memo_min(
                     ("dest", last_key, query.destination),
                     last_key,
-                    specs[n - 1].sim_map,
+                    last_candidates,
                     dest_dist.bucket,
                 )
             else:
                 dest_min = ch.min_from_set(last_candidates, dest_dist.bucket)
-            bounds.dest_min = _shaved(dest_min, 0.0)
+            bounds.dest_min = shaved(dest_min)
         else:
             bounds.dest_min = min(
                 (dest_dist.get(p, math.inf) for p in last_candidates),

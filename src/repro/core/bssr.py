@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.core.bounds import LowerBounds, compute_lower_bounds
+from repro.core.bounds import LowerBounds, compute_lower_bounds, shaved
 from repro.core.distcache import DistanceCache
 from repro.core.dominance import SkybandSet
 from repro.core.nninit import nninit
@@ -74,7 +74,7 @@ from repro.graph.contraction import (
     sorted_row,
 )
 from repro.graph.dijkstra import dijkstra
-from repro.graph.landmarks import _shaved, landmarks_for
+from repro.graph.landmarks import landmarks_for
 from repro.graph.road_network import RoadNetwork
 from repro.semantics.scoring import DEFAULT_AGGREGATOR, SemanticAggregator
 
@@ -247,8 +247,9 @@ class BSSRSearch:
         self._use_cache = self.options.caching and query.disjoint_trees
         self._first_radius_recorded = False
         self._started = False
-        # ALT index, bound lazily by _compute_bounds (memoized per
-        # network, so repeated searches pay the table build once)
+        # ALT index, bound lazily by _compute_bounds without
+        # use_contraction only (memoized per network, so repeated
+        # searches pay the table build once)
         self._landmarks = None
         # CH leg oracle under ``use_contraction``, bound lazily the same way
         self._ch = None
@@ -320,11 +321,6 @@ class BSSRSearch:
                 self.skyline,
                 self.stats,
                 dest_dist=self.dest_dist,
-                landmarks=(
-                    landmarks_for(self.network)
-                    if self.options.use_landmarks
-                    else None
-                ),
                 ch=self._ch_index() if self.options.use_contraction else None,
             )
             self.stats.init_time = perf_counter() - init_start
@@ -443,7 +439,13 @@ class BSSRSearch:
         return dijkstra(self.network, destination, reverse=True)
 
     def _compute_bounds(self) -> None:
-        if self.options.use_landmarks and self.options.lower_bounds:
+        # The one ALT decision point: CH legs and floors are exact, so
+        # under use_contraction no landmark code runs at all.
+        if (
+            self.options.use_landmarks
+            and self.options.lower_bounds
+            and not self.options.use_contraction
+        ):
             self._landmarks = landmarks_for(self.network)
         self.bounds = compute_lower_bounds(
             self.network,
@@ -508,10 +510,11 @@ class BSSRSearch:
         """Lemma 5.3 (with Section 5.3.3 suffixes) + Lemma 5.8.
 
         ``last`` is the route's current endpoint (the start vertex for
-        an empty route); with ALT enabled it anchors a route-specific
-        next-leg floor that replaces the generic per-leg minimum when
-        sharper — and covers the start → position-0 leg the generic
-        family omits entirely.
+        an empty route).  Under ``use_contraction`` it anchors the exact
+        next-leg floor; otherwise, with ALT, the landmark profile floor.
+        Either replaces the generic per-leg minimum when sharper — and
+        covers the start → position-0 leg the generic family omits
+        entirely.
         """
         skyline = self.skyline
         bounds = self.bounds
@@ -524,30 +527,25 @@ class BSSRSearch:
                 bounds.legs_ls[size - 1] if size and bounds.legs_ls else 0.0
             )
             anchored = 0.0
-            landmarks = self._landmarks
-            if landmarks is not None:
-                profiles = bounds.position_profiles
-                if profiles is not None:
-                    anchored = landmarks.min_from_vertex(
-                        last, profiles[size]
-                    )
             if self.options.use_contraction and self.options.lower_bounds:
                 # Exact next-leg distance from the concrete endpoint to
                 # the next position's full candidate set — memoized per
                 # (vertex, category) on the hierarchy, so after the
-                # first probe the floor is a dict lookup.  Exact-over-
-                # full and ALT-over-restricted are incomparable; take
-                # the max (eps-shaved like every CH sum).
+                # first probe the floor is a dict lookup (eps-shaved
+                # like every CH sum).
                 spec = self.query.specs[size]
                 if spec.share_key is not None:
-                    exact = _shaved(
+                    anchored = shaved(
                         self._ch_index().vertex_min(
                             "cands", spec.share_key, last, spec.sim_map
-                        ),
-                        0.0,
+                        )
                     )
-                    if exact > anchored:
-                        anchored = exact
+            elif self._landmarks is not None:
+                profiles = bounds.position_profiles
+                if profiles is not None:
+                    anchored = self._landmarks.min_from_vertex(
+                        last, profiles[size]
+                    )
             if anchored > generic:
                 floor += anchored - generic
         if floor >= skyline.threshold(semantic):

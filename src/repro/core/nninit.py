@@ -10,6 +10,10 @@ sequenced route.  One of the seeds therefore has semantic score 0
 semantic score for length, tightening thresholds at higher semantic
 levels — without any extra graph traversal.
 
+Each leg runs a plain Dijkstra over the road graph or, under
+``BSSROptions.use_contraction``, scans the hierarchy's memoized exact
+rows in the same settle order; ALT landmarks play no part.
+
 Degenerate cases are handled conservatively: when a leg has no
 reachable perfect match the chain stops early (the skyline simply
 receives fewer or no seeds and BSSR proceeds unbounded, still exact);
@@ -29,7 +33,6 @@ from repro.core.stats import SearchStats
 from repro.graph.contraction import ContractionHierarchy
 from repro.graph.csr import flat_adjacency
 from repro.graph.dijkstra import ExpansionCounters
-from repro.graph.landmarks import LandmarkIndex
 from repro.graph.road_network import RoadNetwork
 from repro.semantics.scoring import SemanticAggregator
 
@@ -41,7 +44,6 @@ def nninit(
     skyline: SkybandSet,
     stats: SearchStats | None = None,
     dest_dist: dict[int, float] | None = None,
-    landmarks: LandmarkIndex | None = None,
     ch: ContractionHierarchy | None = None,
 ) -> list[SkylineRoute]:
     """Seed ``skyline`` with greedily found sequenced routes.
@@ -51,17 +53,10 @@ def nninit(
     query has a destination, ``dest_dist`` (distances *to* the
     destination) must be supplied so seeded lengths are total lengths.
 
-    With ``landmarks``, the *non-last* legs run
-    goal-directed A* toward the position's perfect set instead of plain
-    Dijkstra.  This is sound because those legs only pick the chain's
-    next PoI: the seed stays a real route of its exact length, and BSSR
-    never depends on seed optimality — a (theoretically possible,
-    ~1e-9-relative) suboptimal pick merely weakens the initial
-    thresholds.  The *last* leg must stay distance-ordered: it emits one
-    seed route per semantic match settled before the perfect one.
-
-    With ``ch`` (``BSSROptions.use_contraction``), legs with a
-    ``share_key`` replace graph traversal entirely: one forward upward
+    Each leg runs one of two loops.  The Dijkstra loop settles the road
+    graph from the chain's current PoI in distance order.  With ``ch``
+    (``BSSROptions.use_contraction``), legs with a ``share_key`` and
+    perfect matches run the CH loop instead: one forward upward
     sweep against the position's cached target bucket yields exact
     distances to every candidate.  Non-last legs pick the ``(d, vid)``-
     smallest unused perfect match — the vertex Dijkstra would settle
@@ -69,8 +64,8 @@ def nninit(
     position's memoized candidate stream (sorted by ``(d, vid)``, the
     same one BSSR's expansions read), emitting the same seeds and
     stopping at the same perfect match.  Legs without a ``share_key``
-    (or without perfect matches) fall back per-leg to the scalar
-    kernels.
+    (or without perfect matches) fall back per-leg to the Dijkstra
+    loop.
     """
     n = query.size
     specs = query.specs
@@ -87,13 +82,8 @@ def nninit(
         used = set(prefix_pois)
         sim_of = spec.sim_map.get
         perfect = spec.perfect
-        heap: list[tuple[float, int]] = [(0.0, source)]
         found: tuple[float, int] | None = None
-        push = heapq.heappush
-        pop = heapq.heappop
         settled_n = relaxed_n = 0
-        # The A* and plain loops are separate (rather than branching per
-        # pop / per edge) so each runs with every array in a local.
         if ch is not None and spec.share_key is not None and perfect:
             counters = ExpansionCounters()
             if is_last:
@@ -131,47 +121,10 @@ def nninit(
                 )
             settled_n = counters.settled
             relaxed_n = counters.relaxed
-        elif (
-            landmarks is not None
-            and not is_last
-            and spec.share_key is not None
-            and perfect
-        ):
-            # Goal-directed A* toward the perfect set.  The landmark
-            # heuristic lower-bounds the distance to the *full* perfect
-            # set, which contains the goal subset (perfect minus used) —
-            # min over a superset is still admissible.  The eps shave
-            # makes it very slightly inconsistent, so a settled vertex
-            # may carry a ~1e-9-relatively suboptimal g; every g is the
-            # length of a real path, which is all seeding needs.  The
-            # heuristic is a memoized flat row (one list index per
-            # relaxation), which is why this path needs a ``share_key``.
-            dist_row = [math.inf] * num_v
-            dist_row[source] = 0.0
-            settled_row = bytearray(num_v)
-            hrow = landmarks.heuristic_row(
-                ("nninit-perfect", *spec.share_key), perfect
-            )
-            astar = [(hrow[source], 0.0, source)]
-            while astar:
-                _, d, u = pop(astar)
-                if settled_row[u]:
-                    continue
-                settled_row[u] = 1
-                settled_n += 1
-                if u in perfect and u not in used:
-                    found = (d, u)
-                    break
-                lo = indptr[u]
-                hi = indptr[u + 1]
-                relaxed_n += hi - lo
-                for i in range(lo, hi):
-                    v = indices[i]
-                    nd = d + weights[i]
-                    if nd < dist_row[v]:
-                        dist_row[v] = nd
-                        push(astar, (nd + hrow[v], nd, v))
         else:
+            heap: list[tuple[float, int]] = [(0.0, source)]
+            push = heapq.heappush
+            pop = heapq.heappop
             dist_row = [math.inf] * num_v
             dist_row[source] = 0.0
             settled_row = bytearray(num_v)

@@ -40,8 +40,9 @@ class BSSROptions:
             distances and a per-route next-leg floor anchored at the
             route's last vertex (including the otherwise-unbounded
             start leg).  Requires ``lower_bounds``; pure pruning, never
-            semantics.  The landmark tables are built once per network
-            and memoized.
+            semantics.  Ignored under ``use_contraction``, whose exact
+            legs and floors supersede it.  The landmark tables are
+            built once per network and memoized.
         use_contraction: serve exact legs from the contraction
             hierarchy (:mod:`repro.graph.contraction`, memoized per
             network): the Section 5.3.3 leg bounds become exact

@@ -15,9 +15,7 @@ Queries then run bidirectional Dijkstra over the *upward* graphs only
 (arcs from lower to higher contraction rank): every shortest path in
 the original graph is covered by an up-then-down path over the
 hierarchy, so scanning the tiny upward search spaces from both ends and
-summing at the best meeting hub yields the exact distance.  Shortcuts
-remember their middle vertex, so :meth:`ContractionHierarchy.path`
-unpacks back to original-edge paths.
+summing at the best meeting hub yields the exact distance.
 
 Every label row a sweep returns is *stall-pruned* (Geisberger et al.'s
 stall test, applied after the sweep): a label ``row[v]`` is dropped
@@ -131,7 +129,7 @@ class ContractionHierarchy:
     """Contracted view of one network; build via :func:`contraction_for`."""
 
     __slots__ = ("num_vertices", "directed", "_up_out", "_up_in",
-                 "_middle", "stats", "_token", "_poi_version", "_memo")
+                 "stats", "_token", "_poi_version", "_memo")
 
     def __init__(self, network: "RoadNetwork") -> None:
         started = perf_counter()
@@ -166,11 +164,9 @@ class ContractionHierarchy:
         #: streams and leg minima keyed by ``share_key`` (buckets also
         #: by target set) — all depend only on the network and the
         #: (query-independent) category sets, so they are preprocessing
-        #: in disguise, exactly like landmark heuristic rows, and are
-        #: never evicted; a PoI edit drops all but the forward rows
-        #: (:func:`contraction_for`)
+        #: in disguise and are never evicted; a PoI edit drops all but
+        #: the forward rows (:func:`contraction_for`)
         self._memo: dict = {}
-        self._middle: dict[tuple[int, int], int] = {}
         #: upward adjacency, snapshotted at each vertex's contraction:
         #: every arc endpoint outlives (outranks) the vertex
         self._up_out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -234,8 +230,6 @@ class ContractionHierarchy:
             ed = len(cand) - (len(in_adj[v]) + len(out_adj[v]))
             heappush(pq, (ed, v))
 
-        rank = [0] * n
-        next_rank = 0
         while pq:
             _, v = heappop(pq)
             cand = needed_shortcuts(v)
@@ -250,7 +244,6 @@ class ContractionHierarchy:
             for u, x, w in cand:
                 out_adj[u][x] = w
                 in_adj[x][u] = w
-                self._middle[(u, x)] = v
                 shortcuts_added += 1
             # Snapshot v's arcs (all endpoints outrank v) sorted for a
             # deterministic sweep order, then remove v from the graph.
@@ -268,8 +261,6 @@ class ContractionHierarchy:
                 in_adj[v] = {}
             else:
                 in_adj[v] = out_adj[v]
-            rank[v] = next_rank
-            next_rank += 1
 
         self.stats = CHStats(
             vertices=n,
@@ -357,65 +348,6 @@ class ContractionHierarchy:
                 if total < best:
                     best = total
         return best
-
-    def path(self, source: int, target: int) -> tuple[float, list[int]]:
-        """Exact distance plus an unpacked original-edge vertex path."""
-        fwd, fpred = self._sweep_pred([(source, 0.0)], self._up_out)
-        bwd, bpred = self._sweep_pred([(target, 0.0)], self._up_in)
-        best = _INF
-        hub = -1
-        for h, d in fwd.items():
-            other = bwd.get(h)
-            if other is not None and d + other < best:
-                best = d + other
-                hub = h
-        if hub < 0:
-            return _INF, []
-        up: list[int] = [hub]
-        while up[-1] != source and fpred.get(up[-1], -1) >= 0:
-            up.append(fpred[up[-1]])
-        up.reverse()
-        down: list[int] = [hub]
-        while down[-1] != target and bpred.get(down[-1], -1) >= 0:
-            down.append(bpred[down[-1]])
-        # Backward-sweep predecessors already point *along* the route
-        # (pred[v] = u means arc v -> u lies on v's path to the target),
-        # so both chains read in forward arc orientation.
-        arcs = list(zip(up, up[1:]))
-        arcs += list(zip(down, down[1:]))
-        path = [source]
-        for a, b in arcs:
-            path.extend(self._unpack(a, b))
-        return best, path
-
-    def _sweep_pred(self, sources, adj):
-        dist: dict[int, float] = {}
-        pred: dict[int, int] = {}
-        heap: list[tuple[float, int]] = []
-        for s, d0 in sources:
-            dist[s] = d0
-            pred[s] = -1
-            heappush(heap, (d0, s))
-        out: dict[int, float] = {}
-        while heap:
-            d, u = heappop(heap)
-            if u in out:
-                continue
-            out[u] = d
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist.get(v, _INF):
-                    dist[v] = nd
-                    pred[v] = u
-                    heappush(heap, (nd, v))
-        return out, pred
-
-    def _unpack(self, a: int, b: int) -> list[int]:
-        """Vertices after ``a`` along arc ``a -> b`` in original edges."""
-        mid = self._middle.get((a, b))
-        if mid is None:
-            return [b]
-        return self._unpack(a, mid) + self._unpack(mid, b)
 
     # ------------------------------------------------------------------
     # many-to-many machinery
@@ -507,7 +439,7 @@ class ContractionHierarchy:
         target set itself, so two names for one set — a category whose
         candidate and perfect sets coincide — share one bucket.  The
         memo grows by at most one bucket per distinct target set: a
-        per-network constant, like the landmark tables.
+        per-network constant.
         """
         memo = self._memo
         key = ("bucket", kind, share_key)

@@ -1,10 +1,15 @@
 """ALT landmarks: triangle-inequality lower bounds on network distance.
 
 Goldberg & Harrelson's A*-landmark technique, adapted to BSSR's
-pruning needs.  A small set of *landmarks* is chosen with the
-farthest-point heuristic; for each landmark ``l`` we precompute the
-full distance table *from* ``l`` (and, on directed graphs, *to* ``l``
-via reverse Dijkstra).  The triangle inequality then gives, for any
+pruning needs: here it only sharpens the Section 5.3.3 bounds on the
+Dijkstra path (``BSSROptions.use_landmarks``).  It drives no A*
+search, and under ``BSSROptions.use_contraction`` it is inert: the
+hierarchy's exact legs and floors supersede it, so no method here runs.
+
+A small set of *landmarks* is chosen with the farthest-point
+heuristic; for each landmark ``l`` we precompute the full distance
+table *from* ``l`` (and, on directed graphs, *to* ``l`` via reverse
+Dijkstra).  The triangle inequality then gives, for any
 pair ``(u, v)``::
 
     d(u, v) >= d(l, v) - d(l, u)        (from-table form)
@@ -20,7 +25,11 @@ table over ``S``); :meth:`min_between` then lower-bounds
 ``min_{p∈S1, q∈S2} d(p, q)`` from profiles alone, again in
 O(#landmarks) regardless of ``|S|``.  ``inf`` entries (disconnected
 components) are guarded explicitly — ``inf - inf`` is NaN and must
-never reach a comparison.
+never reach a comparison.  Every difference is shaved by a relative
+epsilon, ``(a - b) - _EPS * (a + b)``: ``a`` and ``b`` are
+shortest-path sums accumulated in different edge orders, so the float
+difference can exceed the true value by a few ULPs — enough to prune a
+route that ties a threshold exactly.
 
 Tables are rows of the scalar Dijkstra kernel (:mod:`repro.graph.dijkstra`):
 landmark selection already computes each landmark's *from* row, and the
@@ -28,7 +37,8 @@ index keeps those rows instead of recomputing them, so an undirected
 build costs ``count + 1`` single-source searches (directed graphs add
 ``count`` reverse ones).  The index is memoized per network via
 :func:`landmarks_for`, so deserialized searches (which have a network
-but no engine) share the same tables.
+but no engine) share the same tables.  The index depends on the
+network's topology alone.
 """
 
 from __future__ import annotations
@@ -50,23 +60,8 @@ DEFAULT_LANDMARKS = 8
 #: per-landmark set summary: (min_from, max_from, min_to, max_to) over S
 Profile = list[tuple[float, float, float, float]]
 
-#: relative slack absorbing float accumulation noise (see :func:`_shaved`)
+#: relative slack absorbing float accumulation noise (module docstring)
 _EPS = 1e-9
-
-def _shaved(a: float, b: float) -> float:
-    """Robust lower bound on the exact difference ``a - b``.
-
-    ``a`` and ``b`` are shortest-path sums accumulated in different
-    edge orders, so the float difference can exceed the true value by
-    a few ULPs — enough to prune a route that ties a threshold
-    exactly.  Shaving by a relative epsilon keeps every bound strictly
-    safe while costing ~1e-9 of pruning power.  ``a == inf`` stays
-    ``inf``: unreachability is exact set logic, not arithmetic
-    (callers guarantee ``b`` is finite).
-    """
-    if a == _INF:
-        return _INF
-    return (a - b) - _EPS * (a + b)
 
 
 def _distance_row(network: "RoadNetwork", source: int, *, reverse: bool) -> list[float]:
@@ -88,8 +83,7 @@ class LandmarkIndex:
     Build via :func:`landmarks_for`, which memoizes per network.
     """
 
-    __slots__ = ("landmarks", "_from", "_to", "_token", "_poi_version",
-                 "_key_rows")
+    __slots__ = ("landmarks", "_from", "_to", "_token")
 
     def __init__(
         self, network: "RoadNetwork", *, count: int = DEFAULT_LANDMARKS
@@ -101,15 +95,13 @@ class LandmarkIndex:
             else self._from
         )
         self._token = (network.num_vertices, network.num_edges, count)
-        self._poi_version = network.poi_version
-        self._key_rows: dict[tuple, list[float]] = {}
 
     def lower_bound(self, u: int, v: int) -> float:
         """Lower bound on ``d(u, v)``; exact 0 for ``u == v``."""
         if u == v:
             return 0.0
         best = 0.0
-        # _shaved is inlined here (and in the two set-bound methods):
+        # The eps shave is inlined here (and in the set-bound methods):
         # these run per candidate PoI / per popped route on the hot
         # path, where the extra call frame is measurable.  An infinite
         # minuend short-circuits to inf — unreachability is exact.
@@ -190,28 +182,6 @@ class LandmarkIndex:
                     max_to = t
             out.append((min_fr, max_fr, min_to, max_to))
         return out
-
-    def heuristic_row(
-        self, key: tuple, vertices: Collection[int]
-    ) -> list[float]:
-        """Per-vertex lower bounds on the distance *to* a target set.
-
-        ``row[v] <= min_{q∈S} d(v, q)`` for every vertex — the
-        admissible A* heuristic toward ``S``, flattened to one list so
-        the per-relaxation cost is a single index instead of a loop
-        over landmarks.  Memoized under ``key``, which must name a
-        query-independent set (e.g. a position spec's ``share_key`` for
-        its full perfect set); the caller must pass the same set for
-        the same key — this index cannot verify it.
-        """
-        row = self._key_rows.get(key)
-        if row is None:
-            prof = self.profile(vertices)
-            mfv = self.min_from_vertex
-            n = len(self._from[0]) if self._from else 0
-            row = [mfv(v, prof) for v in range(n)]
-            self._key_rows[key] = row
-        return row
 
     def min_between(self, first: Profile | None, second: Profile | None) -> float:
         """Lower bound on ``min_{p∈S1, q∈S2} d(p, q)`` from profiles.
@@ -326,19 +296,13 @@ def landmarks_for(
     """The (memoized) landmark index of ``network``.
 
     Rebuilt when the network's structure or the requested count
-    changed; a PoI edit (``RoadNetwork.poi_version``) only drops the
-    heuristic rows.  Memoizing on the network instance (not an engine) lets
+    changed; a PoI edit leaves it valid.  Memoizing on the network instance (not an engine) lets
     deserialized sessions — which reconstruct searches from a network
     reference alone — reuse the tables already paid for.
     """
     cached: LandmarkIndex | None = getattr(network, "_landmark_index", None)
     token = (network.num_vertices, network.num_edges, count)
     if cached is not None and cached._token == token:
-        if cached._poi_version != network.poi_version:
-            # heuristic rows are keyed by category share_key, which
-            # names another vertex set after a PoI edit
-            cached._key_rows.clear()
-            cached._poi_version = network.poi_version
         return cached
     index = LandmarkIndex(network, count=count)
     network._landmark_index = index  # type: ignore[attr-defined]

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
-from repro.core.bounds import LowerBounds, compute_lower_bounds
+from repro.core.bounds import LowerBounds, compute_lower_bounds, shaved
 from repro.core.dominance import SkylineSet
 from repro.core.routes import SkylineRoute
 from repro.core.spec import compile_query
 from repro.core.stats import SearchStats
+from repro.graph.contraction import contraction_for
+from repro.graph.landmarks import landmarks_for
 from repro.graph.poi import PoIIndex
 from repro.graph.road_network import RoadNetwork
 from repro.semantics.similarity import HierarchyWuPalmer
@@ -90,6 +92,28 @@ def test_remaining_best_np_suffix_max():
     assert bounds.remaining_best_np[2] == pytest.approx(2 / 3)
     assert bounds.remaining_best_np[1] == pytest.approx(2 / 3)
     assert bounds.remaining_best_np[0] == pytest.approx(2 / 3)
+
+
+def test_ch_legs_are_the_shaved_dijkstra_legs():
+    """One leg function, two accelerators: with no ball (empty skyline)
+    the Dijkstra legs are exact, and CH gives them eps-shaved."""
+    net, query, _ = _chain_instance()
+    plain = compute_lower_bounds(net, query, SkylineSet())
+    ch = compute_lower_bounds(
+        net, query, SkylineSet(), ch=contraction_for(net)
+    )
+    assert ch.legs_ls == [shaved(v) for v in plain.legs_ls]
+    assert ch.legs_lp == [shaved(v) for v in plain.legs_lp]
+    assert ch.position_profiles is None
+
+
+def test_landmarks_and_ch_are_exclusive():
+    net, query, _ = _chain_instance()
+    with pytest.raises(ValueError):
+        compute_lower_bounds(
+            net, query, SkylineSet(),
+            landmarks=landmarks_for(net), ch=contraction_for(net),
+        )
 
 
 def test_perfect_disabled_keeps_lp_at_ls():

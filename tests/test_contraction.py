@@ -10,12 +10,12 @@ against the exhaustive skyline/top-k oracles; against the default
 search backends, engine-level CH answers are compared at the 9-decimal
 grain because CH sums associate differently along up-then-down paths.
 
-Also pinned here: that the stall filter fires and keeps every consumer
-exact, that legs from one category share one sweep, that a PoI edit
-drops every category-keyed memo, the checkpoint round-trip under CH
-candidate streams, the stats surfaces, and that every target bucket is
-built at most once per distinct target set per hierarchy, cache or no
-cache.
+Also pinned here: that ALT is inert under CH, that the stall filter
+fires and keeps every consumer exact, that legs from one category
+share one sweep, that a PoI edit drops every category-keyed memo, the
+checkpoint round-trip under CH candidate streams, the stats surfaces,
+and that every target bucket is built at most once per distinct target
+set per hierarchy, cache or no cache.
 """
 
 from __future__ import annotations
@@ -44,19 +44,9 @@ from repro.graph.contraction import (
     shared_bucket,
 )
 from repro.graph.dijkstra import dijkstra
-from repro.graph.landmarks import landmarks_for
-from repro.graph.road_network import RoadNetwork
+from repro.graph.landmarks import LandmarkIndex
 
 from .conftest import pick_query, random_instance, score_set
-
-
-def min_edge_weight(network: RoadNetwork, u: int, v: int) -> float:
-    """Smallest ``u -> v`` edge weight (parallel edges collapse in CH)."""
-    best = math.inf
-    for head, w in network.neighbors(u):
-        if head == v and w < best:
-            best = w
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -75,31 +65,6 @@ def test_property_distances_identical_to_dijkstra(seed, directed):
             assert ch.distance(source, target) == exact.get(
                 target, math.inf
             )
-
-
-@settings(deadline=None, max_examples=20)
-@given(seed=st.integers(0, 10_000), directed=st.booleans())
-def test_property_path_unpacks_to_original_edges(seed, directed):
-    network, _forest, rng = random_instance(seed, directed=directed)
-    ch = contraction_for(network)
-    n = network.num_vertices
-    source = rng.randrange(n)
-    exact = dijkstra(network, source)
-    for target in rng.sample(range(n), 5):
-        dist, path = ch.path(source, target)
-        assert dist == exact.get(target, math.inf)
-        if dist == math.inf:
-            assert path == []
-            continue
-        assert path[0] == source and path[-1] == target
-        # every hop is an original edge and the hop weights close the
-        # distance exactly (integer weights: float sums are exact)
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            w = min_edge_weight(network, a, b)
-            assert w < math.inf
-            total += w
-        assert total == dist
 
 
 @settings(deadline=None, max_examples=20)
@@ -371,6 +336,68 @@ def test_buckets_survive_a_one_entry_cache(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# ALT is inert under CH: no landmark method runs, and the search is
+# counter-for-counter the CH-only search
+
+
+def _forbid_landmark_bounds(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a landmark bound ran under use_contraction")
+
+    for name in ("restrict_within", "profile", "min_from_vertex"):
+        monkeypatch.setattr(LandmarkIndex, name, refuse)
+
+
+def _assert_same_search(got, expected):
+    assert got.routes == expected.routes
+    for counter in (
+        "routes_expanded",
+        "routes_enqueued",
+        "routes_pruned_on_pop",
+        "routes_pruned_on_insert",
+        "sum_ls",
+        "sum_lp",
+    ):
+        assert getattr(got.stats, counter) == getattr(
+            expected.stats, counter
+        ), counter
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_alt_is_inert_under_ch_on_tokyo(monkeypatch, k):
+    _forbid_landmark_bounds(monkeypatch)
+    data = tokyo_like(0.12, seed=11)
+    engine = SkySREngine(data.network, data.forest)
+    both = BSSROptions(use_landmarks=True, use_contraction=True, k=k)
+    ch_only = BSSROptions(use_contraction=True, k=k)
+    for q in generate_workload(data, 3, 40, seed=3):
+        cats = list(q.categories)
+        _assert_same_search(
+            engine.query(q.start, cats, options=both),
+            engine.query(q.start, cats, options=ch_only),
+        )
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_alt_is_inert_under_ch_on_random_graphs(monkeypatch, directed):
+    _forbid_landmark_bounds(monkeypatch)
+    for seed in range(30):
+        network, forest, rng = random_instance(seed, directed=directed)
+        picked = pick_query(network, forest, rng, 3)
+        if picked is None:
+            continue
+        start, cats = picked
+        engine = SkySREngine(network, forest)
+        for k in (1, 3):
+            both = BSSROptions(use_landmarks=True, use_contraction=True, k=k)
+            ch_only = BSSROptions(use_contraction=True, k=k)
+            _assert_same_search(
+                engine.query(start, cats, options=both),
+                engine.query(start, cats, options=ch_only),
+            )
+
+
+# ----------------------------------------------------------------------
 # engine level: CH on ≡ CH off at the 9-decimal grain
 
 
@@ -518,9 +545,9 @@ def test_contraction_for_memoized_and_invalidated():
 def test_poi_edit_drops_category_memos(use_contraction):
     """Regression: after ``set_poi`` and ``refresh_index`` an engine
     that already answered the query (CH, or default options with a
-    shared query LRU) answers like a fresh engine.  The hierarchy's,
-    the landmark index's and the cache's category-keyed entries used to
-    survive the edit (23 and 10 of these 40 seeds differed)."""
+    shared query LRU) answers like a fresh engine.  The hierarchy's and
+    the cache's category-keyed entries used to survive the edit (23 and
+    10 of these 40 seeds differed)."""
     options = BSSROptions(use_contraction=use_contraction)
     for seed in range(40):
         network, forest, rng = random_instance(seed, num_pois=10)
@@ -531,8 +558,6 @@ def test_poi_edit_drops_category_memos(use_contraction):
         cache = None if use_contraction else DistanceCache(max_entries=64)
         engine = SkySREngine(network, forest, distance_cache=cache)
         engine.query(start, cats, options=options)
-        landmarks = landmarks_for(network)
-        landmarks.heuristic_row(("cat", cats[-1]), [start])
         vid = next(
             v for v in range(network.num_vertices)
             if not network.is_poi(v) and v != start
@@ -542,8 +567,6 @@ def test_poi_edit_drops_category_memos(use_contraction):
         got = engine.query(start, cats, options=options)
         fresh = SkySREngine(network, forest).query(start, cats)
         assert score_set(got.routes) == score_set(fresh.routes), seed
-        assert landmarks_for(network) is landmarks
-        assert not landmarks._key_rows
 
 
 # ----------------------------------------------------------------------

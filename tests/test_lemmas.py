@@ -12,16 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.brute_force import enumerate_sequenced_routes
+from repro.baselines.brute_force import (
+    brute_force_skysr,
+    enumerate_sequenced_routes,
+)
+from repro.baselines.topk import brute_force_topk
 from repro.core.dominance import SkylineSet, dominates
+from repro.core.engine import SkySREngine
+from repro.core.options import BSSROptions
 from repro.core.routes import SkylineRoute
 from repro.core.spec import compile_query
 from repro.graph.dijkstra import dijkstra
 from repro.graph.poi import PoIIndex
+from repro.graph.road_network import RoadNetwork
 from repro.semantics.scoring import ProductAggregator
 from repro.semantics.similarity import HierarchyWuPalmer
 
-from .conftest import pick_query, random_instance
+from .conftest import pick_query, random_instance, small_forest
 
 
 @settings(deadline=None, max_examples=25)
@@ -141,3 +148,55 @@ def test_lemma_5_5_suppressed_routes_are_dominated():
                 dominates(s, route.scores()) or s == route.scores()
                 for s in skyline_scores
             )
+
+
+# ----------------------------------------------------------------------
+# Open Lemma 5.5 defects, pinned until ROADMAP's "Top-k drops routes when
+# k > 1: extend Lemma 5.5 to the k-skyband" item is fixed.  Rule (i)
+# suppresses a candidate behind a PoI on its path that matches at least
+# as well; that is sound for the skyline only when the substitute route
+# exists and only one route per score level is wanted.
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item: extend Lemma 5.5 to the k-skyband",
+)
+def test_lemma_5_5_keeps_the_second_ramen_at_k2():
+    """Line graph 0 –1– 1 –1– 2 –1– 3 with Ramen at 1 and 2: the oracle's
+    top-2 from 0 is (1,) then (2,); the engine suppresses 2 behind 1."""
+    forest = small_forest()
+    ramen = forest.resolve("Ramen")
+    network = RoadNetwork()
+    first = network.add_vertex(0.0, 0.0)
+    network.add_poi(ramen, 1.0, 0.0)
+    network.add_poi(ramen, 2.0, 0.0)
+    network.add_vertex(3.0, 0.0)
+    for u in range(3):
+        network.add_edge(u, u + 1, 1.0)
+    engine = SkySREngine(network, forest)
+    oracle = brute_force_topk(network, engine.compile(first, [ramen]), 2)
+    assert [r.pois for r in oracle] == [(1,), (2,)]
+    result = engine.query(first, [ramen], options=BSSROptions(k=2))
+    assert [r.pois for r in result.topk()] == [(1,), (2,)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item: extend Lemma 5.5 to the k-skyband "
+    "(the k = 1 case where the start vertex is itself a PoI)",
+)
+def test_lemma_5_5_keeps_the_route_a_start_poi_would_suppress():
+    """Start vertex 23 is a position-0 PoI, so rule (i) suppresses PoI
+    26 behind it; the only route dominating (26, 17, 23) is (23, 17,
+    23), which reuses 23.  Default options lose the oracle's route."""
+    network, forest, _rng = random_instance(146, directed=True, num_pois=12)
+    engine = SkySREngine(network, forest)
+    oracle = brute_force_skysr(
+        network, engine.compile(23, [5, 4, 3], destination=4)
+    )
+    assert ((26, 17, 23), 17.0) in [(r.pois, r.length) for r in oracle]
+    result = engine.query(23, [5, 4, 3], destination=4)
+    assert ((26, 17, 23), 17.0) in [
+        (r.pois, r.length) for r in result.routes
+    ]
