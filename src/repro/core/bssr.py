@@ -93,8 +93,7 @@ def run_bssr(
     :mod:`repro.core.bounds`).
 
     ``distance_cache`` shares modified-Dijkstra expansions *across*
-    queries (see :mod:`repro.core.distcache`); it is only consulted
-    under the same disjoint-trees condition as the per-run cache.
+    queries (see :mod:`repro.core.distcache`).
     """
     # One-shot callers never resume, so skip the checkpoint machinery:
     # no route archive, no deferred-work retention.
@@ -244,7 +243,6 @@ class BSSRSearch:
         self.n = query.size
         self.bounds = LowerBounds.disabled(self.n)
         self._priority = policy_for(self.options.priority_queue)
-        self._use_cache = self.options.caching and query.disjoint_trees
         self._first_radius_recorded = False
         self._started = False
         # ALT index, bound lazily by _compute_bounds without
@@ -408,9 +406,8 @@ class BSSRSearch:
         """The cache that counts CH target-bucket traffic.
 
         Buckets themselves live on the hierarchy; they are exact
-        query-independent distances, so unlike shared *searches* their
-        counting needs no disjoint-trees condition — only the
-        ``caching`` flag gates it."""
+        query-independent distances; the ``caching`` flag gates the
+        counting."""
         if not self.options.use_contraction or not self.options.caching:
             return None
         return self.shared_cache
@@ -590,46 +587,40 @@ class BSSRSearch:
     ) -> PoICandidateSearch:
         source = route.pois[-1] if route.pois else self.query.start
         spec = self.query.specs[position]
-        if self._use_cache:
-            key = (source, position)
-            search = self.state.cache.get(key)
-            if search is not None:
-                self.stats.cache_hits += 1
-                self.stats.mdijkstra_resumes += 1
-                return search
-            shared = self.shared_cache
-            if shared is not None:
-                # Cross-query reuse rides the same disjoint-trees gate
-                # as the per-run cache: shared searches are exclusion-
-                # free, and their candidate streams are append-only, so
-                # adopting one warm is exact (its expansion cost is
-                # simply already paid).
-                cached = shared.lookup(
-                    self.network, source, spec, stats=self.stats
-                )
-                if cached is not None:
-                    self.state.cache[key] = cached
-                    self.stats.mdijkstra_resumes += 1
-                    self.stats.extra["shared_cache_hits"] = (
-                        self.stats.extra.get("shared_cache_hits", 0) + 1
-                    )
-                    return cached
-            search = PoICandidateSearch(
+        if not self.options.caching:
+            # the Figure 5 ablation: a fresh expansion every time
+            self.stats.mdijkstra_runs += 1
+            return PoICandidateSearch(
                 self.network, spec, source, stats=self.stats
             )
-            self.state.cache[key] = search
-            self.stats.mdijkstra_runs += 1
-            if shared is not None:
-                shared.admit(self.network, source, spec, search)
+        key = (source, position)
+        search = self.state.cache.get(key)
+        if search is not None:
+            self.stats.cache_hits += 1
+            self.stats.mdijkstra_resumes += 1
             return search
+        shared = self.shared_cache
+        if shared is not None:
+            # Candidate streams are route-independent and append-only,
+            # so adopting a warm one from another query is exact (its
+            # expansion cost is simply already paid).
+            cached = shared.lookup(
+                self.network, source, spec, stats=self.stats
+            )
+            if cached is not None:
+                self.state.cache[key] = cached
+                self.stats.mdijkstra_resumes += 1
+                self.stats.extra["shared_cache_hits"] = (
+                    self.stats.extra.get("shared_cache_hits", 0) + 1
+                )
+                return cached
         search = PoICandidateSearch(
-            self.network,
-            spec,
-            source,
-            exclude=frozenset(route.pois),
-            stats=self.stats,
+            self.network, spec, source, stats=self.stats
         )
+        self.state.cache[key] = search
         self.stats.mdijkstra_runs += 1
+        if shared is not None:
+            shared.admit(self.network, source, spec, search)
         return search
 
     def _ch_stream(
@@ -638,12 +629,12 @@ class BSSRSearch:
         """The CH label-row stream of ``position`` from the route's
         endpoint (see :class:`~repro.core.search.CHCandidateStream`):
         exact distances to the full candidate set, sorted, no road-graph
-        settles.  Streams carry no suppression state, so they are
-        shareable across routes unconditionally — distinctness is
-        enforced by the caller's ``vid in route.pois`` filter either
-        way.  Share-keyed rows come from the hierarchy's memo; others
-        (and their buckets) are built for this search only, in the same
-        typed form."""
+        settles.  Like modified-Dijkstra streams they are
+        route-independent, so one per ``(source, position)`` serves
+        every route; distinctness is enforced by the caller's
+        ``vid in route.pois`` filter.  Share-keyed rows come from the
+        hierarchy's memo; others (and their buckets) are built for this
+        search only, in the same typed form."""
         source = route.pois[-1] if route.pois else self.query.start
         key = (source, position)
         stream = self._ch_streams.get(key)

@@ -12,11 +12,9 @@ plain categories: the category id).
 
 Exactness rests on the same conditions as the per-run cache, plus one:
 
-* shared searches are **exclusion-free** — BSSR only consults a cache
-  when the query's positions draw candidates from disjoint trees
-  (``CompiledQuery.disjoint_trees``), the condition under which
-  route-independent reuse is exact, and builds route-local throw-away
-  searches otherwise;
+* a search's candidate stream is **route-independent** — it emits every
+  matching PoI and the consumer enforces PoI distinctness, so one
+  stream serves every route of every query;
 * a search's candidate stream is **append-only and deterministic** —
   consumers address it by replay offsets, so it does not matter which
   query (or how many, interleaved) drove the expansion forward;
@@ -56,9 +54,9 @@ from repro.core.stats import SearchStats
 from repro.errors import QueryError
 from repro.graph.road_network import RoadNetwork
 
-#: rough, generous per-vertex bytes of a search (label and path
-#: similarity slots plus the settled flag across |V|), used by the
-#: footprint estimate below; kept fixed so byte budgets stay stable
+#: rough, generous per-vertex bytes of a search (the label slot plus
+#: the settled flag across |V|, with headroom), used by the footprint
+#: estimate below; kept fixed so byte budgets stay stable
 _FLAT_CELL_BYTES = 25
 
 #: rough bytes per dict entry / heap tuple / candidate triple

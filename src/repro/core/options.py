@@ -32,8 +32,9 @@ class BSSROptions:
             perfect-match minimum distance ``l_p`` rule (requires
             ``lower_bounds``).
         caching: reuse modified-Dijkstra expansions via the on-the-fly
-            cache (Section 5.3.4).  Automatically (and exactly) bypassed
-            when query positions share category trees.
+            cache (Section 5.3.4), one per ``(source, position)``;
+            ``False`` builds a fresh search per expansion (the paper's
+            Figure 5 ablation).
         use_landmarks: sharpen the Section 5.3.3 bounds with ALT
             (landmark triangle-inequality) lower bounds from
             :mod:`repro.graph.landmarks` — both the per-leg minimum

@@ -1,29 +1,27 @@
 """The modified Dijkstra algorithm (Algorithm 2) as a resumable search.
 
 :class:`PoICandidateSearch` expands the road network outward from a
-source vertex and *emits candidates*: PoI vertices that semantically
-match one position spec and survive Lemma 5.5's two filters —
+source vertex and *emits candidates*: every PoI vertex that
+semantically matches one position spec, at its true shortest-path
+distance, in ``(distance, vertex)`` order.  Traversal runs through every
+vertex, matches included.
 
-* (i) a PoI reached through another usable PoI of greater-or-equal
-  similarity is suppressed (the route through it is dominated by the
-  substitution route);
-* (ii) traversal never continues *through* a usable perfect match
-  (anything beyond is dominated by the route using that PoI).
-
-"Usable" means not excluded — a PoI already on the route being extended
-can neither be emitted nor justify a substitution (Definition 3.4
-requires distinct PoIs), so excluded PoIs are transparent to both
-filters.
+The paper's Algorithm 2 also applies Lemma 5.5's two filters (suppress a
+PoI reached through a usable PoI of greater-or-equal similarity; never
+traverse through a perfect match).  This repository drops them: both
+assume the substitute route exists and that one route per score level
+suffices, which fails when the substitute PoI is needed again later in
+the route, and in a k-skyband (top-k).  Without them a stream does not
+depend on the route being extended — distinctness (Definition 3.4) is
+enforced by the consumer on every emit — so one stream per ``(source,
+position)`` serves every route.
 
 The search is *resumable*: it settles vertices in distance order and
 pauses when the consumer's budget (Lemma 5.3's threshold, re-evaluated
 continuously as the skyline set improves) is reached.  BSSR's
 on-the-fly cache (Section 5.3.4) keeps one instance per
 ``(source, position)`` and simply resumes it when a later route needs a
-larger radius — reuse never sacrifices exactness.  Route-independent
-caching is only used when query positions draw candidates from disjoint
-category trees; otherwise BSSR builds throw-away instances with
-per-route exclusions (still exact, no reuse).
+larger radius — reuse never sacrifices exactness.
 
 Searches are never written to a session checkpoint.  Their candidate
 streams are deterministic, so a restored session rebuilds each one
@@ -59,22 +57,15 @@ class CHCandidateStream:
     tie-break.  No road-graph vertex is settled, so expansion cost stops
     scaling with the settle radius.
 
-    Exactness: Lemma 5.5's filters only ever suppress *dominated*
-    candidates, so emitting the unfiltered superset is exact — a
-    suppressed completion now loses inside the skyband instead of never
-    being scored.  Every distance is the true shortest-path value, which
-    is exactly the leg a sequenced route pays (a modified-Dijkstra
-    distance can exceed it when the shortest path runs through a perfect
-    match).  At the final position the emit is scored directly; at any
-    earlier one it becomes a partial route whose length is the true
-    prefix length, so its further expansion, bounds and pruning are
-    those of the real route.  Because nothing is filtered, no emit ever
-    depends on whether the PoI that would have suppressed it is valid
-    for the route (it may already be on the prefix, or be needed again
-    later), which the filtered search's rule (i) takes for granted.  The
-    budget cut is the same Lemma 5.3 argument as Algorithm 2's: a child
-    whose leg alone reaches the budget cannot beat the threshold at any
-    semantic score it can still attain.
+    Exactness: like :class:`PoICandidateSearch`, the stream holds every
+    candidate at its true shortest-path distance, which is exactly the
+    leg a sequenced route pays.  At the final position the emit is
+    scored directly; at any earlier one it becomes a partial route whose
+    length is the true prefix length, so its further expansion, bounds
+    and pruning are those of the real route.  The budget cut is the same
+    Lemma 5.3 argument as Algorithm 2's: a child whose leg alone reaches
+    the budget cannot beat the threshold at any semantic score it can
+    still attain.
 
     The stream is the memoized ``(dists, vids)`` typed-array pair;
     similarities come from ``sim_map`` as candidates are read, so the
@@ -128,11 +119,9 @@ class PoICandidateSearch:
     __slots__ = (
         "_spec",
         "source",
-        "_exclude",
         "_stats",
         "_flat",
         "_dist",
-        "_path_sim",
         "_settled",
         "_heap",
         "candidates",
@@ -145,20 +134,15 @@ class PoICandidateSearch:
         spec: PositionSpec,
         source: int,
         *,
-        exclude: frozenset[int] = frozenset(),
         stats: SearchStats | None = None,
     ) -> None:
         self._spec = spec
         self.source = source
-        self._exclude = exclude
         self._stats = stats
         self._flat = flat_adjacency(network)
         n = self._flat[0]
         self._dist = [math.inf] * n
         self._dist[source] = 0.0
-        # max similarity of any usable PoI strictly on the recorded
-        # shortest path from the source (Lemma 5.5 i)
-        self._path_sim = [0.0] * n
         self._settled = bytearray(n)
         self._heap: list[tuple[float, int]] = [(0.0, source)]
         #: emitted candidates ``(distance, vid, similarity)`` in distance order
@@ -230,9 +214,7 @@ class PoICandidateSearch:
         )
         _, indptr, indices, weights = self._flat
         sim_of = self._spec.sim_map.get
-        exclude = self._exclude
         dist = self._dist
-        path_sims = self._path_sim
         settled = self._settled
         heap = self._heap
         candidates = self.candidates
@@ -252,7 +234,6 @@ class PoICandidateSearch:
             # emit at most the vertex it settles) or the budget is hit
             stats = self._stats  # adopt_stats only happens between yields
             settled_n = relaxed_n = pushes_n = 0
-            emitted = False
             while True:
                 while heap and settled[heap[0][1]]:
                     pop(heap)
@@ -266,19 +247,9 @@ class PoICandidateSearch:
                 settled[u] = 1
                 settled_n += 1
                 self.radius = d
-                path_sim = path_sims[u]
                 sim = sim_of(u)
-                if sim is not None and u not in exclude:
-                    if sim > path_sim:
-                        candidates.append((d, u, sim))
-                        emitted = True
-                    if sim >= 1.0:
-                        if emitted:
-                            break
-                        continue  # Lemma 5.5 (ii): no traversal through
-                    through = sim if sim > path_sim else path_sim
-                else:
-                    through = path_sim
+                if sim is not None:
+                    candidates.append((d, u, sim))
                 lo = indptr[u]
                 hi = indptr[u + 1]
                 relaxed_n += hi - lo
@@ -287,18 +258,11 @@ class PoICandidateSearch:
                     if settled[v]:
                         continue
                     nd = d + weights[j]
-                    old = dist[v]
-                    if nd < old:
+                    if nd < dist[v]:
                         dist[v] = nd
-                        path_sims[v] = through
                         push(heap, (nd, v))
                         pushes_n += 1
-                    elif nd == old and through < path_sims[v]:
-                        # Equal-length tie: remember the cleanest path so
-                        # fewer candidates are suppressed (either choice
-                        # is exact).
-                        path_sims[v] = through
-                if emitted:
+                if sim is not None:
                     break
             if stats is not None:
                 stats.settled += settled_n
@@ -314,7 +278,7 @@ class PoICandidateSearch:
     ) -> Iterator[tuple[float, int, float, float]]:
         """:meth:`candidates_until` plus the consumer's extra-leg score.
 
-        Yields ``(distance, vid, path_sim, extra)`` where ``extra`` is
+        Yields ``(distance, vid, sim, extra)`` where ``extra`` is
         ``leg.get(vid, inf)`` — the final-position destination leg of
         BSSR's expansion, from any ``.get``-able mapping (an eager
         Dijkstra dict or the lazy

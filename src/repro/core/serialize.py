@@ -76,8 +76,10 @@ SESSION_FORMAT = "repro-skysr-session"
 
 #: current schema version; bump on any incompatible payload change
 #: (version 2 dropped the serialized candidate-search cache; version 3
-#: moved ``use_contraction`` offsets at every position onto CH streams)
-SCHEMA_VERSION = 3
+#: moved ``use_contraction`` offsets at every position onto CH streams;
+#: version 4 moved default-options offsets onto the unfiltered modified
+#: Dijkstra stream, which no longer applies Lemma 5.5's filters)
+SCHEMA_VERSION = 4
 
 _MISSING = object()
 

@@ -9,7 +9,7 @@ concrete (network, forest, similarity) triple into a
 
 * is PoI ``p`` a semantic-match candidate here, and at what similarity
   ``h_i`` (Definition 3.3/3.4)?
-* is it a *perfect* match (``h_i = 1`` — Lemma 5.5's traversal stop)?
+* is it a *perfect* match (``h_i = 1`` — Lemma 5.8's perfect-match rule)?
 * what is the best non-perfect similarity any candidate offers (the
   minimum semantic increment ``δ`` of Lemma 5.8)?
 
@@ -18,7 +18,7 @@ Compiling once per query keeps the hot search loops free of tree walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.errors import QueryError
@@ -194,13 +194,6 @@ class CompiledQuery:
     start: int
     specs: list[PositionSpec]
     destination: int | None = None
-    #: True when candidate *PoI sets* are pairwise disjoint across
-    #: positions — the condition under which route-independent caching
-    #: is exact (a route's PoIs can then never be candidates, stop
-    #: points, or substitution witnesses of a later position's search).
-    #: Tree-disjoint positions with single-category PoIs always satisfy
-    #: this; multi-category PoIs spanning query trees break it.
-    disjoint_trees: bool = field(default=True)
 
     @property
     def size(self) -> int:
@@ -236,17 +229,4 @@ def compile_query(
     for position, item in enumerate(items):
         requirement = as_requirement(item, forest)
         specs.append(requirement.compile(index, similarity, position))
-    seen_candidates: set[int] = set()
-    disjoint = True
-    for spec in specs:
-        candidates = spec.sim_map.keys()
-        if not seen_candidates.isdisjoint(candidates):
-            disjoint = False
-            break
-        seen_candidates |= candidates
-    return CompiledQuery(
-        start=start,
-        specs=specs,
-        destination=destination,
-        disjoint_trees=disjoint,
-    )
+    return CompiledQuery(start=start, specs=specs, destination=destination)

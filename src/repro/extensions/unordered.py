@@ -9,10 +9,10 @@ vertices."
 The search mirrors BSSR's branch-and-bound: partial routes carry the
 set of positions still uncovered; one Dijkstra per expansion emits
 every PoI matching any uncovered position; the skyline set's threshold
-prunes.  Lemma 5.5's substitution filters are *not* applied — they are
-justified for a fixed next category, not a category set — so this
-variant trades some pruning power for unconditional exactness, which
-the tests verify against a permutation brute force.
+prunes.  Like BSSR's candidate search (:mod:`repro.core.search`), it
+does not apply Lemma 5.5's substitution filters, which would lose
+routes here too; exactness is verified against a permutation brute
+force.
 
 The semantic score of an unordered route aggregates the similarity of
 each PoI under the position it covers; the product (Eq. 7), min, and

@@ -264,7 +264,7 @@ def _select_farthest(
     rows = [_distance_row(network, first, reverse=False)]
     min_dist = list(rows[0])
     while len(landmarks) < count:
-        nxt = _argmax_row(min_dist, exclude=landmarks)
+        nxt = _argmax_row(min_dist, taken=landmarks)
         if nxt is None:
             break
         landmarks.append(nxt)
@@ -277,13 +277,14 @@ def _select_farthest(
 
 
 def _argmax_row(
-    row: Sequence[float], *, exclude: Collection[int] = ()
+    row: Sequence[float], *, taken: Collection[int] = ()
 ) -> int | None:
-    """Index of the largest value, inf beating any finite, min-id ties."""
+    """Index of the largest value not in ``taken``, inf beating any
+    finite, min-id ties."""
     best_v: int | None = None
     best_d = -1.0
     for v, d in enumerate(row):
-        if v in exclude:
+        if v in taken:
             continue
         if d > best_d:
             best_v, best_d = v, d

@@ -3,10 +3,10 @@
 These are the most important tests in the repository.  BSSR with every
 optimization enabled must return exactly the same skyline score set as
 exhaustive enumeration on randomized instances covering: undirected and
-directed networks, repeated category trees (where route-independent
-caching must be bypassed), same-category repetitions (PoI distinctness),
-destination queries, multi-category PoIs, and alternative similarity
-measures / aggregators.
+directed networks, repeated category trees (where a route's own PoIs
+reappear in later positions' cached streams), same-category repetitions
+(PoI distinctness), destination queries, multi-category PoIs, and
+alternative similarity measures / aggregators.
 """
 
 import random
@@ -88,8 +88,9 @@ def test_property_parity_directed(seed):
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 100_000))
 def test_property_parity_repeated_trees(seed):
-    """Positions drawing from the same tree: caching is bypassed, PoI
-    distinctness and the usable-PoI filters are exercised."""
+    """Positions drawing from the same tree: a route's own PoIs reappear
+    in later positions' cached streams, so PoI distinctness is
+    exercised."""
     _parity_check(seed, distinct_trees=False)
 
 

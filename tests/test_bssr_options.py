@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from repro.baselines.brute_force import brute_force_skysr
 from repro.core.bssr import run_bssr
 from repro.core.options import BSSROptions
 from repro.core.priority import distance_priority, policy_for, proposed_priority
@@ -112,15 +113,26 @@ def test_cache_disabled_runs_more_dijkstras():
     assert with_cache.mdijkstra_runs <= without_cache.mdijkstra_runs
 
 
-def test_cache_bypassed_on_repeated_trees():
-    built = _compiled(13, distinct_trees=False)
-    if built is None:
-        pytest.skip("instance cannot host the query")
-    network, compiled = built
-    if compiled.disjoint_trees:
-        pytest.skip("draw happened to be disjoint")
-    _, stats = run_bssr(network, compiled)
-    assert stats.cache_hits == 0  # route-aware mode never reuses
+def test_cache_serves_repeated_trees():
+    """Positions sharing a category tree reuse cached searches too:
+    candidate streams do not depend on the route, so the cache is
+    exact."""
+    network, compiled = _compiled(5, distinct_trees=False)
+    shared = {
+        vid
+        for i, spec in enumerate(compiled.specs)
+        for other in compiled.specs[i + 1:]
+        for vid in spec.sim_map.keys() & other.sim_map.keys()
+    }
+    assert shared  # the draw really shares candidates across positions
+    cached, with_cache = run_bssr(network, compiled)
+    uncached, without_cache = run_bssr(
+        network, compiled, options=BSSROptions(caching=False)
+    )
+    assert with_cache.cache_hits > 0
+    assert with_cache.mdijkstra_runs < without_cache.mdijkstra_runs
+    assert score_set(cached) == score_set(uncached)
+    assert score_set(cached) == score_set(brute_force_skysr(network, compiled))
 
 
 def test_initial_search_shrinks_first_radius():

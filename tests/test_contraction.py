@@ -10,7 +10,9 @@ against the exhaustive skyline/top-k oracles; against the default
 search backends, engine-level CH answers are compared at the 9-decimal
 grain because CH sums associate differently along up-then-down paths.
 
-Also pinned here: that ALT is inert under CH, that the stall filter
+The oracle cells also run the modified Dijkstra (default options, with
+and without its cache), whose unfiltered streams must agree just as
+exactly.  Also pinned here: that ALT is inert under CH, that the stall filter
 fires and keeps every consumer exact, that legs from one category
 share one sweep, that a PoI edit drops every category-keyed memo, the
 checkpoint round-trip under CH candidate streams, the stats surfaces,
@@ -435,16 +437,31 @@ def test_engine_answers_identical_with_ch_and_destination():
 
 
 # ----------------------------------------------------------------------
-# engine level: CH at every position ≡ the exhaustive oracle, exactly
+# engine level: every candidate stream ≡ the exhaustive oracle, exactly
 #
 # Integer weights make every route length an exact float sum, so these
 # compare with strict equality.  The seeds are the ones of range(150)
 # where serving only the final position from CH missed an oracle route,
-# plus the first 26 for spread.
+# plus the first 26 for spread.  Under default options the same seeds
+# caught the modified Dijkstra's Lemma 5.5 filters.
 
 ORACLE_SEEDS = sorted(
     set(range(26)) | {42, 73, 81, 84, 93, 100, 106, 124, 127, 134, 135}
 )
+
+#: CH label-row streams (ids are the bare seed), then the modified
+#: Dijkstra with and without the on-the-fly cache
+ORACLE_OPTION_CASES = [
+    pytest.param(BSSROptions(use_contraction=True), seed, id=str(seed))
+    for seed in ORACLE_SEEDS
+] + [
+    pytest.param(options, seed, id=f"{name}-{seed}")
+    for name, options in (
+        ("default", BSSROptions()),
+        ("no-cache", BSSROptions(caching=False)),
+    )
+    for seed in ORACLE_SEEDS
+]
 
 
 def _oracle_cases(seed):
@@ -470,9 +487,11 @@ def _scores(routes):
     return [r.scores() for r in routes]
 
 
-@pytest.mark.parametrize("seed", ORACLE_SEEDS)
-def test_ch_at_every_position_matches_oracle_exactly(seed):
-    options = BSSROptions(use_contraction=True)
+@pytest.mark.parametrize("options, seed", ORACLE_OPTION_CASES)
+def test_ch_at_every_position_matches_oracle_exactly(options, seed):
+    """Skyline, one-shot top-2/3 and ``run()`` → ``resume(k)`` all equal
+    the brute force, under CH streams and under the modified Dijkstra
+    with and without its cache."""
     for network, forest, start, cats, dest in _oracle_cases(seed):
         engine = SkySREngine(network, forest)
         compiled = engine.compile(start, cats, destination=dest)

@@ -103,7 +103,6 @@ def test_compile_exposes_specs(figure1, engine):
         figure1.landmarks["vq"], list(figure1_query())
     )
     assert compiled.size == 3
-    assert compiled.disjoint_trees
     assert [s.label for s in compiled.specs] == list(figure1_query())
 
 

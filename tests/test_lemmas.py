@@ -8,7 +8,6 @@ regression points at the broken lemma rather than at "skylines differ".
 import math
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,9 +126,10 @@ def test_lemma_5_1_skyline_updates_never_resurrect(seed):
 
 
 def test_lemma_5_5_suppressed_routes_are_dominated():
-    """Whenever the modified Dijkstra suppresses a candidate, some other
-    sequenced route dominates (or ties) every completion through it —
-    checked against full enumeration on small instances."""
+    """Every sequenced route is dominated or tied by a route BSSR
+    returns — checked against full enumeration on small instances.
+    (The modified Dijkstra no longer suppresses any candidate, so no
+    route is lost to Lemma 5.5's substitution argument.)"""
     from repro.core.bssr import run_bssr
 
     for seed in range(8):
@@ -150,21 +150,10 @@ def test_lemma_5_5_suppressed_routes_are_dominated():
             )
 
 
-# ----------------------------------------------------------------------
-# Open Lemma 5.5 defects, pinned until ROADMAP's "Top-k drops routes when
-# k > 1: extend Lemma 5.5 to the k-skyband" item is fixed.  Rule (i)
-# suppresses a candidate behind a PoI on its path that matches at least
-# as well; that is sound for the skyline only when the substitute route
-# exists and only one route per score level is wanted.
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP open item: extend Lemma 5.5 to the k-skyband",
-)
 def test_lemma_5_5_keeps_the_second_ramen_at_k2():
     """Line graph 0 –1– 1 –1– 2 –1– 3 with Ramen at 1 and 2: the oracle's
-    top-2 from 0 is (1,) then (2,); the engine suppresses 2 behind 1."""
+    top-2 from 0 is (1,) then (2,).  Lemma 5.5 (i) used to suppress 2
+    behind 1, which is wrong for a k-skyband."""
     forest = small_forest()
     ramen = forest.resolve("Ramen")
     network = RoadNetwork()
@@ -181,15 +170,10 @@ def test_lemma_5_5_keeps_the_second_ramen_at_k2():
     assert [r.pois for r in result.topk()] == [(1,), (2,)]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP open item: extend Lemma 5.5 to the k-skyband "
-    "(the k = 1 case where the start vertex is itself a PoI)",
-)
 def test_lemma_5_5_keeps_the_route_a_start_poi_would_suppress():
-    """Start vertex 23 is a position-0 PoI, so rule (i) suppresses PoI
-    26 behind it; the only route dominating (26, 17, 23) is (23, 17,
-    23), which reuses 23.  Default options lose the oracle's route."""
+    """Start vertex 23 is a position-0 PoI, so rule (i) would suppress
+    PoI 26 behind it; the only route dominating (26, 17, 23) is (23, 17,
+    23), which reuses 23.  Default options keep the oracle's route."""
     network, forest, _rng = random_instance(146, directed=True, num_pois=12)
     engine = SkySREngine(network, forest)
     oracle = brute_force_skysr(

@@ -1,4 +1,4 @@
-"""The modified Dijkstra (Algorithm 2): emission, Lemma 5.5, resume."""
+"""The modified Dijkstra (Algorithm 2): unfiltered emission, order, resume."""
 
 import math
 
@@ -37,22 +37,24 @@ def _line_instance():
 
 
 def test_candidates_in_distance_order_with_perfect_stop():
+    """Every match comes out at its true distance, in ``(d, vid)``
+    order.  The perfect match no longer stops traversal (Lemma 5.5 ii
+    is dropped), so ``far`` appears behind it."""
     net, spec, ids = _line_instance()
     search = PoICandidateSearch(net, spec, ids["start"])
     found = list(search.candidates_until(math.inf))
-    # weak emitted (sim 0.5), perfect emitted (sim 1.0); far is behind a
-    # perfect match → traversal stopped (Lemma 5.5 ii)
-    assert [(v, s) for _, v, s in found] == [
-        (ids["weak"], 0.5),
-        (ids["perfect"], 1.0),
+    assert found == [
+        (1.0, ids["weak"], 0.5),
+        (2.0, ids["perfect"], 1.0),
+        (3.0, ids["far"], 0.8),
     ]
-    distances = [d for d, _, _ in found]
-    assert distances == [1.0, 2.0]
 
 
 def test_suppression_of_weaker_candidate_behind_stronger():
-    """Lemma 5.5 (i): a PoI behind another with >= similarity is not
-    emitted (its route would be dominated by the substitution)."""
+    """No suppression (Lemma 5.5 i is dropped): a PoI behind another
+    with >= similarity is still emitted, because the stronger one may be
+    needed elsewhere in the route, or the weaker one may rank in a
+    k-skyband."""
     forest = small_forest()
     net = RoadNetwork()
     start = net.add_vertex()
@@ -65,8 +67,28 @@ def test_suppression_of_weaker_candidate_behind_stronger():
         index, HierarchyWuPalmer(), 0
     )
     search = PoICandidateSearch(net, spec, start)
-    found = [(v, s) for _, v, s in search.candidates_until(math.inf)]
-    assert found == [(sushi, 0.8)]
+    found = list(search.candidates_until(math.inf))
+    assert found == [(1.0, sushi, 0.8), (2.0, italian, 0.5)]
+
+
+def test_equal_distance_candidates_in_vertex_order():
+    """Ties on distance come out by vertex id, whatever the path."""
+    forest = small_forest()
+    net = RoadNetwork()
+    start = net.add_vertex()
+    a = net.add_poi(forest.resolve("Ramen"))
+    b = net.add_poi(forest.resolve("Sushi"))
+    c = net.add_poi(forest.resolve("Italian"))
+    net.add_edge(start, c, 1.0)
+    net.add_edge(c, b, 1.0)
+    net.add_edge(start, a, 2.0)
+    index = PoIIndex(net, forest)
+    spec = CategoryRequirement(forest.resolve("Ramen")).compile(
+        index, HierarchyWuPalmer(), 0
+    )
+    search = PoICandidateSearch(net, spec, start)
+    found = [(d, v) for d, v, _ in search.candidates_until(math.inf)]
+    assert found == [(1.0, c), (2.0, a), (2.0, b)]
 
 
 def test_stronger_candidate_behind_weaker_is_emitted():
@@ -86,17 +108,6 @@ def test_stronger_candidate_behind_weaker_is_emitted():
     assert found == [(italian, 0.5), (sushi, 0.8)]
 
 
-def test_excluded_pois_are_transparent():
-    """An excluded PoI is neither emitted nor a stop/suppression point."""
-    net, spec, ids = _line_instance()
-    search = PoICandidateSearch(
-        net, spec, ids["start"], exclude=frozenset({ids["perfect"]})
-    )
-    found = [(v, s) for _, v, s in search.candidates_until(math.inf)]
-    # perfect excluded → traversal continues to far (sim 0.8 > 0.5 path max)
-    assert found == [(ids["weak"], 0.5), (ids["far"], 0.8)]
-
-
 def test_budget_pauses_and_resumes_search():
     net, spec, ids = _line_instance()
     search = PoICandidateSearch(net, spec, ids["start"])
@@ -104,9 +115,15 @@ def test_budget_pauses_and_resumes_search():
     assert [v for _, v, _ in first] == [ids["weak"]]
     assert not search.exhausted
     # resume with a bigger budget: stored candidates replayed first
-    second = list(search.candidates_until(10.0))
+    second = list(search.candidates_until(2.5))
     assert [v for _, v, _ in second] == [ids["weak"], ids["perfect"]]
-    assert search.radius <= 2.0
+    assert search.radius == 2.0
+    assert not search.exhausted
+    # a consumer resuming at its offset sees only the remainder
+    third = list(search.candidates_until(math.inf, start=2))
+    assert [v for _, v, _ in third] == [ids["far"]]
+    assert search.radius == 3.0
+    assert search.exhausted
 
 
 def test_dynamic_budget_callable():
@@ -122,13 +139,14 @@ def test_stats_counters():
     stats = SearchStats()
     search = PoICandidateSearch(net, spec, ids["start"], stats=stats)
     list(search.candidates_until(math.inf))
-    assert stats.settled == 3  # start, weak, perfect (far never settled)
-    assert stats.relaxed > 0
-    assert stats.heap_pushes > 0
+    assert stats.settled == 4  # start, weak, perfect and far behind it
+    assert stats.relaxed == 6  # both directions of the three edges
+    assert stats.heap_pushes == 3
 
 
 def test_source_can_be_candidate():
-    """A query starting on a matching PoI yields a zero-length candidate."""
+    """A query starting on a matching PoI yields a zero-length candidate,
+    and the search goes on past it."""
     forest = small_forest()
     net = RoadNetwork()
     poi = net.add_poi(forest.resolve("Ramen"))
@@ -140,9 +158,7 @@ def test_source_can_be_candidate():
     )
     search = PoICandidateSearch(net, spec, poi)
     found = list(search.candidates_until(math.inf))
-    assert found[0] == (0.0, poi, 1.0)
-    # perfect at the source stops traversal entirely (Lemma 5.5 ii)
-    assert len(found) == 1
+    assert found == [(0.0, poi, 1.0), (2.0, other, 0.8)]
 
 
 def test_compiled_query_end_to_end():

@@ -178,7 +178,7 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
     session = warm.session(start, cats, page_size=2)
     session.next_page()
     payload = session.to_dict()
-    assert SCHEMA_VERSION == 3
+    assert SCHEMA_VERSION == 4
     assert payload["version"] == SCHEMA_VERSION
     assert "cache" not in payload["search"]["state"]
     # drive the warm engine's shared searches well past page 1's budget
@@ -332,13 +332,16 @@ def _payload(seed=0, pages=1):
     return engine, session.to_dict()
 
 
-def test_version_bump_is_rejected_with_field():
+@pytest.mark.parametrize("version", [SCHEMA_VERSION - 1, SCHEMA_VERSION + 1])
+def test_version_bump_is_rejected_with_field(version):
+    """Newer payloads and the previous schema alike are refused: a
+    previous-version offset addresses a different candidate stream."""
     engine, payload = _payload()
-    payload["version"] = SCHEMA_VERSION + 1
+    payload["version"] = version
     with pytest.raises(SessionDecodeError) as exc:
         PlanningSession.from_dict(engine, payload)
     assert exc.value.field == "version"
-    assert str(SCHEMA_VERSION + 1) in str(exc.value)
+    assert str(version) in str(exc.value)
 
 
 def test_version_1_payload_with_search_cache_is_rejected():

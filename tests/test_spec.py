@@ -77,16 +77,7 @@ def test_compile_query_basics(instance):
     )
     assert compiled.size == 2
     assert compiled.labels() == ["Ramen", "Gift"]
-    assert compiled.disjoint_trees
     assert compiled.destination is None
-
-
-def test_compile_query_detects_shared_trees(instance):
-    forest, net, index, _ = instance
-    compiled = compile_query(
-        0, ["Ramen", "Italian"], index, HierarchyWuPalmer()
-    )
-    assert not compiled.disjoint_trees
 
 
 def test_compile_query_validation(instance):
