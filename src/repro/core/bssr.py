@@ -54,6 +54,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Callable
 
 from repro.core.bounds import LowerBounds, compute_lower_bounds, shaved
 from repro.core.distcache import DistanceCache
@@ -257,6 +258,8 @@ class BSSRSearch:
         self._ch_streams: dict[tuple[int, int], CHCandidateStream] = {}
         # target buckets of positions without a share_key, per position
         self._ch_buckets: dict[int, CHBucket] = {}
+        # the prune test per route size, bound by _bind_prune_tests
+        self._prune_tests: list[Callable[[float, float, object, int], bool]] = []
 
     # Durable checkpoints ----------------------------------------------
 
@@ -328,6 +331,7 @@ class BSSRSearch:
 
         self._compute_bounds()
         self.state.bounds = self.bounds
+        self._bind_prune_tests()
 
         empty = PartialRoute(
             pois=(),
@@ -386,6 +390,7 @@ class BSSRSearch:
         else:
             self._compute_bounds()
         self.state.bounds = self.bounds
+        self._bind_prune_tests()
         deferred, state.deferred = state.deferred, []
         for item in deferred:
             self._push(item.route, item.consumed)
@@ -475,11 +480,16 @@ class BSSRSearch:
         """The main loop: pop, prune-or-expand, until the queue empties."""
         queue = self.state.queue
         limit = self.options.max_routes_expanded
+        tests = self._prune_tests
+        start = self.query.start
         while queue:
             _, _, route, consumed = heapq.heappop(queue)
-            last = route.pois[-1] if route.pois else self.query.start
-            if self._prunable(
-                route.length, route.semantic, route.sem_state, route.size, last
+            pois = route.pois
+            if tests[len(pois)](
+                route.length,
+                route.semantic,
+                route.sem_state,
+                pois[-1] if pois else start,
             ):
                 self.stats.routes_pruned_on_pop += 1
                 self._defer(route, consumed)
@@ -501,10 +511,22 @@ class BSSRSearch:
 
     # ------------------------------------------------------------------
 
+    def _bind_prune_tests(self) -> None:
+        """Bind :meth:`_prunable` for every route size against the
+        current skyband and bounds (both fixed until the next resume)."""
+        self._prune_tests = [self._prunable(size) for size in range(self.n)]
+
     def _prunable(
-        self, length: float, semantic: float, sem_state, size: int, last: int
-    ) -> bool:
-        """Lemma 5.3 (with Section 5.3.3 suffixes) + Lemma 5.8.
+        self, size: int
+    ) -> Callable[[float, float, object, int], bool]:
+        """Lemma 5.3 (with Section 5.3.3 suffixes) + Lemma 5.8 for
+        routes of ``size`` PoIs: ``prunable(length, semantic, sem_state,
+        last)``.
+
+        This is the one prune test.  It runs on raw values, so the
+        queue pops it and :meth:`_expand` tests a child with it before
+        the child is built.  Everything that depends on ``size`` alone
+        is bound once; what is left per route is the arithmetic.
 
         ``last`` is the route's current endpoint (the start vertex for
         an empty route).  Under ``use_contraction`` it anchors the exact
@@ -514,16 +536,16 @@ class BSSRSearch:
         entirely.
         """
         skyline = self.skyline
+        threshold = skyline.threshold
         bounds = self.bounds
-        floor = length + bounds.suffix_ls[size] + bounds.dest_min
+        suffix = bounds.suffix_ls[size]
+        dest_min = bounds.dest_min
+        # legs_ls is empty when lower bounds are disabled (or n==1); the
+        # generic per-leg minimum is 0 then, and the anchored floor
+        # simply adds on top.
+        generic = bounds.legs_ls[size - 1] if size and bounds.legs_ls else 0.0
+        anchor: Callable[[int], float] | None = None
         if size < self.n:
-            # legs_ls is empty when lower bounds are disabled (or n==1);
-            # the generic per-leg minimum is 0 then, and the anchored
-            # floors below simply add on top.
-            generic = (
-                bounds.legs_ls[size - 1] if size and bounds.legs_ls else 0.0
-            )
-            anchored = 0.0
             if self.options.use_contraction and self.options.lower_bounds:
                 # Exact next-leg distance from the concrete endpoint to
                 # the next position's full candidate set — memoized per
@@ -532,38 +554,58 @@ class BSSRSearch:
                 # like every CH sum).
                 spec = self.query.specs[size]
                 if spec.share_key is not None:
-                    anchored = shaved(
-                        self._ch_index().vertex_min(
-                            "cands", spec.share_key, last, spec.sim_map
+                    vertex_min = self._ch_index().vertex_min
+                    share_key = spec.share_key
+                    sim_map = spec.sim_map
+
+                    def anchor(last: int) -> float:
+                        return shaved(
+                            vertex_min("cands", share_key, last, sim_map)
                         )
-                    )
-            elif self._landmarks is not None:
-                profiles = bounds.position_profiles
-                if profiles is not None:
-                    anchored = self._landmarks.min_from_vertex(
-                        last, profiles[size]
-                    )
-            if anchored > generic:
-                floor += anchored - generic
-        if floor >= skyline.threshold(semantic):
-            return True
-        if (
-            self.options.effective_perfect_bound()
-            and len(skyline)
-            and size < self.n
-        ):
-            delta = self.aggregator.min_increment(
-                sem_state, bounds.remaining_best_np[size]
-            )
-            if delta > 0.0:
-                cond_a = skyline.threshold(semantic + delta) <= length
-                cond_b = (
-                    skyline.threshold(semantic)
-                    <= length + bounds.suffix_lp[size] + bounds.dest_min
-                )
-                if cond_a and cond_b:
+
+            elif (
+                self._landmarks is not None
+                and bounds.position_profiles is not None
+            ):
+                min_from_vertex = self._landmarks.min_from_vertex
+                profile = bounds.position_profiles[size]
+
+                def anchor(last: int) -> float:
+                    return min_from_vertex(last, profile)
+
+        perfect = self.options.effective_perfect_bound() and size < self.n
+        if perfect:
+            min_increment = self.aggregator.min_increment
+            remaining = bounds.remaining_best_np[size]
+            suffix_lp = bounds.suffix_lp[size]
+
+        # the anchored floor is a function of the endpoint alone
+        floors: dict[int, float] = {}
+
+        def prunable(
+            length: float, semantic: float, sem_state, last: int
+        ) -> bool:
+            floor = length + suffix + dest_min
+            if anchor is not None:
+                anchored = floors.get(last)
+                if anchored is None:
+                    anchored = floors[last] = anchor(last)
+                if anchored > generic:
+                    floor += anchored - generic
+            if floor >= threshold(semantic):
+                return True
+            if perfect and len(skyline):
+                delta = min_increment(sem_state, remaining)
+                if (
+                    delta > 0.0
+                    and threshold(semantic + delta) <= length
+                    and threshold(semantic)
+                    <= length + suffix_lp + dest_min
+                ):
                     return True
-        return False
+            return False
+
+        return prunable
 
     def _defer(self, route: PartialRoute, consumed: int = 0) -> None:
         """Park rejected work for a potential future resume (dropped
@@ -658,6 +700,17 @@ class BSSRSearch:
     def _expand(self, route: PartialRoute, consumed: int = 0) -> None:
         """Algorithm 1 lines 7–9: extend ``route`` at its next position.
 
+        The stream hands out index segments (see
+        :mod:`repro.core.search`); each candidate is read from them in
+        place and pays only for the tests the paper defines.  A child
+        goes through the same prune test as a queue pop
+        (:meth:`_prunable`) before anything is built: a
+        :class:`PartialRoute` and its serial exist only for a child that
+        is pushed or, when checkpointable, deferred.  At the final
+        position a one-shot search counts a completion longer than the
+        threshold at its semantic score as a skyline reject without
+        building it — :meth:`SkybandSet.update` would provably reject it.
+
         ``consumed`` skips candidates a previous pass already processed
         (deterministic stream order makes the offset exact).  If the
         budget cuts the stream short, the route is deferred with its
@@ -665,63 +718,27 @@ class BSSRSearch:
         """
         position = route.size
         new_size = position + 1
-        aggregator = self.aggregator
         skyline = self.skyline
         suffix_next = self.bounds.suffix_ls[new_size] + self.bounds.dest_min
+        length = route.length
+        semantic = route.semantic
 
         def budget() -> float:
             # Lemma 5.3 break: settle only while a candidate at this
             # distance could still beat the threshold at the route's
             # (minimum possible) semantic score.
-            return (
-                skyline.threshold(route.semantic)
-                - route.length
-                - suffix_next
-            )
+            return skyline.threshold(semantic) - length - suffix_next
 
-        is_final = new_size == self.n
-        leg_map = self.dest_dist if is_final else None
         if self.options.use_contraction:
             search = self._ch_stream(route, position)
         else:
             search = self._candidate_search(route, position)
-        index = consumed
-        for d, vid, sim, extra in search.scored_until(
-            budget, start=consumed, leg=leg_map
-        ):
-            index += 1
-            if vid in route.pois:
-                continue  # distinctness (Definition 3.4 iii)
-            state = aggregator.extend(route.sem_state, sim)
-            semantic = aggregator.score(state)
-            length = route.length + d
-            sims = route.sims + (sim,)
-            pois = route.pois + (vid,)
-            if is_final:
-                total = length
-                if leg_map is not None:
-                    if extra == math.inf:
-                        continue
-                    total = length + extra
-                skyline.update(
-                    SkylineRoute(
-                        pois=pois, length=total, semantic=semantic, sims=sims
-                    )
-                )
-            else:
-                child = PartialRoute(
-                    pois=pois,
-                    length=length,
-                    semantic=semantic,
-                    sem_state=state,
-                    sims=sims,
-                    serial=self.state.next_serial(),
-                )
-                if self._prunable(length, semantic, state, new_size, vid):
-                    self.stats.routes_pruned_on_insert += 1
-                    self._defer(child)
-                else:
-                    self._push(child)
+        if new_size == self.n:
+            index = self._complete(route, search, consumed, budget)
+        else:
+            # no skyline update happens below the final position, so the
+            # budget is a constant the stream may settle to in one burst
+            index = self._extend(route, search, consumed, budget())
         if self.checkpointable and (
             index < len(search.candidates)
             or not search.exhausted
@@ -738,3 +755,120 @@ class BSSRSearch:
             self.stats.first_search_radius = search.radius
             self._first_radius_recorded = True
 
+    def _extend(
+        self,
+        route: PartialRoute,
+        search: CHCandidateStream | PoICandidateSearch,
+        consumed: int,
+        limit: float,
+    ) -> int:
+        """Queue (or park) the children of ``route`` closer than
+        ``limit``; returns the stream offset reached."""
+        prunable = self._prune_tests[route.size + 1]
+        extend = self.aggregator.extend
+        score = self.aggregator.score
+        next_serial = self.state.next_serial
+        checkpointable = self.checkpointable
+        dists = search.dists
+        vids = search.candidates
+        sim_of = search.sim_map.__getitem__
+        pois = route.pois
+        sims = route.sims
+        sem_state = route.sem_state
+        length = route.length
+        pruned = 0
+        index = consumed
+        for lo, hi in search.scored_until(limit, start=consumed):
+            for i in range(lo, hi):
+                vid = vids[i]
+                if vid in pois:
+                    continue  # distinctness (Definition 3.4 iii)
+                sim = sim_of(vid)
+                state = extend(sem_state, sim)
+                semantic = score(state)
+                child_length = length + dists[i]
+                cut = prunable(child_length, semantic, state, vid)
+                if cut:
+                    pruned += 1
+                    if not checkpointable:
+                        continue
+                child = PartialRoute(
+                    pois=pois + (vid,),
+                    length=child_length,
+                    semantic=semantic,
+                    sem_state=state,
+                    sims=sims + (sim,),
+                    serial=next_serial(),
+                )
+                if cut:
+                    self._defer(child)
+                else:
+                    self._push(child)
+            index = hi
+        self.stats.routes_pruned_on_insert += pruned
+        return index
+
+    def _complete(
+        self,
+        route: PartialRoute,
+        search: CHCandidateStream | PoICandidateSearch,
+        consumed: int,
+        budget: Callable[[], float],
+    ) -> int:
+        """Offer ``route``'s completions to the skyband while the budget
+        allows; returns the stream offset reached.
+
+        Every offer may tighten the budget, so a segment is re-checked
+        against it once the skyband's version moves.
+        """
+        skyline = self.skyline
+        threshold = skyline.threshold
+        update = skyline.update
+        shortcut = not self.checkpointable  # no archive to feed
+        extend = self.aggregator.extend
+        score = self.aggregator.score
+        leg = self.dest_dist.get if self.dest_dist is not None else None
+        dists = search.dists
+        vids = search.candidates
+        sim_of = search.sim_map.__getitem__
+        pois = route.pois
+        sims = route.sims
+        sem_state = route.sem_state
+        length = route.length
+        index = consumed
+        for lo, hi in search.scored_until(budget, start=consumed):
+            version = skyline.version
+            limit = math.inf
+            for i in range(lo, hi):
+                if skyline.version != version:
+                    version = skyline.version
+                    limit = budget()
+                d = dists[i]
+                if d >= limit:
+                    return i
+                vid = vids[i]
+                if vid in pois:
+                    continue  # distinctness (Definition 3.4 iii)
+                sim = sim_of(vid)
+                semantic = score(extend(sem_state, sim))
+                total = length + d
+                if leg is not None:
+                    extra = leg(vid, math.inf)
+                    if extra == math.inf:
+                        continue
+                    total = total + extra
+                if shortcut and total > threshold(semantic):
+                    # k members are strictly shorter at a semantic score
+                    # no worse: update() would reject it as dominated
+                    skyline.rejects += 1
+                    continue
+                update(
+                    SkylineRoute(
+                        pois=pois + (vid,),
+                        length=total,
+                        semantic=semantic,
+                        sims=sims + (sim,),
+                    )
+                )
+            index = hi
+        return index

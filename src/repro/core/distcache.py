@@ -59,7 +59,7 @@ from repro.graph.road_network import RoadNetwork
 #: estimate below; kept fixed so byte budgets stay stable
 _FLAT_CELL_BYTES = 25
 
-#: rough bytes per dict entry / heap tuple / candidate triple
+#: rough bytes per dict entry / heap tuple / emitted candidate
 _DICT_ENTRY_BYTES = 72
 
 

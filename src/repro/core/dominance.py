@@ -132,6 +132,12 @@ class SkybandSet:
       ``k``-th smallest length among members whose semantic score is ≤
       the probe's;
     * :meth:`dominated_or_equal` — Lemma 5.3's pruning test.
+
+    Thresholds are memoized.  Every change to the members bumps
+    :attr:`version` and drops the memo, so between two changes each
+    semantic level is scanned once however often BSSR probes it — and a
+    consumer holding a threshold can tell from :attr:`version` alone
+    whether it may have moved.
     """
 
     def __init__(self, k: int = 1) -> None:
@@ -140,6 +146,9 @@ class SkybandSet:
         self.k = k
         self._keys: list[tuple[float, float]] = []
         self._entries: list[SkylineRoute] = []
+        #: bumped by every change to the members
+        self.version = 0
+        self._thresholds: dict[float, float] = {}
         #: number of successful insertions (for SearchStats)
         self.updates = 0
         #: number of rejected candidates
@@ -184,6 +193,7 @@ class SkybandSet:
                     return False
                 del self._keys[i]
                 del self._entries[i]
+                self._changed()
                 break
         key = (route.length, route.semantic)
         idx = bisect.bisect_left(self._keys, key)
@@ -193,6 +203,7 @@ class SkybandSet:
             # candidate never *joins* the set.
             if route.pois < self._entries[idx].pois:
                 self._entries[idx] = route
+                self._changed()
             self.rejects += 1
             return False
         if self.dominated_or_equal(route.length, route.semantic):
@@ -211,8 +222,13 @@ class SkybandSet:
         for i in reversed(evict):
             del self._keys[i]
             del self._entries[i]
+        self._changed()
         self.updates += 1
         return True
+
+    def _changed(self) -> None:
+        self.version += 1
+        self._thresholds = {}
 
     def _dominator_count(self, idx: int) -> int:
         mine = self._keys[idx]
@@ -250,13 +266,18 @@ class SkybandSet:
         dominated by ``k`` members.  ``inf`` when fewer than ``k``
         members qualify (nothing can be pruned yet).
         """
-        need = self.k
-        for (length, other_s) in self._keys:
-            if other_s <= semantic:
-                need -= 1
-                if need == 0:
-                    return length
-        return math.inf
+        found = self._thresholds.get(semantic)
+        if found is None:
+            found = math.inf
+            need = self.k
+            for (length, other_s) in self._keys:
+                if other_s <= semantic:
+                    need -= 1
+                    if need == 0:
+                        found = length
+                        break
+            self._thresholds[semantic] = found
+        return found
 
     def perfect_route_length(self) -> float:
         """``l̄(ϕ)``: threshold at semantic score 0 (Algorithm 4 line 3)."""

@@ -29,6 +29,31 @@ lazily (or adopts a warm copy from the engine's
 :class:`~repro.core.distcache.DistanceCache`) and replays it from the
 consumer's stored offset.
 
+The stream contract
+-------------------
+
+Both stream classes here (:class:`PoICandidateSearch` and
+:class:`CHCandidateStream`) expose the same consumer view:
+
+* ``dists`` and ``candidates`` — parallel sequences of candidate
+  distances and vertex ids in ``(distance, vertex)`` order, and
+  ``sim_map`` — each candidate's similarity;
+* ``scored_until(budget, start=...)`` — a generator of index segments
+  ``(lo, hi)``: contiguous, half-open, starting at ``start``, covering
+  candidates closer than the budget.  The consumer reads each segment
+  in place.  ``budget`` is a float when it cannot change while the
+  consumer works (BSSR below the final position), and a callable when
+  it may tighten after any candidate (the final position, where every
+  completion is offered to the skyband); a consumer that tightens it
+  mid-segment stops at the first candidate the new budget excludes;
+* ``exhausted`` and ``radius`` — whether the stream is complete and how
+  far it has looked, which decide whether a budget cut it short.
+
+A CH stream answers each budget with one ``bisect`` of its row.  The
+modified Dijkstra settles a whole burst for a float budget and stops at
+every match for a callable one, so it settles exactly the vertices a
+one-candidate-at-a-time search would.
+
 Like the plain Dijkstra flavors, the expansion loop runs over the flat
 adjacency arrays of :mod:`repro.graph.csr`.
 """
@@ -38,6 +63,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import bisect_left
 from typing import Callable, Iterator
 
 from repro.core.spec import PositionSpec
@@ -67,17 +93,15 @@ class CHCandidateStream:
     the budget cannot beat the threshold at any semantic score it can
     still attain.
 
-    The stream is the memoized ``(dists, vids)`` typed-array pair;
-    similarities come from ``sim_map`` as candidates are read, so the
-    stream stores nothing per route.  The interface mirrors the
-    consumer-facing subset of :class:`PoICandidateSearch`
-    (``scored_until`` / ``candidates`` / ``exhausted`` / ``radius``),
-    and ``start`` offsets address this stream's deterministic order.  A
-    checkpoint carries ``use_contraction`` in its options, so a restored
-    search rebuilds the same streams and the offsets line up.
+    The stream is the memoized ``(dists, vids)`` typed-array pair, read
+    in place; similarities come from ``sim_map``, so the stream stores
+    nothing per route.  ``start`` offsets address this stream's
+    deterministic order.  A checkpoint carries ``use_contraction`` in
+    its options, so a restored search rebuilds the same streams and the
+    offsets line up.
     """
 
-    __slots__ = ("_dists", "candidates", "_sim_map", "radius")
+    __slots__ = ("dists", "candidates", "sim_map", "radius")
 
     #: the row is complete by construction; only budgets cut it short
     exhausted = True
@@ -85,45 +109,42 @@ class CHCandidateStream:
     def __init__(
         self, dists: array, vids: array, sim_map: dict[int, float]
     ) -> None:
-        self._dists = dists
+        self.dists = dists
         #: candidate vertex ids in stream order (``len`` is the stream size)
         self.candidates = vids
-        self._sim_map = sim_map
+        self.sim_map = sim_map
         self.radius = dists[-1] if dists else 0.0
 
     def scored_until(
-        self,
-        budget: Callable[[], float] | float,
-        *,
-        start: int = 0,
-        leg=None,
-    ) -> Iterator[tuple[float, int, float, float]]:
+        self, budget: Callable[[], float] | float, *, start: int = 0
+    ) -> Iterator[tuple[int, int]]:
+        """Segments of the row below the budget: one bisect per budget
+        value, from where the previous segment ended."""
         budget_fn: Callable[[], float] = (
             budget if callable(budget) else (lambda: budget)  # type: ignore[assignment]
         )
-        get = leg.get if leg is not None else None
-        dists = self._dists
-        vids = self.candidates
-        sim_of = self._sim_map.__getitem__
-        for i in range(start, len(vids)):
-            d = dists[i]
-            if d >= budget_fn():
+        dists = self.dists
+        lo = start
+        while True:
+            hi = bisect_left(dists, budget_fn(), lo)
+            if hi <= lo:
                 return
-            vid = vids[i]
-            yield d, vid, sim_of(vid), 0.0 if get is None else get(vid, math.inf)
+            yield lo, hi
+            lo = hi
 
 
 class PoICandidateSearch:
     """Resumable modified Dijkstra toward one position's candidates."""
 
     __slots__ = (
-        "_spec",
+        "sim_map",
         "source",
         "_stats",
         "_flat",
         "_dist",
         "_settled",
         "_heap",
+        "dists",
         "candidates",
         "radius",
     )
@@ -136,7 +157,8 @@ class PoICandidateSearch:
         *,
         stats: SearchStats | None = None,
     ) -> None:
-        self._spec = spec
+        #: similarity of every candidate vertex of the position
+        self.sim_map = spec.sim_map
         self.source = source
         self._stats = stats
         self._flat = flat_adjacency(network)
@@ -145,8 +167,10 @@ class PoICandidateSearch:
         self._dist[source] = 0.0
         self._settled = bytearray(n)
         self._heap: list[tuple[float, int]] = [(0.0, source)]
-        #: emitted candidates ``(distance, vid, similarity)`` in distance order
-        self.candidates: list[tuple[float, int, float]] = []
+        #: distances of the emitted candidates, in stream order
+        self.dists: list[float] = []
+        #: emitted candidate vertex ids, parallel to :attr:`dists`
+        self.candidates: list[int] = []
         #: largest settled distance (the Table 7 "weight sum" proxy)
         self.radius = 0.0
 
@@ -177,125 +201,117 @@ class PoICandidateSearch:
     def exhausted(self) -> bool:
         return self.next_distance() == math.inf
 
+    def _settle(self, limit: float, *, one: bool) -> bool:
+        """Settle every vertex closer than ``limit``, appending matches
+        to the stream; with ``one``, stop after the first match.  True
+        iff it stopped on a match.
+
+        Every array sits in a local, and stats are flushed once on the
+        way out, so a consumer never observes partial counts.
+        """
+        _, indptr, indices, weights = self._flat
+        sim_map = self.sim_map
+        dist = self._dist
+        settled = self._settled
+        heap = self._heap
+        dists = self.dists
+        vids = self.candidates
+        push = heapq.heappush
+        pop = heapq.heappop
+        settled_n = relaxed_n = pushes_n = 0
+        radius = self.radius
+        hit = False
+        while True:
+            while heap and settled[heap[0][1]]:
+                pop(heap)
+            if not heap or heap[0][0] >= limit:
+                break
+            d, u = pop(heap)
+            settled[u] = 1
+            settled_n += 1
+            radius = d
+            if u in sim_map:
+                dists.append(d)
+                vids.append(u)
+                hit = one
+            lo = indptr[u]
+            hi = indptr[u + 1]
+            relaxed_n += hi - lo
+            for j in range(lo, hi):
+                v = indices[j]
+                if settled[v]:
+                    continue
+                nd = d + weights[j]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    push(heap, (nd, v))
+                    pushes_n += 1
+            if hit:
+                break
+        self.radius = radius
+        stats = self._stats
+        if stats is not None:
+            stats.settled += settled_n
+            stats.relaxed += relaxed_n
+            stats.heap_pushes += pushes_n
+        return hit
+
     # ------------------------------------------------------------------
     # consumer interface
     # ------------------------------------------------------------------
 
+    def scored_until(
+        self, budget: Callable[[], float] | float, *, start: int = 0
+    ) -> Iterator[tuple[int, int]]:
+        """Segments of the stream below the budget, expanding on demand.
+
+        A constant (float) budget cannot move while the consumer works,
+        so the search settles the whole burst below it at once and hands
+        out one segment.  A callable budget may tighten after every
+        candidate (BSSR's final position, where each one is offered to
+        the skyline), so the search stops at each match and re-reads the
+        budget before handing it out — the settles are exactly those a
+        one-at-a-time search makes.
+
+        Already-discovered candidates are replayed first, so a cached
+        search serves consumers with different budgets; ``start`` skips
+        the candidates a consumer already took — the checkpoint/resume
+        offsets of :class:`~repro.core.bssr.SearchState`.  Candidate
+        order is deterministic (distance, then the heap's vertex-id
+        tie-break), so the offset is meaningful even on a freshly
+        rebuilt search instance — which is how a restored session
+        resumes, since checkpoints never carry searches.
+        """
+        dists = self.dists
+        if not callable(budget):
+            self._settle(budget, one=False)
+            hi = bisect_left(dists, budget, start)
+            if hi > start:
+                yield start, hi
+            return
+        i = start
+        while True:
+            limit = budget()
+            if i >= len(dists):
+                if not self._settle(limit, one=True):
+                    return
+                continue  # re-read the budget before handing the match out
+            if dists[i] >= limit:
+                return
+            yield i, i + 1
+            i += 1
+
     def candidates_until(
         self, budget: Callable[[], float] | float, *, start: int = 0
     ) -> Iterator[tuple[float, int, float]]:
-        """Yield candidates with distance < budget, expanding on demand.
-
-        ``budget`` may be a callable: BSSR's threshold tightens while
-        the search runs (skyline updates shrink it), and a cached search
-        serves consumers with different budgets.  Already-discovered
-        candidates are replayed first; the underlying Dijkstra resumes
-        only when the budget allows settling farther vertices.
-
-        ``start`` skips the first ``start`` candidates of the stream —
-        a consumer that previously stopped after consuming that many
-        (the checkpoint/resume machinery of
-        :class:`~repro.core.bssr.SearchState`) continues exactly where
-        it left off.  Candidate order is deterministic (distance, then
-        the heap's vertex-id tie-break), so the offset is meaningful
-        even on a freshly rebuilt search instance — which is how a
-        restored session resumes, since checkpoints never carry
-        searches.
-
-        The settle machinery runs inline with every array in a local.
-        The budget is re-evaluated only at yield points: between two
-        yields this generator is the only code running, so nothing can
-        tighten the threshold mid-segment.  Stats are flushed before
-        every yield and return, so a consumer (or an abandoned
-        generator) never observes partial counts.
-        """
-        budget_fn: Callable[[], float] = (
-            budget if callable(budget) else (lambda: budget)  # type: ignore[assignment]
-        )
-        _, indptr, indices, weights = self._flat
-        sim_of = self._spec.sim_map.get
-        dist = self._dist
-        settled = self._settled
-        heap = self._heap
-        candidates = self.candidates
-        push = heapq.heappush
-        pop = heapq.heappop
-        i = start
-        while True:
-            limit = budget_fn()
-            while i < len(candidates):
-                entry = candidates[i]
-                if entry[0] >= limit:
-                    return
-                yield entry
-                i += 1
-                limit = budget_fn()
-            # settle until a new candidate is emitted (each settle can
-            # emit at most the vertex it settles) or the budget is hit
-            stats = self._stats  # adopt_stats only happens between yields
-            settled_n = relaxed_n = pushes_n = 0
-            while True:
-                while heap and settled[heap[0][1]]:
-                    pop(heap)
-                if not heap or heap[0][0] >= limit:
-                    if stats is not None:
-                        stats.settled += settled_n
-                        stats.relaxed += relaxed_n
-                        stats.heap_pushes += pushes_n
-                    return
-                d, u = pop(heap)
-                settled[u] = 1
-                settled_n += 1
-                self.radius = d
-                sim = sim_of(u)
-                if sim is not None:
-                    candidates.append((d, u, sim))
-                lo = indptr[u]
-                hi = indptr[u + 1]
-                relaxed_n += hi - lo
-                for j in range(lo, hi):
-                    v = indices[j]
-                    if settled[v]:
-                        continue
-                    nd = d + weights[j]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        push(heap, (nd, v))
-                        pushes_n += 1
-                if sim is not None:
-                    break
-            if stats is not None:
-                stats.settled += settled_n
-                stats.relaxed += relaxed_n
-                stats.heap_pushes += pushes_n
-
-    def scored_until(
-        self,
-        budget: Callable[[], float] | float,
-        *,
-        start: int = 0,
-        leg=None,
-    ) -> Iterator[tuple[float, int, float, float]]:
-        """:meth:`candidates_until` plus the consumer's extra-leg score.
-
-        Yields ``(distance, vid, sim, extra)`` where ``extra`` is
-        ``leg.get(vid, inf)`` — the final-position destination leg of
-        BSSR's expansion, from any ``.get``-able mapping (an eager
-        Dijkstra dict or the lazy
-        :class:`~repro.graph.contraction.CHDistanceOracle`) — or ``0.0``
-        without a ``leg``.  Centralizing the lookup keeps candidate
-        scoring behind one seam; the stream and its budget/offset
-        semantics are untouched (pop-identical).
-        """
-        if leg is None:
-            for d, vid, sim in self.candidates_until(budget, start=start):
-                yield d, vid, sim, 0.0
-        else:
-            get = leg.get
-            for d, vid, sim in self.candidates_until(budget, start=start):
-                yield d, vid, sim, get(vid, math.inf)
+        """:meth:`scored_until`, one ``(distance, vid, sim)`` at a time."""
+        dists = self.dists
+        vids = self.candidates
+        sim_map = self.sim_map
+        for lo, hi in self.scored_until(budget, start=start):
+            for i in range(lo, hi):
+                yield dists[i], vids[i], sim_map[vids[i]]
 
     def expand_fully(self) -> None:
         """Exhaust the search (used by tests and ablations)."""
-        for _ in self.candidates_until(math.inf):
-            pass
+        self._settle(math.inf, one=False)

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,3 +209,125 @@ def test_ulp_apart_copies_of_one_poi_tuple_hold_one_slot():
         ((508, 475, 510), length),
         ((508, 475, 452), 16.0),
     ]
+
+
+# ---------------------------------------------------------------------------
+# threshold memo: every mutation path must invalidate it
+
+PROBES = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0]
+
+
+def _scanned(band, semantic):
+    """Definition 5.4's threshold by a fresh scan of the members."""
+    lengths = sorted(r.length for r in band if r.semantic <= semantic)
+    return lengths[band.k - 1] if len(lengths) >= band.k else math.inf
+
+
+def _warm(band):
+    for probe in PROBES:
+        band.threshold(probe)
+
+
+def _assert_fresh(band):
+    for probe in PROBES:
+        assert band.threshold(probe) == _scanned(band, probe), probe
+
+
+def _mutated(band, route):
+    """Offer ``route`` with a warm memo; the version must move iff the
+    members did, and the memo must agree with a fresh scan after."""
+    from repro.core.dominance import SkybandSet
+
+    _warm(band)
+    before = ([(r.pois, r.length, r.semantic) for r in band], band.version)
+    kept = SkybandSet.update(band, route)
+    after = [(r.pois, r.length, r.semantic) for r in band]
+    assert (band.version != before[1]) == (after != before[0])
+    _assert_fresh(band)
+    return kept
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_threshold_memo_follows_insert(k):
+    from repro.core.dominance import SkybandSet
+
+    band = SkybandSet(k)
+    for i, (length, semantic) in enumerate(
+        [(10.0, 0.0), (7.0, 0.2), (4.0, 0.6), (8.0, 0.1), (5.0, 0.5)]
+    ):
+        assert _mutated(band, _route(length, semantic, (i,)))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_threshold_memo_follows_eviction_past_k(k):
+    from repro.core.dominance import SkybandSet
+
+    band = SkybandSet(k)
+    assert _mutated(band, _route(20.0, 0.5, (50,)))
+    # mutually incomparable, each dominating (20, 0.5): the k-th evicts it
+    for i in range(k):
+        assert (20.0, 0.5) in band.as_score_set()
+        assert _mutated(band, _route(10.0 + i, 0.4 - 0.1 * i, (i,)))
+    assert (20.0, 0.5) not in band.as_score_set()
+    assert len(band) == k
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_threshold_memo_follows_representative_swap(k):
+    from repro.core.dominance import SkybandSet
+
+    band = SkybandSet(k)
+    _mutated(band, _route(5.0, 0.3, (7, 8)))
+    _mutated(band, _route(9.0, 0.0, (4,)))
+    version = band.version
+    assert not _mutated(band, _route(5.0, 0.3, (2, 3)))
+    assert band.version != version
+    assert [r.pois for r in band] == [(2, 3), (4,)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_threshold_memo_follows_shorter_copy_deleted_then_rejected(k):
+    """The one path that changes the members while counting a reject:
+    a shorter ULP copy of a member's PoI tuple deletes the member, then
+    collapses into an equal-score member.  ``updates`` stays put, so
+    only the version can tell a threshold holder.  (With k = 1 the
+    longer copy could not be a member next to its dominator.)"""
+    from repro.core.dominance import SkybandSet
+
+    length = 14.569786810066963
+    longer = math.nextafter(length, math.inf)
+    band = SkybandSet(k)
+    _mutated(band, _route(length, 0.2, (1, 2, 3)))
+    _mutated(band, _route(longer, 0.2, (4, 5, 6)))
+    assert band.threshold(0.2) == (longer if k == 2 else math.inf)
+    updates = band.updates
+    assert not _mutated(band, _route(length, 0.2, (4, 5, 6)))
+    assert band.updates == updates
+    assert [r.length for r in band] == [length]
+    assert band.threshold(0.2) == math.inf
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@settings(deadline=None, max_examples=80)
+@given(
+    offers=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.sampled_from([0.0, 1.0, 2.0]),
+            st.booleans(),
+            st.sampled_from([0.0, 0.2, 0.5]),
+        ),
+        max_size=25,
+    )
+)
+def test_property_threshold_memo_equals_fresh_scan(k, offers):
+    """Random offers on a coarse grid (so ties, equal scores and ULP
+    copies of one PoI tuple all occur): after every one the memo must
+    agree with a fresh scan."""
+    from repro.core.dominance import SkybandSet
+
+    band = SkybandSet(k)
+    for poi, length, ulp, semantic in offers:
+        if ulp:
+            length = math.nextafter(length, math.inf)
+        _mutated(band, _route(length, semantic, (poi,)))

@@ -175,3 +175,93 @@ def test_compiled_query_end_to_end():
     assert [v for _, v, _ in s0.candidates_until(math.inf)] == [ramen]
     s1 = PoICandidateSearch(net, compiled.specs[1], ramen)
     assert [v for _, v, _ in s1.candidates_until(math.inf)] == [gift]
+
+
+def test_float_budget_settles_a_burst_and_callable_budget_one_match():
+    """A constant budget is one segment after one burst of settles; a
+    callable one is a segment per match.  Both settle the same vertices."""
+    net, spec, ids = _line_instance()
+    burst_stats, single_stats = SearchStats(), SearchStats()
+    burst = PoICandidateSearch(net, spec, ids["start"], stats=burst_stats)
+    single = PoICandidateSearch(net, spec, ids["start"], stats=single_stats)
+    assert list(burst.scored_until(2.5)) == [(0, 2)]
+    assert list(single.scored_until(lambda: 2.5)) == [(0, 1), (1, 2)]
+    assert burst_stats == single_stats
+    assert burst.dists == single.dists == [1.0, 2.0]
+    assert burst.candidates == single.candidates == [ids["weak"], ids["perfect"]]
+    # a resumed consumer gets the replay and the new burst as one segment
+    assert list(burst.scored_until(math.inf, start=1)) == [(1, 3)]
+    assert list(burst.scored_until(math.inf, start=3)) == []
+
+
+def test_ch_stream_bisects_once_per_budget():
+    from array import array
+
+    from repro.core.search import CHCandidateStream
+
+    stream = CHCandidateStream(
+        array("d", [1.0, 2.0, 2.0, 5.0]), array("q", [7, 3, 9, 4]), {}
+    )
+    assert list(stream.scored_until(2.0)) == [(0, 1)]
+    assert list(stream.scored_until(3.0, start=1)) == [(1, 3)]
+    budgets = iter([3.0, 3.0])
+    assert list(stream.scored_until(lambda: next(budgets))) == [(0, 3)]
+    assert list(stream.scored_until(math.inf, start=4)) == []
+
+
+# ----------------------------------------------------------------------
+# the consumer seam: BSSR reads every stream through ``scored_until``
+
+
+def test_both_stream_kinds_hand_out_segments_from_generator_functions():
+    """perfbench times ``scored_until`` one generator step at a time,
+    which needs a generator function on both classes."""
+    import inspect
+
+    from repro.core.search import CHCandidateStream
+
+    for cls in (PoICandidateSearch, CHCandidateStream):
+        assert inspect.isgeneratorfunction(cls.__dict__["scored_until"])
+
+
+@pytest.mark.parametrize(
+    "use_contraction, stream_class",
+    [(False, "PoICandidateSearch"), (True, "CHCandidateStream")],
+)
+def test_every_expansion_reads_its_stream_through_scored_until(
+    monkeypatch, use_contraction, stream_class
+):
+    from repro import SkySREngine
+    from repro.core import search as search_module
+    from repro.core.options import BSSROptions
+
+    from .conftest import pick_query, random_instance
+
+    network, forest, rng = random_instance(3, num_pois=12)
+    start, cats = pick_query(network, forest, rng, 3)
+    engine = SkySREngine(network, forest)
+    options = BSSROptions(use_contraction=use_contraction, k=2)
+    expected = engine.query(start, cats, options=options)
+
+    cls = getattr(search_module, stream_class)
+    original = cls.__dict__["scored_until"]
+    calls = []
+
+    def counted(self, budget, *, start=0):
+        calls.append(start)
+        yield from original(self, budget, start=start)
+
+    monkeypatch.setattr(cls, "scored_until", counted)
+    result = engine.query(start, cats, options=options)
+    assert result.routes == expected.routes
+    # the start vertex's expansion plus one per queue pop
+    assert len(calls) == result.stats.routes_expanded + 1
+
+    def silent(self, budget, *, start=0):
+        return
+        yield
+
+    monkeypatch.setattr(cls, "scored_until", silent)
+    starved = engine.query(start, cats, options=options)
+    assert starved.stats.routes_enqueued == 0
+    assert starved.stats.routes_expanded == 0
