@@ -63,7 +63,11 @@ from repro.core.nninit import nninit
 from repro.core.options import BSSROptions
 from repro.core.priority import policy_for
 from repro.core.routes import PartialRoute, SkylineRoute
-from repro.core.search import CHCandidateStream, PoICandidateSearch
+from repro.core.search import (
+    CHCandidateStream,
+    PoICandidateSearch,
+    candidate_field,
+)
 from repro.core.spec import CompiledQuery
 from repro.core.stats import SearchStats
 from repro.errors import AlgorithmError, QueryError
@@ -260,6 +264,9 @@ class BSSRSearch:
         self._ch_buckets: dict[int, CHBucket] = {}
         # the prune test per route size, bound by _bind_prune_tests
         self._prune_tests: list[Callable[[float, float, object, int], bool]] = []
+        # candidate distance field per position (None: all-zero), bound
+        # by _bind_prune_tests
+        self._fields: list[list[float] | None] = [None] * self.n
 
     # Durable checkpoints ----------------------------------------------
 
@@ -513,7 +520,18 @@ class BSSRSearch:
 
     def _bind_prune_tests(self) -> None:
         """Bind :meth:`_prunable` for every route size against the
-        current skyband and bounds (both fixed until the next resume)."""
+        current skyband and bounds (both fixed until the next resume).
+
+        Without ``use_contraction``, ``lower_bounds`` also binds each
+        position's memoized candidate distance field
+        (:func:`~repro.core.search.candidate_field`): the A* potential
+        of its modified Dijkstra and the anchored next-leg floor here.
+        """
+        if self.options.lower_bounds and not self.options.use_contraction:
+            self._fields = [
+                candidate_field(self.network, spec)
+                for spec in self.query.specs
+            ]
         self._prune_tests = [self._prunable(size) for size in range(self.n)]
 
     def _prunable(
@@ -529,11 +547,13 @@ class BSSRSearch:
         is bound once; what is left per route is the arithmetic.
 
         ``last`` is the route's current endpoint (the start vertex for
-        an empty route).  Under ``use_contraction`` it anchors the exact
-        next-leg floor; otherwise, with ALT, the landmark profile floor.
-        Either replaces the generic per-leg minimum when sharper — and
-        covers the start → position-0 leg the generic family omits
-        entirely.
+        an empty route).  It anchors the exact next-leg floor: the
+        distance from ``last`` to the next position's full candidate set
+        — from the hierarchy under ``use_contraction``, from the
+        position's candidate distance field otherwise (with ALT, the
+        landmark profile floor where a position has no field).  It
+        replaces the generic per-leg minimum when sharper — and covers
+        the start → position-0 leg the generic family omits entirely.
         """
         skyline = self.skyline
         threshold = skyline.threshold
@@ -562,6 +582,15 @@ class BSSRSearch:
                         return shaved(
                             vertex_min("cands", share_key, last, sim_map)
                         )
+
+            elif self._fields[size] is not None:
+                # The same distance, read off the position's field.  It
+                # is an exact double on the grain, but shaved like the
+                # CH floor, so both paths cut at the same ties.
+                field = self._fields[size]
+
+                def anchor(last: int) -> float:
+                    return shaved(field[last])
 
             elif (
                 self._landmarks is not None
@@ -629,11 +658,12 @@ class BSSRSearch:
     ) -> PoICandidateSearch:
         source = route.pois[-1] if route.pois else self.query.start
         spec = self.query.specs[position]
+        field = self._fields[position]
         if not self.options.caching:
             # the Figure 5 ablation: a fresh expansion every time
             self.stats.mdijkstra_runs += 1
             return PoICandidateSearch(
-                self.network, spec, source, stats=self.stats
+                self.network, spec, source, stats=self.stats, field=field
             )
         key = (source, position)
         search = self.state.cache.get(key)
@@ -657,7 +687,7 @@ class BSSRSearch:
                 )
                 return cached
         search = PoICandidateSearch(
-            self.network, spec, source, stats=self.stats
+            self.network, spec, source, stats=self.stats, field=field
         )
         self.state.cache[key] = search
         self.stats.mdijkstra_runs += 1
@@ -740,16 +770,15 @@ class BSSRSearch:
             # budget is a constant the stream may settle to in one burst
             index = self._extend(route, search, consumed, budget())
         if self.checkpointable and (
-            index < len(search.candidates)
-            or not search.exhausted
-            or search.radius >= budget()
+            index < len(search.candidates) or not search.exhausted
         ):
             # The budget cut the stream: park the prefix so a wider
             # search can resume it exactly where this pass stopped.
-            # The radius clause makes the decision a function of the
-            # stream and the final budget alone: a cached search that
-            # another consumer drained past the budget defers exactly
-            # like a fresh one rebuilt after a restore.
+            # The decision is a function of the stream and the final
+            # budget alone (is a candidate left beyond it?), so a
+            # cached search that another consumer drained past the
+            # budget defers exactly like a fresh one rebuilt after a
+            # restore, whatever field drove either.
             self._defer(route, index)
         if not self._first_radius_recorded:
             self.stats.first_search_radius = search.radius

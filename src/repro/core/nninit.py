@@ -75,7 +75,8 @@ def nninit(
     length = 0.0
     state = aggregator.initial(n)
     source = query.start
-    num_v, indptr, indices, weights = flat_adjacency(network)
+    rows = flat_adjacency(network)
+    num_v = len(rows)
 
     for position, spec in enumerate(specs):
         is_last = position == n - 1
@@ -158,12 +159,10 @@ def nninit(
                 elif usable and u in perfect:
                     found = (d, u)
                     break
-                lo = indptr[u]
-                hi = indptr[u + 1]
-                relaxed_n += hi - lo
-                for i in range(lo, hi):
-                    v = indices[i]
-                    nd = d + weights[i]
+                row = rows[u]
+                relaxed_n += len(row)
+                for v, w in row:
+                    nd = d + w
                     if nd < dist_row[v]:
                         dist_row[v] = nd
                         push(heap, (nd, v))

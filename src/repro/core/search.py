@@ -16,12 +16,38 @@ depend on the route being extended — distinctness (Definition 3.4) is
 enforced by the consumer on every emit — so one stream per ``(source,
 position)`` serves every route.
 
-The search is *resumable*: it settles vertices in distance order and
+The search is *resumable*: it settles vertices in key order and
 pauses when the consumer's budget (Lemma 5.3's threshold, re-evaluated
 continuously as the skyline set improves) is reached.  BSSR's
 on-the-fly cache (Section 5.3.4) keeps one instance per
 ``(source, position)`` and simply resumes it when a later route needs a
 larger radius — reuse never sacrifices exactness.
+
+The goal-directed stream
+------------------------
+
+Under ``BSSROptions.lower_bounds`` the search is an A* toward the
+position's candidate set: a vertex's heap key is its distance plus its
+value in the position's *candidate distance field* (the distance from
+the vertex to the nearest candidate, :func:`candidate_field`, one
+memoized reverse sweep per network and candidate set).  The field is
+consistent and 0 on every candidate, so:
+
+* a candidate's key is its true distance, and keys settle in
+  nondecreasing order — the stream emits every candidate at its true
+  distance, and a budget on the key is a budget on the distance;
+* vertices that lead away from every candidate get large keys and are
+  never settled below the budget, which is where the work goes down.
+
+Ties are settled as whole key groups and emitted by vertex id, so the
+stream is the ``(distance, vertex)`` order — element for element the
+stream of the all-zero field, which is the paper's plain Algorithm 2
+(``lower_bounds=False``), and the order of a CH row.  This holds bit
+for bit because edge weights sit on the grain of
+:meth:`~repro.graph.road_network.RoadNetwork.add_edge`: every distance,
+field value and key is an exact double, so no sum depends on the order
+its legs were added in.  BSSR reads the same field once more as the
+anchored next-leg floor of its prune test.
 
 Searches are never written to a session checkpoint.  Their candidate
 streams are deterministic, so a restored session rebuilds each one
@@ -46,16 +72,24 @@ Both stream classes here (:class:`PoICandidateSearch` and
   it may tighten after any candidate (the final position, where every
   completion is offered to the skyband); a consumer that tightens it
   mid-segment stops at the first candidate the new budget excludes;
-* ``exhausted`` and ``radius`` — whether the stream is complete and how
-  far it has looked, which decide whether a budget cut it short.
+* ``exhausted`` — every candidate reachable from the source has been
+  emitted, which decides whether a budget cut the stream short (the
+  consumer parks its route iff it is not, or it stopped before the end
+  of the stream).  Both kernels give the same answer at every budget
+  when every candidate is reachable from the source; otherwise they may
+  prove it at different budgets, and either answer is safe (a route
+  parked in vain finds nothing new when it is resumed);
+* ``radius`` — how far the stream has looked: every candidate at a
+  distance up to ``radius`` is in it.  For the modified Dijkstra it is
+  the key frontier, the largest key settled so far.
 
 A CH stream answers each budget with one ``bisect`` of its row.  The
-modified Dijkstra settles a whole burst for a float budget and stops at
-every match for a callable one, so it settles exactly the vertices a
-one-candidate-at-a-time search would.
+modified Dijkstra settles a whole burst for a float budget and stops
+after every key group holding a match for a callable one, so it settles
+exactly the vertices a one-candidate-at-a-time search would.
 
-Like the plain Dijkstra flavors, the expansion loop runs over the flat
-adjacency arrays of :mod:`repro.graph.csr`.
+Like the plain Dijkstra flavors, the expansion loop runs over the
+adjacency rows of :mod:`repro.graph.csr`.
 """
 
 from __future__ import annotations
@@ -69,6 +103,7 @@ from typing import Callable, Iterator
 from repro.core.spec import PositionSpec
 from repro.core.stats import SearchStats
 from repro.graph.csr import flat_adjacency
+from repro.graph.dijkstra import distance_field
 from repro.graph.road_network import RoadNetwork
 
 
@@ -133,14 +168,51 @@ class CHCandidateStream:
             lo = hi
 
 
+def candidate_field(
+    network: RoadNetwork, spec: PositionSpec
+) -> list[float] | None:
+    """The memoized distance field toward ``spec``'s candidate set:
+    ``field[v]`` is the network distance from ``v`` to its nearest
+    candidate (see :func:`~repro.graph.dijkstra.distance_field`).
+
+    One field per network and distinct candidate set, keyed by the set
+    itself, so every category whose matches are the same PoIs shares one
+    field object.  A PoI edit (``RoadNetwork.poi_version``) or a new
+    vertex or edge drops the memo.  Specs without a ``share_key``
+    (predicates, built per query) get ``None`` and never populate it.
+    """
+    if spec.share_key is None:
+        return None
+    token = (network.num_vertices, network.num_edges, network.poi_version)
+    cached = getattr(network, "_candidate_fields", None)
+    if cached is None or cached[0] != token:
+        cached = (token, {})
+        network._candidate_fields = cached  # type: ignore[attr-defined]
+    fields = cached[1]
+    targets = frozenset(spec.sim_map)
+    field = fields.get(targets)
+    if field is None:
+        field = fields[targets] = distance_field(network, targets)
+    return field
+
+
 class PoICandidateSearch:
-    """Resumable modified Dijkstra toward one position's candidates."""
+    """Resumable, goal-directed modified Dijkstra toward one position's
+    candidates.
+
+    ``field`` is the A* potential: a consistent lower bound on each
+    vertex's distance to the candidate set that is 0 on every candidate
+    (:func:`candidate_field`).  ``None`` means the all-zero field, which
+    makes the search the paper's plain Algorithm 2.  The stream is the
+    same under every such field.
+    """
 
     __slots__ = (
         "sim_map",
         "source",
         "_stats",
-        "_flat",
+        "_rows",
+        "_field",
         "_dist",
         "_settled",
         "_heap",
@@ -156,22 +228,25 @@ class PoICandidateSearch:
         source: int,
         *,
         stats: SearchStats | None = None,
+        field: list[float] | None = None,
     ) -> None:
         #: similarity of every candidate vertex of the position
         self.sim_map = spec.sim_map
         self.source = source
         self._stats = stats
-        self._flat = flat_adjacency(network)
-        n = self._flat[0]
+        self._rows = flat_adjacency(network)
+        n = len(self._rows)
+        self._field = field if field is not None else [0.0] * n
         self._dist = [math.inf] * n
         self._dist[source] = 0.0
         self._settled = bytearray(n)
-        self._heap: list[tuple[float, int]] = [(0.0, source)]
+        self._heap: list[tuple[float, int]] = [(self._field[source], source)]
         #: distances of the emitted candidates, in stream order
         self.dists: list[float] = []
         #: emitted candidate vertex ids, parallel to :attr:`dists`
         self.candidates: list[int] = []
-        #: largest settled distance (the Table 7 "weight sum" proxy)
+        #: largest settled key: every candidate at distance <= radius
+        #: has been emitted (the Table 7 "weight sum" proxy)
         self.radius = 0.0
 
     def adopt_stats(self, stats: SearchStats | None) -> None:
@@ -186,30 +261,37 @@ class PoICandidateSearch:
     # low-level stepping
     # ------------------------------------------------------------------
 
-    def _skim(self) -> None:
+    @property
+    def exhausted(self) -> bool:
+        """Every candidate reachable from the source has been emitted:
+        all of them, or no vertex left with a finite key."""
+        if len(self.candidates) == len(self.sim_map):
+            return True
         heap = self._heap
         settled = self._settled
         while heap and settled[heap[0][1]]:
             heapq.heappop(heap)
-
-    def next_distance(self) -> float:
-        """Distance of the next settle (inf when exhausted)."""
-        self._skim()
-        return self._heap[0][0] if self._heap else math.inf
-
-    @property
-    def exhausted(self) -> bool:
-        return self.next_distance() == math.inf
+        return not heap or heap[0][0] == math.inf
 
     def _settle(self, limit: float, *, one: bool) -> bool:
-        """Settle every vertex closer than ``limit``, appending matches
-        to the stream; with ``one``, stop after the first match.  True
-        iff it stopped on a match.
+        """Settle every vertex whose key is below ``limit``, appending
+        matches to the stream; with ``one``, stop once the key group of
+        the first match is settled.  True iff it stopped on a match.
+
+        A vertex's key is its distance plus its field value; a
+        candidate's key is its distance.  Keys settle in nondecreasing
+        order (the field is consistent), so candidates come out in
+        distance order, and a key group is never split across calls: a
+        call stops below ``limit`` or after a whole group.  Within a
+        group, matches are emitted by vertex id, so the stream is the
+        ``(distance, vertex)`` order whatever the field and the
+        discovery order of ties.
 
         Every array sits in a local, and stats are flushed once on the
         way out, so a consumer never observes partial counts.
         """
-        _, indptr, indices, weights = self._flat
+        rows = self._rows
+        field = self._field
         sim_map = self.sim_map
         dist = self._dist
         settled = self._settled
@@ -221,33 +303,35 @@ class PoICandidateSearch:
         settled_n = relaxed_n = pushes_n = 0
         radius = self.radius
         hit = False
-        while True:
-            while heap and settled[heap[0][1]]:
-                pop(heap)
-            if not heap or heap[0][0] >= limit:
-                break
-            d, u = pop(heap)
+        while heap and heap[0][0] < limit:
+            key, u = pop(heap)
+            if settled[u]:
+                continue
+            radius = key
             settled[u] = 1
             settled_n += 1
-            radius = d
+            d = dist[u]
             if u in sim_map:
-                dists.append(d)
-                vids.append(u)
-                hit = one
-            lo = indptr[u]
-            hi = indptr[u + 1]
-            relaxed_n += hi - lo
-            for j in range(lo, hi):
-                v = indices[j]
-                if settled[v]:
-                    continue
-                nd = d + weights[j]
+                # a tie emitted earlier in this group with a larger id
+                # moves behind it (groups never span calls, so no
+                # consumer has read it yet)
+                i = len(vids)
+                while i and vids[i - 1] > u and dists[i - 1] == d:
+                    i -= 1
+                dists.insert(i, d)
+                vids.insert(i, u)
+                if one and not hit:
+                    hit = True
+                    # finish this key group, then stop
+                    limit = math.nextafter(radius, math.inf)
+            row = rows[u]
+            relaxed_n += len(row)
+            for v, w in row:
+                nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
-                    push(heap, (nd, v))
+                    push(heap, (nd + field[v], v))
                     pushes_n += 1
-            if hit:
-                break
         self.radius = radius
         stats = self._stats
         if stats is not None:

@@ -78,8 +78,10 @@ SESSION_FORMAT = "repro-skysr-session"
 #: (version 2 dropped the serialized candidate-search cache; version 3
 #: moved ``use_contraction`` offsets at every position onto CH streams;
 #: version 4 moved default-options offsets onto the unfiltered modified
-#: Dijkstra stream, which no longer applies Lemma 5.5's filters)
-SCHEMA_VERSION = 4
+#: Dijkstra stream, which no longer applies Lemma 5.5's filters; version
+#: 5 stores lengths and offsets over weights snapped to the grain, with
+#: ties in every modified-Dijkstra stream in vertex-id order)
+SCHEMA_VERSION = 5
 
 _MISSING = object()
 

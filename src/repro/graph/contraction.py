@@ -52,7 +52,7 @@ Beyond point-to-point, the pieces BSSR consumes directly:
   distances *to* one vertex, replacing the eager full reverse Dijkstra
   of destination queries.
 
-Like the CSR view, the hierarchy is memoized per network
+Like the adjacency rows, the hierarchy is memoized per network
 (:func:`contraction_for`).  Searches consult it only when
 ``BSSROptions.use_contraction`` is set.  Memo entries built from PoI
 sets are dropped when the network's PoIs change

@@ -1,23 +1,24 @@
-"""Flat adjacency: the form of :class:`RoadNetwork` every kernel runs on.
+"""Adjacency rows: the form of :class:`RoadNetwork` every kernel runs on.
 
-The dict/list adjacency of :class:`~repro.graph.road_network.RoadNetwork`
-is convenient to build but hostile to the hot loops: every relaxation
-hashes a vertex id, allocates a tuple, and chases pointers.
-:func:`flat_adjacency` flattens the same topology once into CSR form —
-three parallel python lists per direction:
+:func:`flat_adjacency` hands out one row per vertex: ``rows[u]`` is the
+tuple of ``u``'s out-edges as ``(head, weight)`` pairs, in the insertion
+order of :meth:`RoadNetwork.add_edge` (so searches relax edges in the
+same sequence as ``network.neighbors(u)``).  The pairs are the
+network's own tuples; a row only adds the tuple that holds them.
 
-* ``indptr``  — vertex ``u``'s out-edges live at ``indptr[u]:indptr[u+1]``;
-* ``indices`` — head vertex of each edge;
-* ``weights`` — edge weight of each edge, as a python ``float``.
+A settle loop reads one row per settled vertex and unpacks its pairs
+straight into locals::
 
-CPython list indexing beats dict hashing in a tight interpreted loop,
-so the Dijkstra kernels index these lists directly.
+    for v, w in rows[u]:
+        nd = d + w
+        if nd < dist[v]:
+            ...
 
-Edge order within a vertex is exactly the insertion order of
-:meth:`RoadNetwork.add_edge`, so searches relax edges in the same
-sequence as ``network.neighbors(u)``.
+so the inner loop does no index arithmetic and no ``range`` call, and
+reads one pair per edge instead of two parallel lists.  ``len(rows)`` is
+the vertex count.
 
-The lists are built lazily and memoized on the network instance; a
+The rows are built lazily and memoized on the network instance; a
 structural mutation (new vertex or edge) invalidates the memo via a
 ``(num_vertices, num_edges)`` token.
 """
@@ -29,12 +30,12 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.road_network import RoadNetwork
 
-#: CSR adjacency lists: (num_vertices, indptr, indices, weights)
-FlatAdjacency = tuple[int, list[int], list[int], list[float]]
+#: per-vertex out-edge rows: ``rows[u] == ((head, weight), ...)``
+AdjacencyRows = list[tuple[tuple[int, float], ...]]
 
 
 def csr_enabled() -> bool:
-    """Always ``True``: the CSR kernels are the only graph kernels."""
+    """Always ``True``: the row kernels are the only graph kernels."""
     return True
 
 
@@ -43,23 +44,11 @@ def numpy_enabled() -> bool:
     return False
 
 
-def _pack(neighbors, n: int) -> FlatAdjacency:
-    indptr = [0] * (n + 1)
-    indices: list[int] = []
-    weights: list[float] = []
-    for u in range(n):
-        for v, w in neighbors(u):
-            indices.append(v)
-            weights.append(float(w))
-        indptr[u + 1] = len(indices)
-    return n, indptr, indices, weights
-
-
 def flat_adjacency(
     network: "RoadNetwork", *, reverse: bool = False
-) -> FlatAdjacency:
-    """The (memoized) CSR lists of ``network``'s out-edges, or of its
-    in-edges with ``reverse=True`` (the same lists when undirected).
+) -> AdjacencyRows:
+    """The (memoized) rows of ``network``'s out-edges, or of its
+    in-edges with ``reverse=True`` (the same rows when undirected).
 
     Rebuilt automatically when the network gained vertices or edges
     since the last call.
@@ -67,9 +56,10 @@ def flat_adjacency(
     token = (network.num_vertices, network.num_edges)
     cached = getattr(network, "_flat_adjacency", None)
     if cached is None or cached[0] != token:
-        forward = _pack(network.neighbors, network.num_vertices)
+        vertices = network.vertices()
+        forward = [tuple(network.neighbors(u)) for u in vertices]
         backward = (
-            _pack(network.in_neighbors, network.num_vertices)
+            [tuple(network.in_neighbors(u)) for u in vertices]
             if network.directed
             else forward
         )

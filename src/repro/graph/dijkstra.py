@@ -1,6 +1,6 @@
 """Dijkstra variants used across the library.
 
-Four flavors, all lazy-deletion binary-heap implementations over
+Five flavors, all lazy-deletion binary-heap implementations over
 :class:`~repro.graph.road_network.RoadNetwork`:
 
 * :func:`dijkstra` — full single-source distances (optionally with
@@ -13,6 +13,10 @@ Four flavors, all lazy-deletion binary-heap implementations over
   multi-destination Dijkstra (Section 5.3.3, Lemma 5.9): minimum
   distance from *any* source to *any* destination, stopping at the
   first settled destination;
+* :func:`distance_field` — the distance from every vertex *to* a vertex
+  set, by one reverse multi-source sweep: the A* potential and next-leg
+  floor of BSSR's goal-directed modified Dijkstra
+  (:mod:`repro.core.search`);
 * :class:`ResumableDijkstra` — an incremental expansion that yields
   settled vertices in distance order and can be resumed with a larger
   radius later; this powers the PNE baseline's progressive
@@ -20,9 +24,11 @@ Four flavors, all lazy-deletion binary-heap implementations over
   holds :class:`~repro.core.search.PoICandidateSearch` instances
   instead.)
 
-Every flavor runs over the flat adjacency lists of
-:mod:`repro.graph.csr`, so its inner loop indexes python lists instead
-of hashing dict keys; edges relax in ``network.neighbors(u)`` order.
+Every flavor runs over the adjacency rows of :mod:`repro.graph.csr`,
+so its inner loop unpacks ``(head, weight)`` pairs instead of hashing
+dict keys; edges relax in ``network.neighbors(u)`` order.  No
+relaxation tests whether its head is settled: a settled head's label is
+final, so ``nd < dist[v]`` already fails for it.
 """
 
 from __future__ import annotations
@@ -73,7 +79,8 @@ def dijkstra(
             are final — callers that need all distances must omit it.
         counters: optional :class:`ExpansionCounters` to fill.
     """
-    n, indptr, indices, weights = flat_adjacency(network, reverse=reverse)
+    rows = flat_adjacency(network, reverse=reverse)
+    n = len(rows)
     inf = math.inf
     dist = [inf] * n
     dist[source] = 0.0
@@ -92,10 +99,10 @@ def dijkstra(
         nsettled += 1
         if u == target:
             break
-        for i in range(indptr[u], indptr[u + 1]):
-            nrelaxed += 1
-            v = indices[i]
-            nd = d + weights[i]
+        row = rows[u]
+        nrelaxed += len(row)
+        for v, w in row:
+            nd = d + w
             if nd < dist[v]:
                 if dist[v] == inf:
                     touched.append(v)
@@ -132,9 +139,9 @@ def bounded_dijkstra(
         )
         assert isinstance(result, dict)
         return result
-    n, indptr, indices, weights = flat_adjacency(network, reverse=reverse)
-    inf = math.inf
-    dist = [inf] * n
+    rows = flat_adjacency(network, reverse=reverse)
+    n = len(rows)
+    dist = [math.inf] * n
     dist[source] = 0.0
     settled = bytearray(n)
     out: dict[int, float] = {}
@@ -149,10 +156,10 @@ def bounded_dijkstra(
             break
         settled[u] = 1
         out[u] = d
-        for i in range(indptr[u], indptr[u + 1]):
-            nrelaxed += 1
-            v = indices[i]
-            nd = d + weights[i]
+        row = rows[u]
+        nrelaxed += len(row)
+        for v, w in row:
+            nd = d + w
             if nd < radius and nd < dist[v]:
                 dist[v] = nd
                 push(heap, (nd, v))
@@ -217,9 +224,9 @@ def multi_source_min_distance(
     if not sources or not targets:
         return math.inf
     target_set = targets if isinstance(targets, (set, frozenset)) else set(targets)
-    n, indptr, indices, weights = flat_adjacency(network, reverse=reverse)
-    inf = math.inf
-    dist = [inf] * n
+    rows = flat_adjacency(network, reverse=reverse)
+    n = len(rows)
+    dist = [math.inf] * n
     heap: list[tuple[float, int]] = []
     for s in sources:
         dist[s] = 0.0
@@ -240,12 +247,10 @@ def multi_source_min_distance(
         if u in target_set:
             result = d
             break
-        lo = indptr[u]
-        hi = indptr[u + 1]
-        relaxed_n += hi - lo
-        for i in range(lo, hi):
-            v = indices[i]
-            nd = d + weights[i]
+        row = rows[u]
+        relaxed_n += len(row)
+        for v, w in row:
+            nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 push(heap, (nd, v))
@@ -253,6 +258,41 @@ def multi_source_min_distance(
         counters.settled += settled_n
         counters.relaxed += relaxed_n
     return result
+
+
+def distance_field(
+    network: RoadNetwork, targets: Collection[int]
+) -> list[float]:
+    """``field[v]``: the network distance from ``v`` *to* the nearest
+    vertex of ``targets`` (``inf`` when none is reachable).
+
+    One multi-source sweep over incoming edges, every target at 0.  The
+    field is consistent — ``field[u] <= w(u, v) + field[v]`` on every
+    edge — so it is an admissible A* potential toward ``targets`` and
+    an exact next-leg floor from any vertex.  Weights on the grain make
+    each value the exact double a forward search reaches.
+    """
+    rows = flat_adjacency(network, reverse=True)
+    n = len(rows)
+    field = [math.inf] * n
+    heap: list[tuple[float, int]] = []
+    for t in targets:
+        field[t] = 0.0
+        heap.append((0.0, t))
+    heapq.heapify(heap)
+    settled = bytearray(n)
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d, u = pop(heap)
+        if settled[u]:
+            continue
+        settled[u] = 1
+        for v, w in rows[u]:
+            nd = d + w
+            if nd < field[v]:
+                field[v] = nd
+                push(heap, (nd, v))
+    return field
 
 
 def eccentricity(
@@ -287,13 +327,13 @@ class ResumableDijkstra:
         "_settled",
         "_heap",
         "radius",
-        "_flat",
+        "_rows",
     )
 
     def __init__(self, network: RoadNetwork, source: int) -> None:
         self.source = source
-        self._flat = flat_adjacency(network)
-        n = self._flat[0]
+        self._rows = flat_adjacency(network)
+        n = len(self._rows)
         self._dist = [math.inf] * n
         self._dist[source] = 0.0
         self._settled = bytearray(n)
@@ -325,14 +365,12 @@ class ResumableDijkstra:
             return None
         d, u = heapq.heappop(self._heap)
         self.radius = d
-        _, indptr, indices, weights = self._flat
         dist = self._dist
         self._settled[u] = 1
         heap = self._heap
         push = heapq.heappush
-        for i in range(indptr[u], indptr[u + 1]):
-            v = indices[i]
-            nd = d + weights[i]
+        for v, w in self._rows[u]:
+            nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 push(heap, (nd, v))

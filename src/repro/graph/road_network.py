@@ -14,9 +14,20 @@ both (they only consume :meth:`neighbors` / :meth:`in_neighbors`).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 from repro.errors import GraphError
+
+#: edge weights are rounded to multiples of this (2**-20, about 1e-6).
+#: Sums of such weights below 2**33 are exact doubles, so every kernel
+#: reaches the same length for the same path, whatever order it adds
+#: the legs in (Dijkstra, reverse sweeps, CH shortcuts).
+WEIGHT_GRAIN = 1.0 / (1 << 20)
+
+#: exclusive cap on a network's total edge weight: every shortest path
+#: and every sum of two of them stays below 2**33
+MAX_TOTAL_WEIGHT = float(1 << 32)
 
 
 class RoadNetwork:
@@ -35,6 +46,7 @@ class RoadNetwork:
         self._coords: list[tuple[float, float] | None] = []
         self._poi_cats: dict[int, tuple[int, ...]] = {}
         self._num_edges = 0
+        self._total_weight = 0.0
         self._poi_version = 0
 
     # ------------------------------------------------------------------
@@ -89,14 +101,29 @@ class RoadNetwork:
         self._poi_version += 1
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
-        """Add an edge (one arc when directed, both directions otherwise)."""
+        """Add an edge (one arc when directed, both directions otherwise).
+
+        The weight is rounded to the nearest multiple of
+        :data:`WEIGHT_GRAIN`, and the network's total weight must stay
+        below :data:`MAX_TOTAL_WEIGHT`.
+        """
         self._check_vertex(u)
         self._check_vertex(v)
         w = float(weight)
-        if w < 0:
-            raise GraphError(f"negative edge weight {w} on ({u}, {v})")
+        # one test on the hot path; NaN and inf fail it too
+        if not (w >= 0.0 and self._total_weight + w < MAX_TOTAL_WEIGHT):
+            if w < 0:
+                raise GraphError(f"negative edge weight {w} on ({u}, {v})")
+            if not math.isfinite(w):
+                raise GraphError(f"non-finite edge weight {w} on ({u}, {v})")
+            raise GraphError(
+                f"total edge weight would reach {self._total_weight + w:g}; "
+                f"lengths are exact only below {MAX_TOTAL_WEIGHT:g}"
+            )
         if u == v:
             raise GraphError(f"self-loop on vertex {u}")
+        w = round(w * (1 << 20)) * WEIGHT_GRAIN
+        self._total_weight += w
         self._adj[u].append((v, w))
         if self.directed:
             self._radj[v].append((u, w))

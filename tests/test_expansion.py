@@ -78,12 +78,12 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
 #: under CH the settles are the hierarchy's first-touch memo builds
 GOLDEN_WORK = {
     "default": [
-        (25, 27, 2, 10, 3, 0, 938, 3623, 1278, 20, 20),
-        (91, 116, 25, 341, 12, 42, 8218, 30684, 9430, 36, 55),
-        (11, 16, 5, 0, 6, 24, 2443, 9125, 2341, 10, 12),
-        (17, 57, 40, 15, 8, 5, 3885, 14511, 3794, 16, 54),
-        (17, 24, 7, 5, 14, 86, 4516, 16786, 4166, 12, 12),
-        (5, 7, 2, 0, 2, 0, 492, 1879, 456, 6, 5),
+        (11, 12, 1, 25, 3, 0, 413, 1592, 522, 12, 11),
+        (45, 73, 28, 384, 12, 42, 6613, 24890, 8753, 34, 55),
+        (9, 15, 6, 1, 6, 24, 1763, 6669, 1790, 8, 11),
+        (10, 42, 32, 30, 8, 5, 2450, 9171, 2345, 10, 40),
+        (17, 21, 4, 8, 14, 85, 3375, 12664, 3322, 12, 11),
+        (4, 4, 0, 3, 2, 0, 315, 1208, 244, 5, 3),
     ],
     "ch": [
         (11, 12, 1, 25, 3, 0, 1209, 6909, 0, 0, 11),

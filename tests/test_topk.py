@@ -234,7 +234,7 @@ def test_landmarks_topk_never_returns_one_poi_tuple_twice():
     assert 286 in [q.start for q in queries]
 
     def grain(routes):
-        return [(round(r.length, 9), round(r.semantic, 9)) for r in routes]
+        return [(r.length, round(r.semantic, 9)) for r in routes]
 
     for q in queries:
         cats = list(q.categories)
