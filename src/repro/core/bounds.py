@@ -14,34 +14,54 @@ bound of a partial route:
   make the route dominated, so it *must* chain perfect matches.
 
 Every leg of either family is computed by one function, ``leg`` in
-:func:`compute_lower_bounds`, over one of two accelerators chosen by
+:func:`compute_lower_bounds`, over one of three accelerators chosen by
 the caller:
 
-* **Dijkstra** (the paper's path): the multi-source multi-destination
-  Dijkstra of Lemma 5.9, with candidate sets restricted to the
-  ``l̄(ϕ)`` ball around the start (Algorithm 4 lines 3–4): PoIs farther
-  than the best perfect route are unreachable by any non-pruned route.
-  Radius-truncated searches return the radius — still a valid lower
-  bound.  A :class:`~repro.graph.landmarks.LandmarkIndex`
-  (``BSSROptions.use_landmarks``) replaces the ball Dijkstra with the
-  ALT superset test, maxes each leg with the ALT set-to-set bound, and
-  keeps per-position candidate *profiles* on the result for BSSR's
-  per-route next-leg floor.  Profiles are advisory and never
-  serialized; a restored checkpoint recomputes them with the bounds on
-  its next resume.
+* **Dijkstra** (the default path): each ``l_s`` leg is the minimum of
+  position ``i+1``'s memoized candidate distance field
+  (:func:`~repro.core.search.candidate_field`) over position ``i``'s
+  full candidate set — one pass over the set, no search.  Each ``l_p``
+  leg is the multi-source multi-destination Dijkstra of Lemma 5.9 over
+  the full sets, truncated at the best perfect route length ``l̄(ϕ)``
+  (a truncated search returns the radius — still a valid lower bound).
+  The paper's ``l̄(ϕ)`` ball (Algorithm 4 lines 3–4) is not built:
+  full-set minima can only under-, never over-state the restricted
+  ones, so they stay valid lower bounds.  Positions without a
+  memoized field (predicates) take their ``l_s`` leg from the same
+  truncated Dijkstra.
+* **ALT** (``BSSROptions.use_landmarks``): a
+  :class:`~repro.graph.landmarks.LandmarkIndex` restricts each set to a
+  superset of the ``l̄(ϕ)`` ball, maxes each truncated Dijkstra leg with
+  the ALT set-to-set bound, and keeps per-position candidate
+  *profiles* on the result.
 * **Contraction hierarchy** (``BSSROptions.use_contraction``): each
   leg is the exact set-to-set minimum over the *full* candidate sets,
   memoized on the hierarchy.  It supersedes ALT, so no landmark code
   runs under it.
+
+Without the hierarchy the result also carries the query's **to-go
+rows** (:func:`to_go_rows`): ``to_go[j][v]`` is the length of the
+shortest walk from ``v`` through one candidate of each position
+``j … n−1``, in order, and on to the destination if there is one: the
+optimal sequenced route over the remaining positions, which the sum of
+per-leg minima only bounds from below.  It ignores distinctness and
+similarity, so it is an admissible floor on what any route of size
+``j`` ending at ``v`` still has to travel.  Rows and profiles are
+advisory and never serialized.  Rows do not depend on ``k``: a live
+search reuses them when it resumes, and a restored one rebuilds them.
+Profiles are recomputed with the bounds.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.core.dominance import SkybandSet
+from repro.core.search import candidate_field, field_memo, set_key
 from repro.core.spec import CompiledQuery
 from repro.core.stats import SearchStats
 from repro.graph.contraction import (
@@ -49,11 +69,19 @@ from repro.graph.contraction import (
     ContractionHierarchy,
     shared_bucket,
 )
-from repro.graph.dijkstra import bounded_dijkstra, multi_source_min_distance
+from repro.graph.dijkstra import (  # noqa: F401 (bounded_dijkstra)
+    bounded_dijkstra,
+    distance_field,
+    multi_source_min_distance,
+)
 from repro.graph.landmarks import LandmarkIndex, Profile
 from repro.graph.road_network import RoadNetwork
 
-#: relative slack absorbing float accumulation noise (see :func:`shaved`)
+# ``bounded_dijkstra`` is not called here.  The name stays bound in this
+# module because ``perfbench/spans.py`` wraps it, with
+# ``multi_source_min_distance``, through ``bounds.__dict__``.
+
+#: relative slack that keeps a floor strictly below a tie (see :func:`shaved`)
 _EPS = 1e-9
 
 #: target bucket kind of each leg family
@@ -61,14 +89,14 @@ _BUCKET_KIND = {"ls": "cands", "lp": "perfect"}
 
 
 def shaved(value: float) -> float:
-    """Robust lower bound on a CH distance ``value``.
+    """``value`` shaved by a relative epsilon, for use as a floor.
 
-    CH sums associate differently from the search's left-to-right
-    accumulation, so the float can exceed the length the search reaches
-    by a few ULPs — enough to prune a route that ties a threshold
-    exactly.  Shaving by a relative epsilon keeps every bound strictly
-    safe while costing ~1e-9 of pruning power.  ``inf`` stays ``inf``:
-    unreachability is exact set logic, not arithmetic.
+    Every distance sum is exact on the weight grain, so the shave does
+    not absorb round-off.  It keeps a floor that ties a threshold
+    exactly from pruning: the prune tests cut at ``floor >= threshold``,
+    and the anchored floors (CH's and the to-go rows) are shaved before
+    they are compared.  It costs ~1e-9 of pruning power.  ``inf`` stays
+    ``inf``: unreachability is exact set logic, not arithmetic.
     """
     if value == math.inf:
         return value
@@ -86,6 +114,10 @@ class LowerBounds:
     any remaining position admits (for Lemma 5.8's ``δ``);
     ``dest_min`` a lower bound on the final leg to the destination
     (0 for destination-free queries).
+
+    ``to_go`` and ``to_go_min`` are the to-go rows of
+    :func:`to_go_rows` (``None`` under the hierarchy or without lower
+    bounds).
     """
 
     suffix_ls: list[float]
@@ -98,6 +130,12 @@ class LowerBounds:
     #: (``None`` without landmarks); advisory — not serialized, and
     #: recomputed with the bounds on resume
     position_profiles: list[Profile | None] | None = None
+    #: ``to_go[j]`` for route sizes ``j = 1 … n−1`` (``to_go[0]`` is
+    #: ``None``); advisory — not serialized, rebuilt after a restore
+    to_go: list[Sequence[float] | None] | None = None
+    #: ``to_go_min[j]``: the least length still ahead of a route once it
+    #: reaches a candidate of position ``j``
+    to_go_min: list[float] | None = None
 
     @classmethod
     def disabled(cls, n: int) -> "LowerBounds":
@@ -125,6 +163,74 @@ def _remaining_best_np_from(
     return out
 
 
+def to_go_rows(
+    network: RoadNetwork,
+    query: CompiledQuery,
+    fields: list[list[float] | None],
+    dest_dist=None,
+) -> tuple[list[Sequence[float] | None], list[float], int]:
+    """The query's to-go rows, ``(rows, mins, sweeps)``.
+
+    ``rows[j][v]`` (``1 <= j < n``) is the length of the shortest walk
+    from ``v`` through one candidate of each position ``j … n−1``, in
+    order, then to the destination (``dest_dist``, distances *to* it)
+    if there is one.  ``mins[j]`` is the least of ``rows[j+1]`` (the
+    destination leg for ``j = n−1``, 0 without one) over position
+    ``j``'s candidates.  ``fields`` are the positions' candidate fields
+    (:func:`~repro.core.search.candidate_field`).
+
+    The rows are built back to front, each by one
+    :func:`~repro.graph.dijkstra.distance_field` sweep that seeds every
+    candidate of position ``j`` at its value in row ``j+1``.  A
+    destination-free suffix of at most two named positions is a
+    per-network constant: the last position alone is its candidate
+    field, and a pair is memoized beside it (:func:`field_memo`) as an
+    ``array('d')``.  Every other row — longer suffixes, destination
+    queries, predicate positions — is built for this query; ``sweeps``
+    counts those and the pair rows built here, not memo hits.
+    """
+    n = query.size
+    sets = [spec.sim_map for spec in query.specs]
+    rows: list[Sequence[float] | None] = [None] * n
+    sweeps = 0
+    # the destination leg of each last-position candidate
+    dest_leg: dict[int, float] | None = None
+    if dest_dist is not None:
+        dest_leg = {c: dest_dist.get(c, math.inf) for c in sets[n - 1]}
+    for j in range(n - 1, 0, -1):
+        if j == n - 1:
+            row = fields[j] if dest_leg is None else None
+            if row is None:
+                row = distance_field(network, sets[j], dest_leg)
+                sweeps += 1
+        elif (
+            j == n - 2
+            and dest_leg is None
+            and fields[j] is not None
+            and fields[j + 1] is not None
+        ):
+            memo = field_memo(network)
+            key = (set_key(memo, sets[j]), set_key(memo, sets[j + 1]))
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = array(
+                    "d", distance_field(network, sets[j], fields[j + 1])
+                )
+                sweeps += 1
+        else:
+            row = distance_field(network, sets[j], rows[j + 1])
+            sweeps += 1
+        rows[j] = row
+    mins = [
+        min((rows[j + 1][c] for c in sets[j]), default=math.inf)  # type: ignore[index]
+        for j in range(n - 1)
+    ]
+    mins.append(
+        0.0 if dest_leg is None else min(dest_leg.values(), default=math.inf)
+    )
+    return rows, mins, sweeps
+
+
 def compute_lower_bounds(
     network: RoadNetwork,
     query: CompiledQuery,
@@ -137,26 +243,27 @@ def compute_lower_bounds(
     landmarks: LandmarkIndex | None = None,
     ch: ContractionHierarchy | None = None,
     shared_cache=None,
+    previous: LowerBounds | None = None,
 ) -> LowerBounds:
     """Algorithm 4 — compute ``l_s``/``l_p`` legs and their suffixes.
 
     Takes at most one of ``landmarks`` and ``ch`` (see the module
     docstring).  ``landmarks`` sharpens each Dijkstra leg with the ALT
-    set-to-set bound and attaches per-position candidate profiles for
-    BSSR's per-route next-leg floor.
+    set-to-set bound and attaches per-position candidate profiles.
 
     ``ch`` replaces the multi-source Dijkstras outright: each leg
     becomes the **exact** set-to-set minimum distance over the *full*
     candidate sets, served by one multi-source upward sweep against the
-    target set's hub bucket.  Full-set minima can only under- (never
-    over-) state the restricted ones, so they stay valid lower bounds;
-    they are also never radius-truncated, which is where they beat the
-    Dijkstra values, so the l̄(ϕ)-ball Dijkstra is skipped entirely.
-    Buckets depend only on the target sets and are memoized on the
-    hierarchy (``shared_cache``, a
+    target set's hub bucket.  Buckets depend only on the target sets and
+    are memoized on the hierarchy (``shared_cache``, a
     :class:`~repro.core.distcache.DistanceCache`, only counts their
     traffic) — a warm query skips every downward sweep.  Each CH value
     is :func:`shaved` before use.
+
+    Without ``ch`` the result carries the to-go rows
+    (:func:`to_go_rows`), taken from ``previous`` when it has them —
+    the bounds of an earlier leg of the same search — and built
+    otherwise; ``stats.extra["to_go_sweeps"]`` counts the sweeps built.
     """
     if landmarks is not None and ch is not None:
         raise ValueError("pass at most one of landmarks and ch")
@@ -175,32 +282,30 @@ def compute_lower_bounds(
     radius = skyline.perfect_route_length()  # l̄(ϕ)
 
     start = query.start
-    if ch is not None or radius == math.inf:
-
-        def restrict(vids):
-            return vids
-
-    elif landmarks is not None:
-        # ALT replaces the exact ball: lb(start, v) > radius implies
-        # d(start, v) > radius, so this keeps a superset of the ball —
-        # legs over supersets are weaker but still valid lower bounds,
-        # and the l̄(ϕ)-ball Dijkstra is skipped entirely.
+    if landmarks is not None and radius != math.inf:
+        # ALT keeps a superset of the l̄(ϕ) ball: lb(start, v) > radius
+        # implies d(start, v) > radius, and legs over supersets are
+        # weaker but still valid lower bounds.
         within = landmarks.restrict_within
 
         def restrict(vids):
             return within(start, vids, radius)
 
     else:
-        ball = bounded_dijkstra(network, start, radius)
 
         def restrict(vids):
-            return [v for v in vids if v in ball]
+            return vids
 
     candidate_sets = [restrict(spec.sim_map) for spec in specs]
     profiles: list[Profile | None] | None = None
     if landmarks is not None:
         profiles = [landmarks.profile(c) for c in candidate_sets]
         bounds.position_profiles = profiles
+    fields = (
+        [candidate_field(network, spec) for spec in specs]
+        if ch is None
+        else None
+    )
 
     def leg(j: int, kind: str, targets) -> float:
         """Minimum distance from position ``j``'s candidates to
@@ -221,6 +326,12 @@ def compute_lower_bounds(
                     (kind, src_key, tgt_key), src_key, sources, bucket
                 ))
             return shaved(ch.min_from_set(sources, bucket))
+        if kind == "ls" and profiles is None:
+            target_field = fields[j + 1]  # type: ignore[index]
+            if target_field is not None:
+                return min(
+                    (target_field[c] for c in sources), default=math.inf
+                )
         value = multi_source_min_distance(
             network, sources, targets, radius=radius
         )
@@ -278,6 +389,18 @@ def compute_lower_bounds(
                 (dest_dist.get(p, math.inf) for p in last_candidates),
                 default=math.inf,
             )
+
+    if fields is not None:
+        if previous is not None and previous.to_go is not None:
+            bounds.to_go = previous.to_go
+            bounds.to_go_min = previous.to_go_min
+            sweeps = 0
+        else:
+            bounds.to_go, bounds.to_go_min, sweeps = to_go_rows(
+                network, query, fields, dest_dist
+            )
+        if stats is not None:
+            stats.extra["to_go_sweeps"] = sweeps
 
     if stats is not None:
         stats.bounds_time = perf_counter() - started

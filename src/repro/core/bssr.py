@@ -162,8 +162,8 @@ class SearchState:
             discarded so a wider ``k`` can take it up again.
         queue: the route priority queue ``Q_b`` (empty at a checkpoint).
         bounds: the Section 5.3.3 lower bounds for the current ``k``
-            (the ``l̄(ϕ)`` ball grows with ``k``, so resume recomputes
-            them).
+            (the ``l̄(ϕ)`` radius of the ``l_p`` legs grows with ``k``,
+            so resume recomputes them; the to-go rows carry over).
         dest_dist: reverse distances to the destination, if any.
         cache: the on-the-fly modified-Dijkstra cache (Section 5.3.4) —
             shared across resumes, which is a large part of why resuming
@@ -267,6 +267,10 @@ class BSSRSearch:
         # candidate distance field per position (None: all-zero), bound
         # by _bind_prune_tests
         self._fields: list[list[float] | None] = [None] * self.n
+        # per position, the floor on what a child still has to travel
+        # once it takes a candidate there (its expansion budget's
+        # reserve), bound by _bind_prune_tests
+        self._reserve: list[float] = [0.0] * self.n
 
     # Durable checkpoints ----------------------------------------------
 
@@ -356,8 +360,9 @@ class BSSRSearch:
         """Widen the checkpointed search to ``k`` and continue.
 
         Rebuilds the skyband from the archive at the larger ``k``,
-        recomputes the lower bounds (the ``l̄(ϕ)`` ball grows with the
-        k-th perfect length), re-enqueues every deferred route, and
+        recomputes the lower bounds (the ``l̄(ϕ)`` radius grows with the
+        k-th perfect length; the to-go rows are reused), re-enqueues
+        every deferred route, and
         drains the queue under the relaxed thresholds.  Returns the full
         widened skyband plus the stats of *this leg only*, so callers
         can compare resume cost against a from-scratch run.
@@ -390,7 +395,7 @@ class BSSRSearch:
             return self.skyline.routes(), self.stats
         state.k = k
         state.skyband = self._rebuild_skyband(k)
-        # The ball radius l̄(ϕ) grew with k: pass-1 bounds may overprune
+        # The radius l̄(ϕ) grew with k: pass-1 bounds may overprune
         # routes that only the wider skyband admits, so recompute.
         if self.state.bounds is not None and not self.options.lower_bounds:
             self.bounds = self.state.bounds  # disabled bounds stay valid
@@ -467,6 +472,7 @@ class BSSRSearch:
             landmarks=self._landmarks,
             ch=self._ch_index() if self.options.use_contraction else None,
             shared_cache=self._bucket_cache(),
+            previous=self.bounds,
         )
 
     def _rebuild_skyband(self, k: int) -> _ArchivingSkyband:
@@ -519,25 +525,41 @@ class BSSRSearch:
     # ------------------------------------------------------------------
 
     def _bind_prune_tests(self) -> None:
-        """Bind :meth:`_prunable` for every route size against the
-        current skyband and bounds (both fixed until the next resume).
+        """Bind :meth:`_prunable` for every route size, and each
+        position's expansion reserve, against the current skyband and
+        bounds (both fixed until the next resume).
 
         Without ``use_contraction``, ``lower_bounds`` also binds each
         position's memoized candidate distance field
-        (:func:`~repro.core.search.candidate_field`): the A* potential
-        of its modified Dijkstra and the anchored next-leg floor here.
+        (:func:`~repro.core.search.candidate_field`), the A* potential
+        of its modified Dijkstra.  The reserve of position ``j`` is
+        what any child still has to travel after its position-``j``
+        candidate: the shaved least to-go value over the position's
+        candidates when the bounds carry to-go rows, the suffix of
+        per-leg minima otherwise; at the final position it is the
+        destination leg floor either way.
         """
+        bounds = self.bounds
         if self.options.lower_bounds and not self.options.use_contraction:
             self._fields = [
                 candidate_field(self.network, spec)
                 for spec in self.query.specs
             ]
+        if bounds.to_go_min is not None:
+            reserve = [shaved(value) for value in bounds.to_go_min]
+        else:
+            reserve = [
+                bounds.suffix_ls[j + 1] + bounds.dest_min
+                for j in range(self.n)
+            ]
+        reserve[-1] = bounds.dest_min
+        self._reserve = reserve
         self._prune_tests = [self._prunable(size) for size in range(self.n)]
 
     def _prunable(
         self, size: int
     ) -> Callable[[float, float, object, int], bool]:
-        """Lemma 5.3 (with Section 5.3.3 suffixes) + Lemma 5.8 for
+        """Lemma 5.3 (with Section 5.3.3 floors) + Lemma 5.8 for
         routes of ``size`` PoIs: ``prunable(length, semantic, sem_state,
         last)``.
 
@@ -547,13 +569,21 @@ class BSSRSearch:
         is bound once; what is left per route is the arithmetic.
 
         ``last`` is the route's current endpoint (the start vertex for
-        an empty route).  It anchors the exact next-leg floor: the
-        distance from ``last`` to the next position's full candidate set
-        — from the hierarchy under ``use_contraction``, from the
-        position's candidate distance field otherwise (with ALT, the
-        landmark profile floor where a position has no field).  It
-        replaces the generic per-leg minimum when sharper — and covers
-        the start → position-0 leg the generic family omits entirely.
+        an empty route), and the length floor is anchored on it:
+
+        * with to-go rows (``lower_bounds`` without ``use_contraction``)
+          a route of size ``1 … n−1`` is floored at ``length`` plus its
+          shaved to-go value — the exact remaining route, destination
+          included, relaxed to ignore distinctness and similarity.  The
+          empty route, popped only after a resume, is floored without a
+          sweep: its shaved first-leg field value plus position 0's
+          reserve;
+        * under ``use_contraction``, at ``length`` plus the per-leg
+          suffix and destination floor, where the exact next-leg
+          distance from ``last`` to the next position's full candidate
+          set (memoized on the hierarchy) replaces the generic next leg
+          when sharper, and covers the start leg;
+        * with ``lower_bounds`` off, at ``length`` alone.
         """
         skyline = self.skyline
         threshold = skyline.threshold
@@ -564,43 +594,46 @@ class BSSRSearch:
         # generic per-leg minimum is 0 then, and the anchored floor
         # simply adds on top.
         generic = bounds.legs_ls[size - 1] if size and bounds.legs_ls else 0.0
+        # ``rest(last)``: everything the floor adds to ``length``
+        rest: Callable[[int], float] | None = None
+        # ``anchor(last)``: the CH next-leg floor, on top of the suffix
         anchor: Callable[[int], float] | None = None
-        if size < self.n:
-            if self.options.use_contraction and self.options.lower_bounds:
-                # Exact next-leg distance from the concrete endpoint to
-                # the next position's full candidate set — memoized per
-                # (vertex, category) on the hierarchy, so after the
-                # first probe the floor is a dict lookup (eps-shaved
-                # like every CH sum).
-                spec = self.query.specs[size]
-                if spec.share_key is not None:
-                    vertex_min = self._ch_index().vertex_min
-                    share_key = spec.share_key
-                    sim_map = spec.sim_map
+        if bounds.to_go is not None:
+            if size:
+                row = bounds.to_go[size]
 
-                    def anchor(last: int) -> float:
-                        return shaved(
-                            vertex_min("cands", share_key, last, sim_map)
-                        )
+                def rest(last: int) -> float:
+                    return shaved(row[last])  # type: ignore[index]
 
-            elif self._fields[size] is not None:
-                # The same distance, read off the position's field.  It
-                # is an exact double on the grain, but shaved like the
-                # CH floor, so both paths cut at the same ties.
-                field = self._fields[size]
+            else:
+                first = self._fields[0]
+                empty_floor = (
+                    shaved(first[self.query.start]) if first is not None
+                    else 0.0
+                ) + self._reserve[0]
 
-                def anchor(last: int) -> float:
-                    return shaved(field[last])
+                def rest(last: int) -> float:
+                    return empty_floor
 
-            elif (
-                self._landmarks is not None
-                and bounds.position_profiles is not None
-            ):
-                min_from_vertex = self._landmarks.min_from_vertex
-                profile = bounds.position_profiles[size]
+        elif (
+            size < self.n
+            and self.options.use_contraction
+            and self.options.lower_bounds
+        ):
+            # Exact next-leg distance from the concrete endpoint to the
+            # next position's full candidate set — memoized per (vertex,
+            # category) on the hierarchy, so after the first probe the
+            # floor is a dict lookup (eps-shaved like every CH sum).
+            spec = self.query.specs[size]
+            if spec.share_key is not None:
+                vertex_min = self._ch_index().vertex_min
+                share_key = spec.share_key
+                sim_map = spec.sim_map
 
                 def anchor(last: int) -> float:
-                    return min_from_vertex(last, profile)
+                    return shaved(
+                        vertex_min("cands", share_key, last, sim_map)
+                    )
 
         perfect = self.options.effective_perfect_bound() and size < self.n
         if perfect:
@@ -614,13 +647,19 @@ class BSSRSearch:
         def prunable(
             length: float, semantic: float, sem_state, last: int
         ) -> bool:
-            floor = length + suffix + dest_min
-            if anchor is not None:
-                anchored = floors.get(last)
-                if anchored is None:
-                    anchored = floors[last] = anchor(last)
-                if anchored > generic:
-                    floor += anchored - generic
+            if rest is not None:
+                extra = floors.get(last)
+                if extra is None:
+                    extra = floors[last] = rest(last)
+                floor = length + extra
+            else:
+                floor = length + suffix + dest_min
+                if anchor is not None:
+                    anchored = floors.get(last)
+                    if anchored is None:
+                        anchored = floors[last] = anchor(last)
+                    if anchored > generic:
+                        floor += anchored - generic
             if floor >= threshold(semantic):
                 return True
             if perfect and len(skyline):
@@ -749,7 +788,7 @@ class BSSRSearch:
         position = route.size
         new_size = position + 1
         skyline = self.skyline
-        suffix_next = self.bounds.suffix_ls[new_size] + self.bounds.dest_min
+        reserve = self._reserve[position]
         length = route.length
         semantic = route.semantic
 
@@ -757,7 +796,7 @@ class BSSRSearch:
             # Lemma 5.3 break: settle only while a candidate at this
             # distance could still beat the threshold at the route's
             # (minimum possible) semantic score.
-            return skyline.threshold(semantic) - length - suffix_next
+            return skyline.threshold(semantic) - length - reserve
 
         if self.options.use_contraction:
             search = self._ch_stream(route, position)

@@ -35,15 +35,15 @@ class BSSROptions:
             cache (Section 5.3.4), one per ``(source, position)``;
             ``False`` builds a fresh search per expansion (the paper's
             Figure 5 ablation).
-        use_landmarks: sharpen the Section 5.3.3 bounds with ALT
-            (landmark triangle-inequality) lower bounds from
-            :mod:`repro.graph.landmarks` — both the per-leg minimum
-            distances and a per-route next-leg floor anchored at the
-            route's last vertex (including the otherwise-unbounded
-            start leg).  Requires ``lower_bounds``; pure pruning, never
-            semantics.  Ignored under ``use_contraction``, whose exact
-            legs and floors supersede it.  The landmark tables are
-            built once per network and memoized.
+        use_landmarks: compute the Section 5.3.3 per-leg minimum
+            distances with ALT (landmark triangle-inequality) lower
+            bounds from :mod:`repro.graph.landmarks` over a superset of
+            the ``l̄(ϕ)`` ball.  Route floors stay the to-go rows of
+            :mod:`repro.core.bounds`.  Requires ``lower_bounds``; pure
+            pruning, never semantics.  Ignored under
+            ``use_contraction``, whose exact legs and floors supersede
+            it.  The landmark tables are built once per network and
+            memoized.
         use_contraction: serve exact legs from the contraction
             hierarchy (:mod:`repro.graph.contraction`, memoized per
             network): the Section 5.3.3 leg bounds become exact
@@ -52,10 +52,10 @@ class BSSROptions:
             memoized CH label-row stream instead of the modified
             Dijkstra, and destination queries replace the eager
             full reverse Dijkstra with a lazy CH oracle.  Pure
-            pruning/acceleration — result scores are unchanged (equal
-            bit for bit on integer-weight graphs; within float
-            round-off of the summation order otherwise, which the
-            eps-shaved bounds absorb).  A restored session takes this
+            pruning/acceleration — routes are equal bit for bit,
+            because every edge weight sits on the grain of
+            :meth:`~repro.graph.road_network.RoadNetwork.add_edge` and
+            every distance sum is exact.  A restored session takes this
             flag from its checkpoint, so CH candidate-stream offsets
             line up.
         k: answer the *top-k* sequenced route query — the search keeps

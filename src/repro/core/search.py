@@ -46,8 +46,9 @@ stream of the all-zero field, which is the paper's plain Algorithm 2
 for bit because edge weights sit on the grain of
 :meth:`~repro.graph.road_network.RoadNetwork.add_edge`: every distance,
 field value and key is an exact double, so no sum depends on the order
-its legs were added in.  BSSR reads the same field once more as the
-anchored next-leg floor of its prune test.
+its legs were added in.  The last position's field is also the last of
+BSSR's to-go rows (:mod:`repro.core.bounds`), the floors of its prune
+test.
 
 Searches are never written to a session checkpoint.  Their candidate
 streams are deterministic, so a restored session rebuilds each one
@@ -168,6 +169,32 @@ class CHCandidateStream:
             lo = hi
 
 
+def field_memo(network: RoadNetwork) -> dict:
+    """The network's memo of distance fields over candidate sets.
+
+    Keys are candidate sets: ``frozenset(C)`` holds the field toward
+    ``C`` (:func:`candidate_field`), ``(frozenset(C), frozenset(D))``
+    the to-go row of the pair ``C`` then ``D`` (see
+    :mod:`repro.core.bounds`), built from :func:`set_key`.  A PoI edit
+    (``RoadNetwork.poi_version``) or a new vertex or edge drops every
+    entry.
+    """
+    token = (network.num_vertices, network.num_edges, network.poi_version)
+    cached = getattr(network, "_candidate_fields", None)
+    if cached is None or cached[0] != token:
+        cached = (token, {})
+        network._candidate_fields = cached  # type: ignore[attr-defined]
+    return cached[1]
+
+
+def set_key(memo: dict, candidates) -> frozenset:
+    """``frozenset(candidates)`` as one object per distinct set in
+    ``memo``, so the pair keys that name a set share it instead of each
+    holding a copy."""
+    key = frozenset(candidates)
+    return memo.setdefault(("set", key), key)
+
+
 def candidate_field(
     network: RoadNetwork, spec: PositionSpec
 ) -> list[float] | None:
@@ -175,20 +202,14 @@ def candidate_field(
     ``field[v]`` is the network distance from ``v`` to its nearest
     candidate (see :func:`~repro.graph.dijkstra.distance_field`).
 
-    One field per network and distinct candidate set, keyed by the set
-    itself, so every category whose matches are the same PoIs shares one
-    field object.  A PoI edit (``RoadNetwork.poi_version``) or a new
-    vertex or edge drops the memo.  Specs without a ``share_key``
+    One field per network and distinct candidate set (:func:`field_memo`),
+    keyed by the set itself, so every category whose matches are the
+    same PoIs shares one field object.  Specs without a ``share_key``
     (predicates, built per query) get ``None`` and never populate it.
     """
     if spec.share_key is None:
         return None
-    token = (network.num_vertices, network.num_edges, network.poi_version)
-    cached = getattr(network, "_candidate_fields", None)
-    if cached is None or cached[0] != token:
-        cached = (token, {})
-        network._candidate_fields = cached  # type: ignore[attr-defined]
-    fields = cached[1]
+    fields = field_memo(network)
     targets = frozenset(spec.sim_map)
     field = fields.get(targets)
     if field is None:

@@ -59,9 +59,8 @@ class PositionSpec:
         label: human-readable requirement description.
         sim_map: PoI vertex id → similarity (only candidates, sim > 0).
         perfect: PoI vertex ids with similarity exactly 1.
-        tree_ids: category trees the candidates are drawn from — used to
-            decide whether the on-the-fly cache is route-independent
-            (safe) for this query.
+        tree_ids: category trees the candidates are drawn from
+            (descriptive; no search decision reads it).
         best_nonperfect: largest candidate similarity strictly below 1,
             or ``None`` when every candidate is perfect.
         share_key: identity of this spec's matching model *independent

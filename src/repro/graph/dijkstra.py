@@ -7,16 +7,17 @@ Five flavors, all lazy-deletion binary-heap implementations over
   predecessors for path reconstruction, optionally terminating early
   once a ``target`` vertex settles);
 * :func:`bounded_dijkstra` — single-source distances restricted to a
-  radius (used to restrict candidate sets to the ``l̄(ϕ)`` ball in
-  Algorithm 4 line 3);
+  radius (the ``l̄(ϕ)`` ball of the paper's Algorithm 4 line 3, which
+  :mod:`repro.core.bounds` replaces with full-set legs);
 * :func:`multi_source_min_distance` — the paper's multi-source
   multi-destination Dijkstra (Section 5.3.3, Lemma 5.9): minimum
   distance from *any* source to *any* destination, stopping at the
   first settled destination;
 * :func:`distance_field` — the distance from every vertex *to* a vertex
-  set, by one reverse multi-source sweep: the A* potential and next-leg
-  floor of BSSR's goal-directed modified Dijkstra
-  (:mod:`repro.core.search`);
+  set, optionally plus a per-target offset, by one reverse multi-source
+  sweep: the A* potential of BSSR's goal-directed modified Dijkstra
+  (:mod:`repro.core.search`) and, offset by the next position's row,
+  each of its to-go rows (:mod:`repro.core.bounds`);
 * :class:`ResumableDijkstra` — an incremental expansion that yields
   settled vertices in distance order and can be resumed with a larger
   radius later; this powers the PNE baseline's progressive
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.graph.csr import flat_adjacency
@@ -261,24 +262,33 @@ def multi_source_min_distance(
 
 
 def distance_field(
-    network: RoadNetwork, targets: Collection[int]
+    network: RoadNetwork,
+    targets: Collection[int],
+    offsets: Sequence[float] | Mapping[int, float] | None = None,
 ) -> list[float]:
-    """``field[v]``: the network distance from ``v`` *to* the nearest
-    vertex of ``targets`` (``inf`` when none is reachable).
+    """``field[v]``: the least ``d(v, t) + offsets[t]`` over the vertices
+    ``t`` of ``targets`` (``inf`` when none is reachable); every offset
+    is 0 without ``offsets``, which makes ``field[v]`` the network
+    distance from ``v`` *to* the nearest target.
 
-    One multi-source sweep over incoming edges, every target at 0.  The
-    field is consistent — ``field[u] <= w(u, v) + field[v]`` on every
-    edge — so it is an admissible A* potential toward ``targets`` and
-    an exact next-leg floor from any vertex.  Weights on the grain make
-    each value the exact double a forward search reaches.
+    One multi-source sweep over incoming edges, each target seeded at its
+    offset.  The field is consistent — ``field[u] <= w(u, v) + field[v]``
+    on every edge — so the zero-offset field is an admissible A*
+    potential toward ``targets`` and an exact next-leg floor from any
+    vertex.  Seeding each target at the length still ahead of it (its
+    value in the next set's field) makes the sweep one step of a
+    backward dynamic program over a sequence of vertex sets.  Weights on
+    the grain make each value the exact double a forward search reaches.
     """
     rows = flat_adjacency(network, reverse=True)
     n = len(rows)
     field = [math.inf] * n
     heap: list[tuple[float, int]] = []
     for t in targets:
-        field[t] = 0.0
-        heap.append((0.0, t))
+        d = 0.0 if offsets is None else offsets[t]
+        if d < field[t]:
+            field[t] = d
+            heap.append((d, t))
     heapq.heapify(heap)
     settled = bytearray(n)
     push, pop = heapq.heappush, heapq.heappop

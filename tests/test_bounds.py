@@ -69,7 +69,8 @@ def test_legs_and_suffixes():
 
 
 def test_ball_restriction_prunes_far_candidates():
-    """Candidates beyond the l̄(ϕ) radius are ignored (Alg. 4 line 3)."""
+    """A short perfect route does not restrict the candidate sets of
+    the default path: the leg stays the full-set minimum."""
     net, query, ids = _chain_instance()
     skyline = SkylineSet()
     # pretend the perfect route is very short: radius 2 excludes museum+

@@ -78,12 +78,12 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
 #: under CH the settles are the hierarchy's first-touch memo builds
 GOLDEN_WORK = {
     "default": [
-        (11, 12, 1, 25, 3, 0, 413, 1592, 522, 12, 11),
-        (45, 73, 28, 384, 12, 42, 6613, 24890, 8753, 34, 55),
-        (9, 15, 6, 1, 6, 24, 1763, 6669, 1790, 8, 11),
-        (10, 42, 32, 30, 8, 5, 2450, 9171, 2345, 10, 40),
+        (8, 9, 1, 22, 3, 0, 379, 1458, 451, 9, 8),
+        (44, 73, 29, 382, 12, 42, 6591, 24806, 8711, 33, 55),
+        (9, 15, 6, 1, 6, 24, 1722, 6520, 1747, 8, 11),
+        (10, 31, 21, 41, 8, 5, 2445, 9159, 2342, 10, 29),
         (17, 21, 4, 8, 14, 85, 3375, 12664, 3322, 12, 11),
-        (4, 4, 0, 3, 2, 0, 315, 1208, 244, 5, 3),
+        (4, 4, 0, 1, 2, 0, 240, 909, 134, 4, 2),
     ],
     "ch": [
         (11, 12, 1, 25, 3, 0, 1209, 6909, 0, 0, 11),

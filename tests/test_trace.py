@@ -69,3 +69,31 @@ def test_table4_experiment_report():
     report = table4.run()
     assert "final SkySR set" in report.table
     assert report.data["steps"] >= 3
+
+
+#: the rendered Figure-1 trace; a change to it has to be deliberate
+TABLE4_TRACE = """\
+query: Asian Restaurant -> Arts & Entertainment -> Gift Shop from vq
+
+  1  init    ⟨⟩                 Qb: ⟨31⟩, ⟨39⟩
+                                S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
+  2  expand  ⟨31⟩               Qb: ⟨31,34⟩, ⟨39⟩
+                                S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
+  3  expand  ⟨31,34⟩            Qb: ⟨39⟩
+                                S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
+  4  expand  ⟨39⟩               Qb: (empty)
+                                S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
+
+final SkySR set:
+  l=7  s=0.3333  p2 -> p5 -> p7
+  l=9  s=0  p2 -> p5 -> p8
+(3 expansions, 0 pruned at pop)"""
+
+
+def test_table4_trace_is_pinned():
+    """Steps, queues, skyline and counts of the running example.  ⟨35⟩
+    never enters the queue: its to-go floor 3 + 8 = 11 exceeds the
+    threshold 9 when it is offered as a child of the empty route."""
+    from repro.experiments import table4
+
+    assert table4.run().table == TABLE4_TRACE
