@@ -31,9 +31,8 @@ the caller:
   truncated Dijkstra.
 * **ALT** (``BSSROptions.use_landmarks``): a
   :class:`~repro.graph.landmarks.LandmarkIndex` restricts each set to a
-  superset of the ``l̄(ϕ)`` ball, maxes each truncated Dijkstra leg with
-  the ALT set-to-set bound, and keeps per-position candidate
-  *profiles* on the result.
+  superset of the ``l̄(ϕ)`` ball and maxes each truncated Dijkstra leg
+  with the ALT set-to-set bound.
 * **Contraction hierarchy** (``BSSROptions.use_contraction``): each
   leg is the exact set-to-set minimum over the *full* candidate sets,
   memoized on the hierarchy.  It supersedes ALT, so no landmark code
@@ -46,10 +45,16 @@ shortest walk from ``v`` through one candidate of each position
 optimal sequenced route over the remaining positions, which the sum of
 per-leg minima only bounds from below.  It ignores distinctness and
 similarity, so it is an admissible floor on what any route of size
-``j`` ending at ``v`` still has to travel.  Rows and profiles are
-advisory and never serialized.  Rows do not depend on ``k``: a live
-search reuses them when it resumes, and a restored one rebuilds them.
-Profiles are recomputed with the bounds.
+``j`` ending at ``v`` still has to travel.  Rows are advisory and
+never serialized.  They do not depend on ``k``: a live search reuses
+them when it resumes, and a restored one rebuilds them.
+
+Every value here is used as computed.  Edge weights sit on the grain of
+:meth:`~repro.graph.road_network.RoadNetwork.add_edge`, so each Dijkstra
+leg, CH leg, to-go row and destination floor is an exact distance sum,
+never above the true remainder.  A floor that ties a threshold does
+not prune (:meth:`~repro.core.bssr.BSSRSearch._prunable` cuts only
+above it), so no slack is needed to keep a tie alive.
 """
 
 from __future__ import annotations
@@ -81,26 +86,8 @@ from repro.graph.road_network import RoadNetwork
 # module because ``perfbench/spans.py`` wraps it, with
 # ``multi_source_min_distance``, through ``bounds.__dict__``.
 
-#: relative slack that keeps a floor strictly below a tie (see :func:`shaved`)
-_EPS = 1e-9
-
 #: target bucket kind of each leg family
 _BUCKET_KIND = {"ls": "cands", "lp": "perfect"}
-
-
-def shaved(value: float) -> float:
-    """``value`` shaved by a relative epsilon, for use as a floor.
-
-    Every distance sum is exact on the weight grain, so the shave does
-    not absorb round-off.  It keeps a floor that ties a threshold
-    exactly from pruning: the prune tests cut at ``floor >= threshold``,
-    and the anchored floors (CH's and the to-go rows) are shaved before
-    they are compared.  It costs ~1e-9 of pruning power.  ``inf`` stays
-    ``inf``: unreachability is exact set logic, not arithmetic.
-    """
-    if value == math.inf:
-        return value
-    return value - _EPS * value
 
 
 @dataclass
@@ -126,10 +113,6 @@ class LowerBounds:
     dest_min: float = 0.0
     legs_ls: list[float] = field(default_factory=list)
     legs_lp: list[float] = field(default_factory=list)
-    #: per-position ALT profiles over the restricted candidate sets
-    #: (``None`` without landmarks); advisory — not serialized, and
-    #: recomputed with the bounds on resume
-    position_profiles: list[Profile | None] | None = None
     #: ``to_go[j]`` for route sizes ``j = 1 … n−1`` (``to_go[0]`` is
     #: ``None``); advisory — not serialized, rebuilt after a restore
     to_go: list[Sequence[float] | None] | None = None
@@ -249,7 +232,7 @@ def compute_lower_bounds(
 
     Takes at most one of ``landmarks`` and ``ch`` (see the module
     docstring).  ``landmarks`` sharpens each Dijkstra leg with the ALT
-    set-to-set bound and attaches per-position candidate profiles.
+    set-to-set bound.
 
     ``ch`` replaces the multi-source Dijkstras outright: each leg
     becomes the **exact** set-to-set minimum distance over the *full*
@@ -257,8 +240,7 @@ def compute_lower_bounds(
     target set's hub bucket.  Buckets depend only on the target sets and
     are memoized on the hierarchy (``shared_cache``, a
     :class:`~repro.core.distcache.DistanceCache`, only counts their
-    traffic) — a warm query skips every downward sweep.  Each CH value
-    is :func:`shaved` before use.
+    traffic) — a warm query skips every downward sweep.
 
     Without ``ch`` the result carries the to-go rows
     (:func:`to_go_rows`), taken from ``previous`` when it has them —
@@ -300,7 +282,6 @@ def compute_lower_bounds(
     profiles: list[Profile | None] | None = None
     if landmarks is not None:
         profiles = [landmarks.profile(c) for c in candidate_sets]
-        bounds.position_profiles = profiles
     fields = (
         [candidate_field(network, spec) for spec in specs]
         if ch is None
@@ -322,10 +303,10 @@ def compute_lower_bounds(
                 ch, shared_cache, _BUCKET_KIND[kind], tgt_key, targets
             )
             if src_key is not None and tgt_key is not None:
-                return shaved(ch.memo_min(
+                return ch.memo_min(
                     (kind, src_key, tgt_key), src_key, sources, bucket
-                ))
-            return shaved(ch.min_from_set(sources, bucket))
+                )
+            return ch.min_from_set(sources, bucket)
         if kind == "ls" and profiles is None:
             target_field = fields[j + 1]  # type: ignore[index]
             if target_field is not None:
@@ -383,7 +364,7 @@ def compute_lower_bounds(
                 )
             else:
                 dest_min = ch.min_from_set(last_candidates, dest_dist.bucket)
-            bounds.dest_min = shaved(dest_min)
+            bounds.dest_min = dest_min
         else:
             bounds.dest_min = min(
                 (dest_dist.get(p, math.inf) for p in last_candidates),

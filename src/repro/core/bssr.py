@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable
 
-from repro.core.bounds import LowerBounds, compute_lower_bounds, shaved
+from repro.core.bounds import LowerBounds, compute_lower_bounds
 from repro.core.distcache import DistanceCache
 from repro.core.dominance import SkybandSet
 from repro.core.nninit import nninit
@@ -126,10 +126,7 @@ class _ArchivingSkyband(SkybandSet):
         self.archive = archive
 
     def update(self, route: SkylineRoute) -> bool:
-        # like the skyband, keep the shorter of two ULP-apart copies
-        known = self.archive.get(route.pois)
-        if known is None or route.length < known.length:
-            self.archive[route.pois] = route
+        self.archive[route.pois] = route
         return super().update(route)
 
 
@@ -534,10 +531,13 @@ class BSSRSearch:
         (:func:`~repro.core.search.candidate_field`), the A* potential
         of its modified Dijkstra.  The reserve of position ``j`` is
         what any child still has to travel after its position-``j``
-        candidate: the shaved least to-go value over the position's
+        candidate: the least to-go value over the position's
         candidates when the bounds carry to-go rows, the suffix of
         per-leg minima otherwise; at the final position it is the
-        destination leg floor either way.
+        destination leg floor either way.  Every floor is an exact sum
+        on the weight grain and is bound as computed: the prune tests
+        cut only above a threshold, so a floor that ties one needs no
+        slack to keep its route alive.
         """
         bounds = self.bounds
         if self.options.lower_bounds and not self.options.use_contraction:
@@ -546,7 +546,7 @@ class BSSRSearch:
                 for spec in self.query.specs
             ]
         if bounds.to_go_min is not None:
-            reserve = [shaved(value) for value in bounds.to_go_min]
+            reserve = list(bounds.to_go_min)
         else:
             reserve = [
                 bounds.suffix_ls[j + 1] + bounds.dest_min
@@ -568,16 +568,23 @@ class BSSRSearch:
         the child is built.  Everything that depends on ``size`` alone
         is bound once; what is left per route is the arithmetic.
 
+        Every comparison is strict.  A route whose floor *equals* the
+        threshold at its semantic score may complete with exactly a
+        member's scores and a lexicographically smaller PoI tuple, which
+        :meth:`SkybandSet.update` keeps as the representative; pruning
+        it would make the answer depend on discovery order.  The same
+        holds for both Lemma 5.8 conditions.  An infinite floor prunes
+        whatever the threshold: no completion exists.
+
         ``last`` is the route's current endpoint (the start vertex for
         an empty route), and the length floor is anchored on it:
 
         * with to-go rows (``lower_bounds`` without ``use_contraction``)
           a route of size ``1 … n−1`` is floored at ``length`` plus its
-          shaved to-go value — the exact remaining route, destination
+          to-go value — the exact remaining route, destination
           included, relaxed to ignore distinctness and similarity.  The
           empty route, popped only after a resume, is floored without a
-          sweep: its shaved first-leg field value plus position 0's
-          reserve;
+          sweep: its first-leg field value plus position 0's reserve;
         * under ``use_contraction``, at ``length`` plus the per-leg
           suffix and destination floor, where the exact next-leg
           distance from ``last`` to the next position's full candidate
@@ -602,14 +609,12 @@ class BSSRSearch:
             if size:
                 row = bounds.to_go[size]
 
-                def rest(last: int) -> float:
-                    return shaved(row[last])  # type: ignore[index]
+                rest = row.__getitem__  # type: ignore[union-attr]
 
             else:
                 first = self._fields[0]
                 empty_floor = (
-                    shaved(first[self.query.start]) if first is not None
-                    else 0.0
+                    first[self.query.start] if first is not None else 0.0
                 ) + self._reserve[0]
 
                 def rest(last: int) -> float:
@@ -623,7 +628,7 @@ class BSSRSearch:
             # Exact next-leg distance from the concrete endpoint to the
             # next position's full candidate set — memoized per (vertex,
             # category) on the hierarchy, so after the first probe the
-            # floor is a dict lookup (eps-shaved like every CH sum).
+            # floor is a dict lookup.
             spec = self.query.specs[size]
             if spec.share_key is not None:
                 vertex_min = self._ch_index().vertex_min
@@ -631,9 +636,7 @@ class BSSRSearch:
                 sim_map = spec.sim_map
 
                 def anchor(last: int) -> float:
-                    return shaved(
-                        vertex_min("cands", share_key, last, sim_map)
-                    )
+                    return vertex_min("cands", share_key, last, sim_map)
 
         perfect = self.options.effective_perfect_bound() and size < self.n
         if perfect:
@@ -660,15 +663,15 @@ class BSSRSearch:
                         anchored = floors[last] = anchor(last)
                     if anchored > generic:
                         floor += anchored - generic
-            if floor >= threshold(semantic):
+            if floor > threshold(semantic) or floor == math.inf:
                 return True
             if perfect and len(skyline):
                 delta = min_increment(sem_state, remaining)
                 if (
                     delta > 0.0
-                    and threshold(semantic + delta) <= length
+                    and threshold(semantic + delta) < length
                     and threshold(semantic)
-                    <= length + suffix_lp + dest_min
+                    < length + suffix_lp + dest_min
                 ):
                     return True
             return False
@@ -786,16 +789,19 @@ class BSSRSearch:
         new offset so a resumed search picks up the remainder.
         """
         position = route.size
+        reserve = self._reserve[position]
+        if reserve == math.inf:
+            return  # no candidate of this position reaches a completion
         new_size = position + 1
         skyline = self.skyline
-        reserve = self._reserve[position]
         length = route.length
         semantic = route.semantic
 
         def budget() -> float:
             # Lemma 5.3 break: settle only while a candidate at this
-            # distance could still beat the threshold at the route's
-            # (minimum possible) semantic score.
+            # distance could still reach the threshold at the route's
+            # (minimum possible) semantic score; the stream keeps a
+            # candidate exactly at the budget.
             return skyline.threshold(semantic) - length - reserve
 
         if self.options.use_contraction:
@@ -912,7 +918,7 @@ class BSSRSearch:
                     version = skyline.version
                     limit = budget()
                 d = dists[i]
-                if d >= limit:
+                if d > limit:
                     return i
                 vid = vids[i]
                 if vid in pois:

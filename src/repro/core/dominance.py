@@ -177,24 +177,12 @@ class SkybandSet:
         tuple is retained, so the surviving representative never
         depends on the order routes were discovered in.
 
-        A PoI tuple holds at most one slot.  The tuple fixes a route's
-        similarity vector, hence its semantic score, but two searches
-        can sum its legs along different equal-length paths and land an
-        ULP apart; the shorter copy is kept, and the longer one never
-        takes a slot or evicts a member.
+        A PoI tuple has one score pair: its similarities fix the
+        semantic score, and every search sums its legs, each an exact
+        distance on the weight grain, to the same length.  So a route
+        offered again is an equal-score duplicate of itself and counts
+        one reject without touching the members.
         """
-        for i, member in enumerate(self._entries):
-            if (
-                member.pois == route.pois
-                and member.semantic == route.semantic
-            ):
-                if route.length >= member.length:
-                    self.rejects += 1
-                    return False
-                del self._keys[i]
-                del self._entries[i]
-                self._changed()
-                break
         key = (route.length, route.semantic)
         idx = bisect.bisect_left(self._keys, key)
         if idx < len(self._keys) and self._keys[idx] == key:
@@ -261,10 +249,13 @@ class SkybandSet:
         """Definition 5.4, generalized: the ``k``-th smallest length
         among members with ``s ≤ semantic``.
 
-        A candidate at this length or more (and this semantic score or
-        worse) is rejected by :meth:`update` — it is equivalent to or
-        dominated by ``k`` members.  ``inf`` when fewer than ``k``
-        members qualify (nothing can be pruned yet).
+        A candidate longer than this (at this semantic score or worse)
+        is rejected by :meth:`update` — ``k`` members dominate it.  One
+        *at* this length may still tie a member's scores and, with a
+        lexicographically smaller PoI tuple, replace it as the
+        representative, so BSSR prunes only above the threshold.
+        ``inf`` when fewer than ``k`` members qualify (nothing can be
+        pruned yet).
         """
         found = self._thresholds.get(semantic)
         if found is None:

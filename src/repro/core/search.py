@@ -18,7 +18,7 @@ position)`` serves every route.
 
 The search is *resumable*: it settles vertices in key order and
 pauses when the consumer's budget (Lemma 5.3's threshold, re-evaluated
-continuously as the skyline set improves) is reached.  BSSR's
+continuously as the skyline set improves) is passed.  BSSR's
 on-the-fly cache (Section 5.3.4) keeps one instance per
 ``(source, position)`` and simply resumes it when a later route needs a
 larger radius — reuse never sacrifices exactness.
@@ -37,7 +37,7 @@ consistent and 0 on every candidate, so:
   nondecreasing order — the stream emits every candidate at its true
   distance, and a budget on the key is a budget on the distance;
 * vertices that lead away from every candidate get large keys and are
-  never settled below the budget, which is where the work goes down.
+  never settled within the budget, which is where the work goes down.
 
 Ties are settled as whole key groups and emitted by vertex id, so the
 stream is the ``(distance, vertex)`` order — element for element the
@@ -67,7 +67,9 @@ Both stream classes here (:class:`PoICandidateSearch` and
   ``sim_map`` — each candidate's similarity;
 * ``scored_until(budget, start=...)`` — a generator of index segments
   ``(lo, hi)``: contiguous, half-open, starting at ``start``, covering
-  candidates closer than the budget.  The consumer reads each segment
+  the candidates within the budget (distance ``<=`` budget: a candidate
+  exactly at the budget can still tie the threshold, and a tie may
+  replace a member's representative).  The consumer reads each segment
   in place.  ``budget`` is a float when it cannot change while the
   consumer works (BSSR below the final position), and a callable when
   it may tighten after any candidate (the final position, where every
@@ -97,8 +99,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 from typing import Callable, Iterator
 
 from repro.core.spec import PositionSpec
@@ -125,8 +128,8 @@ class CHCandidateStream:
     scored directly; at any earlier one it becomes a partial route whose
     length is the true prefix length, so its further expansion, bounds
     and pruning are those of the real route.  The budget cut is the same
-    Lemma 5.3 argument as Algorithm 2's: a child whose leg alone reaches
-    the budget cannot beat the threshold at any semantic score it can
+    Lemma 5.3 argument as Algorithm 2's: a child whose leg alone passes
+    the budget cannot reach the threshold at any semantic score it can
     still attain.
 
     The stream is the memoized ``(dists, vids)`` typed-array pair, read
@@ -154,7 +157,7 @@ class CHCandidateStream:
     def scored_until(
         self, budget: Callable[[], float] | float, *, start: int = 0
     ) -> Iterator[tuple[int, int]]:
-        """Segments of the row below the budget: one bisect per budget
+        """Segments of the row within the budget: one bisect per budget
         value, from where the previous segment ended."""
         budget_fn: Callable[[], float] = (
             budget if callable(budget) else (lambda: budget)  # type: ignore[assignment]
@@ -162,7 +165,7 @@ class CHCandidateStream:
         dists = self.dists
         lo = start
         while True:
-            hi = bisect_left(dists, budget_fn(), lo)
+            hi = bisect_right(dists, budget_fn(), lo)
             if hi <= lo:
                 return
             yield lo, hi
@@ -295,15 +298,16 @@ class PoICandidateSearch:
         return not heap or heap[0][0] == math.inf
 
     def _settle(self, limit: float, *, one: bool) -> bool:
-        """Settle every vertex whose key is below ``limit``, appending
-        matches to the stream; with ``one``, stop once the key group of
-        the first match is settled.  True iff it stopped on a match.
+        """Settle every vertex whose key is at most ``limit`` (never one
+        with an infinite key), appending matches to the stream; with
+        ``one``, stop once the key group of the first match is settled.
+        True iff it stopped on a match.
 
         A vertex's key is its distance plus its field value; a
         candidate's key is its distance.  Keys settle in nondecreasing
         order (the field is consistent), so candidates come out in
         distance order, and a key group is never split across calls: a
-        call stops below ``limit`` or after a whole group.  Within a
+        call stops above ``limit`` or after a whole group.  Within a
         group, matches are emitted by vertex id, so the stream is the
         ``(distance, vertex)`` order whatever the field and the
         discovery order of ties.
@@ -324,7 +328,9 @@ class PoICandidateSearch:
         settled_n = relaxed_n = pushes_n = 0
         radius = self.radius
         hit = False
-        while heap and heap[0][0] < limit:
+        if limit == math.inf:
+            limit = sys.float_info.max  # never settle an infinite key
+        while heap and heap[0][0] <= limit:
             key, u = pop(heap)
             if settled[u]:
                 continue
@@ -344,7 +350,7 @@ class PoICandidateSearch:
                 if one and not hit:
                     hit = True
                     # finish this key group, then stop
-                    limit = math.nextafter(radius, math.inf)
+                    limit = radius
             row = rows[u]
             relaxed_n += len(row)
             for v, w in row:
@@ -368,10 +374,10 @@ class PoICandidateSearch:
     def scored_until(
         self, budget: Callable[[], float] | float, *, start: int = 0
     ) -> Iterator[tuple[int, int]]:
-        """Segments of the stream below the budget, expanding on demand.
+        """Segments of the stream within the budget, expanding on demand.
 
         A constant (float) budget cannot move while the consumer works,
-        so the search settles the whole burst below it at once and hands
+        so the search settles the whole burst up to it at once and hands
         out one segment.  A callable budget may tighten after every
         candidate (BSSR's final position, where each one is offered to
         the skyline), so the search stops at each match and re-reads the
@@ -390,7 +396,7 @@ class PoICandidateSearch:
         dists = self.dists
         if not callable(budget):
             self._settle(budget, one=False)
-            hi = bisect_left(dists, budget, start)
+            hi = bisect_right(dists, budget, start)
             if hi > start:
                 yield start, hi
             return
@@ -401,7 +407,7 @@ class PoICandidateSearch:
                 if not self._settle(limit, one=True):
                     return
                 continue  # re-read the budget before handing the match out
-            if dists[i] >= limit:
+            if dists[i] > limit:
                 return
             yield i, i + 1
             i += 1

@@ -80,8 +80,10 @@ SESSION_FORMAT = "repro-skysr-session"
 #: version 4 moved default-options offsets onto the unfiltered modified
 #: Dijkstra stream, which no longer applies Lemma 5.5's filters; version
 #: 5 stores lengths and offsets over weights snapped to the grain, with
-#: ties in every modified-Dijkstra stream in vertex-id order)
-SCHEMA_VERSION = 5
+#: ties in every modified-Dijkstra stream in vertex-id order; version 6
+#: offsets stop after, not before, candidates that tie a budget, and
+#: deferred work and skybands keep routes that tie a threshold)
+SCHEMA_VERSION = 6
 
 _MISSING = object()
 

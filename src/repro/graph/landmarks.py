@@ -26,10 +26,10 @@ table over ``S``); :meth:`min_between` then lower-bounds
 O(#landmarks) regardless of ``|S|``.  ``inf`` entries (disconnected
 components) are guarded explicitly — ``inf - inf`` is NaN and must
 never reach a comparison.  Every difference is shaved by a relative
-epsilon, ``(a - b) - _EPS * (a + b)``: ``a`` and ``b`` are
-shortest-path sums accumulated in different edge orders, so the float
-difference can exceed the true value by a few ULPs — enough to prune a
-route that ties a threshold exactly.
+epsilon, ``(a - b) - _EPS * (a + b)``.  The shave predates the weight
+grain of :meth:`~repro.graph.road_network.RoadNetwork.add_edge`, under
+which ``a`` and ``b`` are exact sums and so is their difference; it
+now only weakens each bound by about 1e-9 of its terms.
 
 Tables are rows of the scalar Dijkstra kernel (:mod:`repro.graph.dijkstra`):
 landmark selection already computes each landmark's *from* row, and the
@@ -158,8 +158,8 @@ class LandmarkIndex:
         """Reduce a vertex set to per-landmark table extremes.
 
         Returns ``None`` for an empty set (no profile → no pruning).
-        The result feeds :meth:`min_between` / :meth:`min_from_vertex`,
-        whose cost is then independent of ``|vertices|``.
+        The result feeds :meth:`min_between`, whose cost is then
+        independent of ``|vertices|``.
         """
         if not vertices:
             return None
@@ -207,30 +207,6 @@ class LandmarkIndex:
                 if min_to1 == _INF:
                     return _INF
                 cand = (min_to1 - max_to2) - _EPS * (min_to1 + max_to2)
-                if cand > best:
-                    best = cand
-        return best
-
-    def min_from_vertex(self, u: int, target: Profile | None) -> float:
-        """Lower bound on ``min_{q∈S} d(u, q)`` — the singleton fast path."""
-        if target is None:
-            return 0.0
-        best = 0.0
-        fr_tables = self._from
-        to_tables = self._to
-        for i, (min_fr, _, _, max_to) in enumerate(target):
-            fu = fr_tables[i][u]
-            if fu != _INF:
-                if min_fr == _INF:
-                    return _INF
-                cand = (min_fr - fu) - _EPS * (min_fr + fu)
-                if cand > best:
-                    best = cand
-            if max_to != _INF:
-                tu = to_tables[i][u]
-                if tu == _INF:
-                    return _INF
-                cand = (tu - max_to) - _EPS * (tu + max_to)
                 if cand > best:
                     best = cand
         return best

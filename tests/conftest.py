@@ -5,6 +5,12 @@ weight sits on the 2**-20 grain of ``RoadNetwork.add_edge``, so length
 scores are exact floats and algorithm outputs can be compared with
 strict equality.  Semantic scores are products of similarities, which
 sit on no grain, so score sets keep comparing them at 9 decimals.
+
+Ties are exact too, and the search keeps them, so every path returns
+the same representative of an equal-score class (the lexicographically
+smallest PoI tuple): the oracle tests (``tests/test_differential.py``,
+``tests/test_contraction.py``) compare ``(pois, length, semantic)``
+route for route.  :func:`score_set` compares scores only.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.bounds import LowerBounds, compute_lower_bounds, shaved
+from repro.core.bounds import LowerBounds, compute_lower_bounds
 from repro.core.dominance import SkylineSet
 from repro.core.routes import SkylineRoute
 from repro.core.spec import compile_query
@@ -97,15 +97,16 @@ def test_remaining_best_np_suffix_max():
 
 def test_ch_legs_are_the_shaved_dijkstra_legs():
     """One leg function, two accelerators: with no ball (empty skyline)
-    the Dijkstra legs are exact, and CH gives them eps-shaved."""
+    the Dijkstra legs are exact, and CH gives the same values, bit for
+    bit, with no shave (the name is kept from when CH legs were
+    shaved by a relative epsilon)."""
     net, query, _ = _chain_instance()
     plain = compute_lower_bounds(net, query, SkylineSet())
     ch = compute_lower_bounds(
         net, query, SkylineSet(), ch=contraction_for(net)
     )
-    assert ch.legs_ls == [shaved(v) for v in plain.legs_ls]
-    assert ch.legs_lp == [shaved(v) for v in plain.legs_lp]
-    assert ch.position_profiles is None
+    assert ch.legs_ls == plain.legs_ls
+    assert ch.legs_lp == plain.legs_lp
 
 
 def test_landmarks_and_ch_are_exclusive():

@@ -11,8 +11,8 @@ search backends, engine-level CH answers are compared at the 9-decimal
 grain because CH sums associate differently along up-then-down paths.
 
 The oracle cells also run the modified Dijkstra (default options, with
-and without its cache), whose unfiltered streams must agree just as
-exactly.  Also pinned here: that ALT is inert under CH, that the stall filter
+and without its cache, and without lower bounds), whose unfiltered
+streams must agree just as exactly, PoI tuple for PoI tuple.  Also pinned here: that ALT is inert under CH, that the stall filter
 fires and keeps every consumer exact, that legs from one category
 share one sweep, that a PoI edit drops every category-keyed memo, the
 checkpoint round-trip under CH candidate streams, the stats surfaces,
@@ -346,7 +346,7 @@ def _forbid_landmark_bounds(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("a landmark bound ran under use_contraction")
 
-    for name in ("restrict_within", "profile", "min_from_vertex"):
+    for name in ("restrict_within", "profile", "min_between"):
         monkeypatch.setattr(LandmarkIndex, name, refuse)
 
 
@@ -450,7 +450,8 @@ ORACLE_SEEDS = sorted(
 )
 
 #: CH label-row streams (ids are the bare seed), then the modified
-#: Dijkstra with and without the on-the-fly cache
+#: Dijkstra with and without the on-the-fly cache, and without the
+#: lower bounds (the plain Algorithm 2 stream, no floors)
 ORACLE_OPTION_CASES = [
     pytest.param(BSSROptions(use_contraction=True), seed, id=str(seed))
     for seed in ORACLE_SEEDS
@@ -459,6 +460,7 @@ ORACLE_OPTION_CASES = [
     for name, options in (
         ("default", BSSROptions()),
         ("no-cache", BSSROptions(caching=False)),
+        ("no-bounds", BSSROptions(lower_bounds=False)),
     )
     for seed in ORACLE_SEEDS
 ]
@@ -484,14 +486,16 @@ def _oracle_cases(seed):
 
 
 def _scores(routes):
-    return [r.scores() for r in routes]
+    """Route for route: the PoI tuple (the representative of its score
+    class), the exact length and the semantic score."""
+    return [(r.pois, r.length, round(r.semantic, 9)) for r in routes]
 
 
 @pytest.mark.parametrize("options, seed", ORACLE_OPTION_CASES)
 def test_ch_at_every_position_matches_oracle_exactly(options, seed):
     """Skyline, one-shot top-2/3 and ``run()`` → ``resume(k)`` all equal
-    the brute force, under CH streams and under the modified Dijkstra
-    with and without its cache."""
+    the brute force PoI tuple for PoI tuple, under CH streams and under
+    the modified Dijkstra with and without its cache and its bounds."""
     for network, forest, start, cats, dest in _oracle_cases(seed):
         engine = SkySREngine(network, forest)
         compiled = engine.compile(start, cats, destination=dest)

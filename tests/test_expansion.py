@@ -78,20 +78,20 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
 #: under CH the settles are the hierarchy's first-touch memo builds
 GOLDEN_WORK = {
     "default": [
-        (8, 9, 1, 22, 3, 0, 379, 1458, 451, 9, 8),
-        (44, 73, 29, 382, 12, 42, 6591, 24806, 8711, 33, 55),
-        (9, 15, 6, 1, 6, 24, 1722, 6520, 1747, 8, 11),
-        (10, 31, 21, 41, 8, 5, 2445, 9159, 2342, 10, 29),
-        (17, 21, 4, 8, 14, 85, 3375, 12664, 3322, 12, 11),
-        (4, 4, 0, 1, 2, 0, 240, 909, 134, 4, 2),
+        (8, 9, 1, 22, 3, 2, 395, 1518, 489, 9, 8),
+        (44, 73, 29, 382, 12, 43, 6592, 24808, 8711, 33, 55),
+        (9, 15, 6, 1, 6, 25, 1725, 6531, 1751, 8, 11),
+        (10, 31, 21, 41, 8, 6, 2455, 9199, 2365, 10, 29),
+        (17, 21, 4, 8, 14, 86, 3377, 12672, 3325, 12, 11),
+        (4, 4, 0, 1, 2, 1, 240, 909, 134, 4, 2),
     ],
     "ch": [
-        (11, 12, 1, 25, 3, 0, 1209, 6909, 0, 0, 11),
-        (45, 73, 28, 384, 12, 42, 1655, 9543, 0, 0, 55),
-        (9, 15, 6, 1, 6, 24, 326, 1859, 0, 0, 11),
-        (10, 42, 32, 30, 8, 5, 433, 2349, 0, 0, 40),
-        (17, 21, 4, 8, 14, 85, 27, 129, 0, 0, 11),
-        (5, 5, 0, 3, 2, 0, 212, 1179, 0, 0, 3),
+        (11, 12, 1, 25, 3, 2, 1209, 6909, 0, 0, 11),
+        (45, 73, 28, 384, 12, 43, 1655, 9543, 0, 0, 55),
+        (9, 15, 6, 1, 6, 25, 326, 1859, 0, 0, 11),
+        (10, 42, 32, 30, 8, 6, 433, 2349, 0, 0, 40),
+        (17, 21, 4, 8, 14, 86, 27, 129, 0, 0, 11),
+        (5, 5, 0, 3, 2, 1, 212, 1179, 0, 0, 3),
     ],
 }
 
@@ -135,3 +135,73 @@ def test_k5_never_returns_one_poi_tuple_twice(options):
         result = engine.query(q.start, list(q.categories), options=options)
         band = [r.pois for r in result.skyband]
         assert len(band) == len(set(band)), (q.start, q.categories)
+
+
+def _dead_end_network(with_b1: bool = True):
+    """Directed: ``s`` reaches Ramen PoIs a1, a2, Gift PoIs b1, b2 and
+    the Jazz PoI c1, and each reaches ``s`` back, except b2: a one-way
+    dead end, so no route through it can be completed."""
+    from repro.graph.road_network import RoadNetwork
+
+    from .conftest import small_forest
+
+    forest = small_forest()
+    net = RoadNetwork(directed=True)
+    s = net.add_vertex()
+    pois = {}
+    for name, category, weight in [
+        ("a1", "Ramen", 1.0),
+        ("a2", "Ramen", 2.0),
+        ("b1", "Gift", 1.0),
+        ("c1", "Jazz", 1.0),
+    ]:
+        if name == "b1" and not with_b1:
+            continue
+        pois[name] = net.add_poi(forest.resolve(category))
+        net.add_edge(s, pois[name], weight)
+        net.add_edge(pois[name], s, weight)
+    pois["b2"] = net.add_poi(forest.resolve("Gift"))
+    net.add_edge(s, pois["b2"], 1.0)
+    return net, forest, s
+
+
+@pytest.mark.parametrize("checkpointable", [False, True])
+@pytest.mark.parametrize(
+    "options",
+    [BSSROptions(k=20), BSSROptions(use_contraction=True, k=20)],
+    ids=["default", "ch"],
+)
+def test_an_infinite_floor_prunes_under_an_infinite_threshold(
+    options, checkpointable
+):
+    """Two routes exist, so at k = 20 every threshold stays infinite.
+    ⟨a1, b2⟩ and ⟨a2, b2⟩ have infinite floors (b2 reaches no Jazz
+    PoI): they are pruned on insert, never popped.  Only ⟨a1⟩, ⟨a2⟩,
+    ⟨a1, b1⟩ and ⟨a2, b1⟩ are expanded."""
+    net, forest, s = _dead_end_network()
+    engine = SkySREngine(net, forest)
+    compiled = engine.compile(s, ["Ramen", "Gift", "Jazz"])
+    search = BSSRSearch(
+        net, compiled, options=options, checkpointable=checkpointable
+    )
+    routes, stats = search.run()
+    assert [r.length for r in routes] == [5.0, 7.0]
+    assert stats.routes_expanded == 4
+    assert stats.routes_pruned_on_insert == 2
+
+
+@pytest.mark.parametrize(
+    "options",
+    [BSSROptions(), BSSROptions(use_contraction=True)],
+    ids=["default", "ch"],
+)
+def test_no_stream_is_read_when_no_route_can_complete(options):
+    """Without b1 no Gift PoI reaches a Jazz PoI, so the floor on
+    everything after position 0 is infinite: the search reads no
+    stream and builds no child."""
+    net, forest, s = _dead_end_network(with_b1=False)
+    engine = SkySREngine(net, forest)
+    result = engine.query(s, ["Ramen", "Gift", "Jazz"], options=options)
+    assert result.routes == []
+    assert result.stats.routes_enqueued == 0
+    assert result.stats.routes_pruned_on_insert == 0

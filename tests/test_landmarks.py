@@ -56,11 +56,6 @@ def test_property_set_bounds_are_admissible(seed):
     )
     assert index.min_between(index.profile(first), index.profile(second)) <= truth
 
-    u = rng.randrange(net.num_vertices)
-    point_truth = min(dijkstra(net, u).get(q, math.inf) for q in second)
-    prof = index.profile(second)
-    assert index.min_from_vertex(u, prof) <= point_truth
-
 
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(0, 10_000), directed=st.booleans())
@@ -85,7 +80,6 @@ def test_empty_profile_disables_pruning():
     index = LandmarkIndex(net, count=2)
     assert index.profile([]) is None
     assert index.min_between(None, index.profile([0])) == 0.0
-    assert index.min_from_vertex(4, None) == 0.0
 
 
 @settings(deadline=None, max_examples=15)

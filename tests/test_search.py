@@ -194,6 +194,24 @@ def test_float_budget_settles_a_burst_and_callable_budget_one_match():
     assert list(burst.scored_until(math.inf, start=3)) == []
 
 
+@pytest.mark.parametrize("callable_budget", [False, True])
+def test_budget_is_closed(callable_budget):
+    """A candidate exactly at the budget is within it: it can still tie
+    the threshold.  The search settles up to the budget and no further."""
+    net, spec, ids = _line_instance()
+    stats = SearchStats()
+    search = PoICandidateSearch(net, spec, ids["start"], stats=stats)
+    budget = (lambda: 2.0) if callable_budget else 2.0
+    found = list(search.candidates_until(budget))
+    assert [(d, v) for d, v, _ in found] == [
+        (1.0, ids["weak"]),
+        (2.0, ids["perfect"]),
+    ]
+    assert search.radius == 2.0
+    assert stats.settled == 3  # start, weak, perfect; far (3.0) waits
+    assert not search.exhausted
+
+
 def test_ch_stream_bisects_once_per_budget():
     from array import array
 
@@ -202,7 +220,9 @@ def test_ch_stream_bisects_once_per_budget():
     stream = CHCandidateStream(
         array("d", [1.0, 2.0, 2.0, 5.0]), array("q", [7, 3, 9, 4]), {}
     )
-    assert list(stream.scored_until(2.0)) == [(0, 1)]
+    # the budget is closed: both candidates at exactly 2.0 are within it
+    assert list(stream.scored_until(2.0)) == [(0, 3)]
+    assert list(stream.scored_until(1.5)) == [(0, 1)]
     assert list(stream.scored_until(3.0, start=1)) == [(1, 3)]
     budgets = iter([3.0, 3.0])
     assert list(stream.scored_until(lambda: next(budgets))) == [(0, 3)]

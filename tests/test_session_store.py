@@ -178,7 +178,7 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
     session = warm.session(start, cats, page_size=2)
     session.next_page()
     payload = session.to_dict()
-    assert SCHEMA_VERSION == 5
+    assert SCHEMA_VERSION == 6
     assert payload["version"] == SCHEMA_VERSION
     assert "cache" not in payload["search"]["state"]
     # drive the warm engine's shared searches well past page 1's budget
@@ -347,10 +347,23 @@ def test_version_bump_is_rejected_with_field(version):
 def test_version_4_payload_is_rejected():
     """Version 4 stored lengths and stream offsets over unsnapped edge
     weights, and offsets into streams whose ties came out in discovery
-    order: neither addresses a version 5 stream, so the payload is
-    refused, not replayed."""
+    order: neither addresses a version 5 or later stream, so the
+    payload is refused, not replayed."""
     engine, payload = _payload()
     payload["version"] = 4
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "version"
+
+
+def test_version_5_payload_is_rejected():
+    """Version 5 streams stopped before a candidate that tied the
+    budget, and its searches pruned routes whose floor tied a
+    threshold.  A session resumed under the closed budgets could swap
+    an equal-score representative after it was served, so the payload
+    is refused, not replayed."""
+    engine, payload = _payload()
+    payload["version"] = 5
     with pytest.raises(SessionDecodeError) as exc:
         PlanningSession.from_dict(engine, payload)
     assert exc.value.field == "version"

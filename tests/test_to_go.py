@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from repro import SkySREngine
-from repro.core.bounds import compute_lower_bounds, shaved
+from repro.core.bounds import compute_lower_bounds
 from repro.core.bssr import BSSRSearch
 from repro.core.dominance import SkylineSet
 from repro.core.options import BSSROptions
@@ -113,8 +113,9 @@ def test_rows_equal_a_brute_force_dynamic_program(
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_floor_is_admissible_for_every_completion(seed, directed, destination):
-    """From any vertex, the shaved row value is at most what any
-    completion through distinct candidates still travels."""
+    """From any vertex, the row value is at most what any completion
+    through distinct candidates still travels, compared with no
+    slack."""
     network, _, compiled = _query(
         seed, directed, destination=destination, predicate=seed % 2 == 1
     )
@@ -125,7 +126,7 @@ def test_floor_is_admissible_for_every_completion(seed, directed, destination):
     for j in range(1, n):
         row = bounds.to_go[j]
         for last in network.vertices():
-            floor = shaved(row[last])
+            floor = row[last]
             for tail in product(*sets[j:]):
                 if len(set(tail)) < len(tail) or last in tail:
                     continue

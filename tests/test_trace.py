@@ -77,23 +77,33 @@ query: Asian Restaurant -> Arts & Entertainment -> Gift Shop from vq
 
   1  init    ⟨⟩                 Qb: ⟨31⟩, ⟨39⟩
                                 S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
-  2  expand  ⟨31⟩               Qb: ⟨31,34⟩, ⟨39⟩
+  2  expand  ⟨31⟩               Qb: ⟨31,34⟩, ⟨31,41⟩, ⟨39⟩
                                 S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
-  3  expand  ⟨31,34⟩            Qb: ⟨39⟩
+  3  expand  ⟨31,34⟩            Qb: ⟨31,41⟩, ⟨39⟩
                                 S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
-  4  expand  ⟨39⟩               Qb: (empty)
+  4  expand  ⟨31,41⟩            Qb: ⟨39⟩
+                                S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
+  5  expand  ⟨39⟩               Qb: ⟨39,34⟩, ⟨39,41⟩
+                                S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
+  6  expand  ⟨39,34⟩            Qb: ⟨39,41⟩
+                                S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
+  7  expand  ⟨39,41⟩            Qb: (empty)
                                 S:  ⟨31,34,36⟩[l=7,s=0.333], ⟨31,34,37⟩[l=9,s=0]
 
 final SkySR set:
   l=7  s=0.3333  p2 -> p5 -> p7
   l=9  s=0  p2 -> p5 -> p8
-(3 expansions, 0 pruned at pop)"""
+(6 expansions, 0 pruned at pop)"""
 
 
 def test_table4_trace_is_pinned():
     """Steps, queues, skyline and counts of the running example.  ⟨35⟩
     never enters the queue: its to-go floor 3 + 8 = 11 exceeds the
-    threshold 9 when it is offered as a child of the empty route."""
+    threshold 9 when it is offered as a child of the empty route.
+    ⟨31,41⟩, ⟨39,34⟩ and ⟨39,41⟩ are expanded although their floors
+    equal the threshold 9: a route that ties it may complete with a
+    member's scores and a smaller PoI tuple, so only a floor above it
+    prunes.  None does here, and the final set is unchanged."""
     from repro.experiments import table4
 
     assert table4.run().table == TABLE4_TRACE
