@@ -45,9 +45,18 @@ shortest walk from ``v`` through one candidate of each position
 optimal sequenced route over the remaining positions, which the sum of
 per-leg minima only bounds from below.  It ignores distinctness and
 similarity, so it is an admissible floor on what any route of size
-``j`` ending at ``v`` still has to travel.  Rows are advisory and
-never serialized.  They do not depend on ``k``: a live search reuses
-them when it resumes, and a restored one rebuilds them.
+``j`` ending at ``v`` still has to travel.
+
+The rows double as A* potentials.  Each is a multi-seeded distance
+field, so it is consistent, and BSSR runs the modified Dijkstra of
+every position ``j ≥ 1`` on ``to_go[j]`` (see :mod:`repro.core.search`):
+on a candidate ``c`` of position ``j`` the row equals ``to_go[j+1][c]``
+(the destination leg at the last position), so the stream's key for
+``c`` is its distance plus the exact remainder.  A row is therefore
+read at every vertex the stream settles, not only at the candidates of
+position ``j−1``.  Rows are advisory and never serialized.  They do not
+depend on ``k``: a live search reuses them when it resumes, and a
+restored one rebuilds them, value for value, so stream offsets replay.
 
 Every value here is used as computed.  Edge weights sit on the grain of
 :meth:`~repro.graph.road_network.RoadNetwork.add_edge`, so each Dijkstra
@@ -117,7 +126,8 @@ class LowerBounds:
     #: ``None``); advisory — not serialized, rebuilt after a restore
     to_go: list[Sequence[float] | None] | None = None
     #: ``to_go_min[j]``: the least length still ahead of a route once it
-    #: reaches a candidate of position ``j``
+    #: reaches a candidate of position ``j`` (BSSR reserves it at
+    #: position 0; later streams carry the exact value in their keys)
     to_go_min: list[float] | None = None
 
     @classmethod

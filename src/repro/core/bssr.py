@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable
@@ -261,9 +262,12 @@ class BSSRSearch:
         self._ch_buckets: dict[int, CHBucket] = {}
         # the prune test per route size, bound by _bind_prune_tests
         self._prune_tests: list[Callable[[float, float, object, int], bool]] = []
-        # candidate distance field per position (None: all-zero), bound
-        # by _bind_prune_tests
-        self._fields: list[list[float] | None] = [None] * self.n
+        # the A* potential of each position's modified Dijkstra (None:
+        # all-zero), bound by _bind_prune_tests
+        self._fields: list[Sequence[float] | None] = [None] * self.n
+        # what names each position's potential in the cross-query cache
+        # (see _potential_keys), bound by _bind_prune_tests
+        self._potentials: list[tuple | None] = [None] * self.n
         # per position, the floor on what a child still has to travel
         # once it takes a candidate there (its expansion budget's
         # reserve), bound by _bind_prune_tests
@@ -523,38 +527,64 @@ class BSSRSearch:
 
     def _bind_prune_tests(self) -> None:
         """Bind :meth:`_prunable` for every route size, and each
-        position's expansion reserve, against the current skyband and
-        bounds (both fixed until the next resume).
+        position's stream potential and expansion reserve, against the
+        current skyband and bounds (both fixed until the next resume).
 
-        Without ``use_contraction``, ``lower_bounds`` also binds each
-        position's memoized candidate distance field
-        (:func:`~repro.core.search.candidate_field`), the A* potential
-        of its modified Dijkstra.  The reserve of position ``j`` is
-        what any child still has to travel after its position-``j``
-        candidate: the least to-go value over the position's
-        candidates when the bounds carry to-go rows, the suffix of
-        per-leg minima otherwise; at the final position it is the
-        destination leg floor either way.  Every floor is an exact sum
-        on the weight grain and is bound as computed: the prune tests
-        cut only above a threshold, so a floor that ties one needs no
-        slack to keep its route alive.
+        When the bounds carry to-go rows (``lower_bounds`` without
+        ``use_contraction``) they bind the A* potential of each
+        position's modified Dijkstra (see :mod:`repro.core.search`):
+        position 0 takes its memoized candidate distance field
+        (:func:`~repro.core.search.candidate_field`), and every later
+        position ``j`` takes ``to_go[j]``, whose key on a candidate is
+        its distance plus the exact remainder ahead of it.
+
+        The reserve of position ``j`` is what a child still has to
+        travel after its position-``j`` candidate beyond what the
+        stream's keys already carry.  It is 0 where the potential is a
+        to-go row.  At position 0 it is the least to-go value over the
+        position's candidates: a ``to_go[0]`` row would save few settles
+        for one more full sweep.  Without to-go rows it is the suffix of
+        per-leg minima, and at the final position the destination leg
+        floor.  Every floor is an exact sum on the weight grain and is
+        bound as computed: the prune tests cut only above a threshold,
+        so a floor that ties one needs no slack to keep its route alive.
         """
         bounds = self.bounds
-        if self.options.lower_bounds and not self.options.use_contraction:
-            self._fields = [
-                candidate_field(self.network, spec)
-                for spec in self.query.specs
-            ]
-        if bounds.to_go_min is not None:
-            reserve = list(bounds.to_go_min)
+        n = self.n
+        if bounds.to_go is not None:
+            first = candidate_field(self.network, self.query.specs[0])
+            self._fields = [first, *bounds.to_go[1:]]
+            self._potentials = self._potential_keys()
+            reserve = [bounds.to_go_min[0]] + [0.0] * (n - 1)  # type: ignore[index]
         else:
             reserve = [
-                bounds.suffix_ls[j + 1] + bounds.dest_min
-                for j in range(self.n)
+                bounds.suffix_ls[j + 1] + bounds.dest_min for j in range(n)
             ]
-        reserve[-1] = bounds.dest_min
+            reserve[-1] = bounds.dest_min
         self._reserve = reserve
         self._prune_tests = [self._prunable(size) for size in range(self.n)]
+
+    def _potential_keys(self) -> list[tuple | None]:
+        """What names each position's potential in the cross-query
+        cache (:class:`~repro.core.distcache.DistanceCache`).
+
+        ``None`` where the potential is 0 on every candidate — position
+        0, and the last position of a destination-free query — since the
+        stream is then the ``(distance, vertex)`` order whatever the
+        field.  Elsewhere the potential is ``to_go[j]``, a function of
+        the candidate sets of positions ``j … n−1`` and the destination,
+        so it is named by ``(share keys of j … n−1, destination)``; a
+        suffix holding a position without a share key (a predicate)
+        leaves ``None`` among them, which the cache refuses to share.
+        """
+        specs = self.query.specs
+        destination = self.query.destination
+        keys: list[tuple | None] = [None] * self.n
+        for j in range(1, self.n):
+            if j < self.n - 1 or destination is not None:
+                suffix = tuple(spec.share_key for spec in specs[j:])
+                keys[j] = (suffix, destination)
+        return keys
 
     def _prunable(
         self, size: int
@@ -582,9 +612,15 @@ class BSSRSearch:
         * with to-go rows (``lower_bounds`` without ``use_contraction``)
           a route of size ``1 … n−1`` is floored at ``length`` plus its
           to-go value — the exact remaining route, destination
-          included, relaxed to ignore distinctness and similarity.  The
-          empty route, popped only after a resume, is floored without a
-          sweep: its first-leg field value plus position 0's reserve;
+          included, relaxed to ignore distinctness and similarity.  A
+          child of a route of size 1 or more comes from a stream keyed
+          by that same floor, which the budget has already held to the
+          parent's threshold, so on insert the floor only cuts children
+          whose own semantic score lowers the threshold (Lemma 5.8 cuts
+          as before).
+          The empty route, popped only after a resume, is floored
+          without a sweep: its first-leg field value plus position 0's
+          reserve;
         * under ``use_contraction``, at ``length`` plus the per-leg
           suffix and destination floor, where the exact next-leg
           distance from ``last`` to the next position's full candidate
@@ -714,12 +750,14 @@ class BSSRSearch:
             self.stats.mdijkstra_resumes += 1
             return search
         shared = self.shared_cache
+        potential = self._potentials[position]
         if shared is not None:
             # Candidate streams are route-independent and append-only,
             # so adopting a warm one from another query is exact (its
-            # expansion cost is simply already paid).
+            # expansion cost is simply already paid) as long as it was
+            # built under the same potential, which fixes its order.
             cached = shared.lookup(
-                self.network, source, spec, stats=self.stats
+                self.network, source, spec, potential, stats=self.stats
             )
             if cached is not None:
                 self.state.cache[key] = cached
@@ -734,7 +772,7 @@ class BSSRSearch:
         self.state.cache[key] = search
         self.stats.mdijkstra_runs += 1
         if shared is not None:
-            shared.admit(self.network, source, spec, search)
+            shared.admit(self.network, source, spec, search, potential)
         return search
 
     def _ch_stream(
@@ -799,9 +837,13 @@ class BSSRSearch:
 
         def budget() -> float:
             # Lemma 5.3 break: settle only while a candidate at this
-            # distance could still reach the threshold at the route's
+            # key could still reach the threshold at the route's
             # (minimum possible) semantic score; the stream keeps a
-            # candidate exactly at the budget.
+            # candidate exactly at the budget.  A key is the distance
+            # plus the potential's value there.  Past position 0 under
+            # to-go rows that value is the child's exact remainder, so
+            # the child's floor is ``length + key`` and the reserve is
+            # 0; elsewhere the reserve floors the remainder.
             return skyline.threshold(semantic) - length - reserve
 
         if self.options.use_contraction:
@@ -903,6 +945,7 @@ class BSSRSearch:
         score = self.aggregator.score
         leg = self.dest_dist.get if self.dest_dist is not None else None
         dists = search.dists
+        keys = search.keys
         vids = search.candidates
         sim_of = search.sim_map.__getitem__
         pois = route.pois
@@ -917,15 +960,14 @@ class BSSRSearch:
                 if skyline.version != version:
                     version = skyline.version
                     limit = budget()
-                d = dists[i]
-                if d > limit:
+                if keys[i] > limit:
                     return i
                 vid = vids[i]
                 if vid in pois:
                     continue  # distinctness (Definition 3.4 iii)
                 sim = sim_of(vid)
                 semantic = score(extend(sem_state, sim))
-                total = length + d
+                total = length + dists[i]
                 if leg is not None:
                     extra = leg(vid, math.inf)
                     if extra == math.inf:

@@ -5,19 +5,29 @@ its ``(source, position)`` searches from scratch, even when a fleet of
 users asks about the same hotspots over the same city all day.
 :class:`DistanceCache` promotes those expansions to a bounded,
 LRU-evicting cache shared *across* queries, keyed by
-``(source, share_key)`` — where
+``(source, share_key, potential)`` — where
 :attr:`~repro.core.spec.PositionSpec.share_key` names the position's
 matching model independently of where in a sequence it appears (for
-plain categories: the category id).
+plain categories: the category id), and ``potential`` names the A*
+potential the search was built under (see :mod:`repro.core.search`):
+``None`` for a field that is 0 on every candidate, whose stream is the
+``(distance, vertex)`` order, and otherwise the pair ``(share keys of
+positions j … n−1, destination)`` that fixes the position's to-go row
+(:meth:`~repro.core.bssr.BSSRSearch._potential_keys`).  The potential
+orders the stream and its keys carry the remaining route, so a search
+built for one suffix would hand another query's budget the wrong
+candidates; a suffix holding a position without a share key (a
+predicate) is unshareable.
 
 Exactness rests on the same conditions as the per-run cache, plus one:
 
 * a search's candidate stream is **route-independent** — it emits every
   matching PoI and the consumer enforces PoI distinctness, so one
   stream serves every route of every query;
-* a search's candidate stream is **append-only and deterministic** —
-  consumers address it by replay offsets, so it does not matter which
-  query (or how many, interleaved) drove the expansion forward;
+* a search's candidate stream is **append-only and deterministic** for
+  its potential — consumers address it by replay offsets, so it does
+  not matter which query (or how many, interleaved) drove the
+  expansion forward;
 * specs with equal ``share_key`` compile identically under one engine
   (same forest, similarity, PoI index) — the cache belongs to an
   engine and must never be shared across engines serving different
@@ -109,8 +119,12 @@ class _Entry:
 
 
 def _estimate_bytes(search: PoICandidateSearch) -> int:
-    """Documented footprint estimate of a live search (see module doc)."""
-    base = len(search._heap) + len(search.candidates)
+    """Documented footprint estimate of a live search (see module doc):
+    its per-vertex arrays, its heap, one entry per emitted candidate
+    for ``dists`` and ``candidates`` and one more for ``keys``.  The
+    potential is not counted: it is a row shared by every search of its
+    suffix."""
+    base = len(search._heap) + 2 * len(search.candidates)
     return len(search._dist) * _FLAT_CELL_BYTES + base * _DICT_ENTRY_BYTES
 
 
@@ -148,10 +162,14 @@ class DistanceCache:
 
     # ------------------------------------------------------------------
 
-    def _key(self, source: int, spec: PositionSpec) -> tuple | None:
-        if spec.share_key is None:
+    def _key(
+        self, source: int, spec: PositionSpec, potential: tuple | None
+    ) -> tuple | None:
+        if spec.share_key is None or (
+            potential is not None and None in potential[0]
+        ):
             return None
-        return (source, spec.share_key)
+        return (source, spec.share_key, potential)
 
     def _bind(self, network: RoadNetwork) -> None:
         if self._network is None:
@@ -173,17 +191,19 @@ class DistanceCache:
         network: RoadNetwork,
         source: int,
         spec: PositionSpec,
+        potential: tuple | None = None,
         *,
         stats: SearchStats | None = None,
     ) -> PoICandidateSearch | None:
-        """The cached search for ``(source, spec)``, or ``None``.
+        """The cached search for ``(source, spec)`` under ``potential``
+        (see the module docstring), or ``None``.
 
         A hit refreshes recency and re-points the search's stats sink
         at ``stats`` so subsequent expansion work is charged to the
         consumer that triggers it.
         """
         self._bind(network)
-        key = self._key(source, spec)
+        key = self._key(source, spec, potential)
         if key is None:
             self.stats.unshareable += 1
             return None
@@ -203,15 +223,18 @@ class DistanceCache:
         source: int,
         spec: PositionSpec,
         search: PoICandidateSearch,
+        potential: tuple | None = None,
     ) -> bool:
-        """Offer a freshly built search for future queries.
+        """Offer a freshly built search, built under ``potential``, for
+        future queries.
 
-        Returns False (and caches nothing) for unshareable specs or a
-        search that can never fit the byte budget; otherwise evicts
-        least-recently-used entries as needed and stores the instance.
+        Returns False (and caches nothing) for unshareable specs or
+        potentials, or a search that can never fit the byte budget;
+        otherwise evicts least-recently-used entries as needed and
+        stores the instance.
         """
         self._bind(network)
-        key = self._key(source, spec)
+        key = self._key(source, spec, potential)
         if key is None:
             return False
         size = _estimate_bytes(search)

@@ -3,8 +3,9 @@
 :class:`PoICandidateSearch` expands the road network outward from a
 source vertex and *emits candidates*: every PoI vertex that
 semantically matches one position spec, at its true shortest-path
-distance, in ``(distance, vertex)`` order.  Traversal runs through every
-vertex, matches included.
+distance, in ``(key, vertex)`` order, where the key adds the value of
+the search's potential (below).  Traversal runs through every vertex,
+matches included.
 
 The paper's Algorithm 2 also applies Lemma 5.5's two filters (suppress a
 PoI reached through a usable PoI of greater-or-equal similarity; never
@@ -26,35 +27,48 @@ larger radius — reuse never sacrifices exactness.
 The goal-directed stream
 ------------------------
 
-Under ``BSSROptions.lower_bounds`` the search is an A* toward the
-position's candidate set: a vertex's heap key is its distance plus its
-value in the position's *candidate distance field* (the distance from
-the vertex to the nearest candidate, :func:`candidate_field`, one
-memoized reverse sweep per network and candidate set).  The field is
-consistent and 0 on every candidate, so:
+Under ``BSSROptions.lower_bounds`` the search is an A*: a vertex's heap
+key is its distance plus its value in a *potential*, a consistent
+distance field handed in by the consumer.  BSSR hands each position one
+of two fields:
 
-* a candidate's key is its true distance, and keys settle in
-  nondecreasing order — the stream emits every candidate at its true
-  distance, and a budget on the key is a budget on the distance;
-* vertices that lead away from every candidate get large keys and are
-  never settled within the budget, which is where the work goes down.
+* position 0 takes the position's *candidate distance field* (the
+  distance from the vertex to the nearest candidate,
+  :func:`candidate_field`, one memoized reverse sweep per network and
+  candidate set).  It is 0 on every candidate, so a candidate's key is
+  its true distance;
+* every later position ``j`` takes BSSR's to-go row ``to_go[j]``
+  (:mod:`repro.core.bounds`): the length of the remaining sequenced
+  route from the vertex, destination included.  On a candidate ``c`` of
+  position ``j`` it equals what is still ahead once ``c`` is taken
+  (``to_go[j+1][c]``, or the destination leg at the last position), so
+  a candidate's key is ``d(source, c)`` plus that remainder: the floor
+  of the child route minus the parent's length.  A candidate with no
+  completion has an infinite key and is never emitted.  The last
+  position of a destination-free query gets its candidate field this
+  way, since that is its to-go row.
 
-Ties are settled as whole key groups and emitted by vertex id, so the
-stream is the ``(distance, vertex)`` order — element for element the
-stream of the all-zero field, which is the paper's plain Algorithm 2
-(``lower_bounds=False``), and the order of a CH row.  This holds bit
-for bit because edge weights sit on the grain of
-:meth:`~repro.graph.road_network.RoadNetwork.add_edge`: every distance,
-field value and key is an exact double, so no sum depends on the order
-its legs were added in.  The last position's field is also the last of
-BSSR's to-go rows (:mod:`repro.core.bounds`), the floors of its prune
-test.
+Either way the field is consistent, so keys settle in nondecreasing
+order and the stream comes out in ``(key, vertex)`` order: a budget on
+the key is Lemma 5.3's break applied to the exact remaining route, and
+vertices that lead only to candidates whose remainder cannot beat the
+budget get large keys and are never settled, which is where the work
+goes down.
+
+Ties are settled as whole key groups and emitted by vertex id.  Under a
+field that is 0 on every candidate the stream is the ``(distance,
+vertex)`` order — element for element the stream of the all-zero field,
+which is the paper's plain Algorithm 2 (``lower_bounds=False``), and
+the order of a CH row.  This holds bit for bit because edge weights sit
+on the grain of :meth:`~repro.graph.road_network.RoadNetwork.add_edge`:
+every distance, field value and key is an exact double, so no sum
+depends on the order its legs were added in.
 
 Searches are never written to a session checkpoint.  Their candidate
 streams are deterministic, so a restored session rebuilds each one
-lazily (or adopts a warm copy from the engine's
-:class:`~repro.core.distcache.DistanceCache`) and replays it from the
-consumer's stored offset.
+lazily (or adopts a warm copy, built under the same potential, from the
+engine's :class:`~repro.core.distcache.DistanceCache`) and replays it
+from the consumer's stored offset.
 
 The stream contract
 -------------------
@@ -62,29 +76,33 @@ The stream contract
 Both stream classes here (:class:`PoICandidateSearch` and
 :class:`CHCandidateStream`) expose the same consumer view:
 
-* ``dists`` and ``candidates`` — parallel sequences of candidate
-  distances and vertex ids in ``(distance, vertex)`` order, and
-  ``sim_map`` — each candidate's similarity;
+* ``dists``, ``keys`` and ``candidates`` — parallel sequences of
+  candidate distances, keys (the distance plus the potential's value at
+  the candidate; a CH row's keys are its distances) and vertex ids in
+  ``(key, vertex)`` order, and ``sim_map`` — each candidate's
+  similarity;
 * ``scored_until(budget, start=...)`` — a generator of index segments
   ``(lo, hi)``: contiguous, half-open, starting at ``start``, covering
-  the candidates within the budget (distance ``<=`` budget: a candidate
+  the candidates within the budget (key ``<=`` budget: a candidate
   exactly at the budget can still tie the threshold, and a tie may
   replace a member's representative).  The consumer reads each segment
   in place.  ``budget`` is a float when it cannot change while the
   consumer works (BSSR below the final position), and a callable when
   it may tighten after any candidate (the final position, where every
   completion is offered to the skyband); a consumer that tightens it
-  mid-segment stops at the first candidate the new budget excludes;
-* ``exhausted`` — every candidate reachable from the source has been
-  emitted, which decides whether a budget cut the stream short (the
-  consumer parks its route iff it is not, or it stopped before the end
-  of the stream).  Both kernels give the same answer at every budget
-  when every candidate is reachable from the source; otherwise they may
-  prove it at different budgets, and either answer is safe (a route
-  parked in vain finds nothing new when it is resumed);
-* ``radius`` — how far the stream has looked: every candidate at a
-  distance up to ``radius`` is in it.  For the modified Dijkstra it is
-  the key frontier, the largest key settled so far.
+  mid-segment stops at the first candidate whose key the new budget
+  excludes;
+* ``exhausted`` — every candidate with a finite key that is reachable
+  from the source has been emitted, which decides whether a budget cut
+  the stream short (the consumer parks its route iff it is not, or it
+  stopped before the end of the stream).  Both kernels give the same
+  answer at every budget when every candidate is reachable from the
+  source; otherwise they may prove it at different budgets, and either
+  answer is safe (a route parked in vain finds nothing new when it is
+  resumed);
+* ``radius`` — how far the stream has looked: every candidate with a
+  key up to ``radius`` is in it.  For the modified Dijkstra it is the
+  key frontier, the largest key settled so far.
 
 A CH stream answers each budget with one ``bisect`` of its row.  The
 modified Dijkstra settles a whole burst for a float budget and stops
@@ -140,7 +158,7 @@ class CHCandidateStream:
     offsets line up.
     """
 
-    __slots__ = ("dists", "candidates", "sim_map", "radius")
+    __slots__ = ("dists", "keys", "candidates", "sim_map", "radius")
 
     #: the row is complete by construction; only budgets cut it short
     exhausted = True
@@ -149,6 +167,8 @@ class CHCandidateStream:
         self, dists: array, vids: array, sim_map: dict[int, float]
     ) -> None:
         self.dists = dists
+        #: a CH row carries no potential: its keys are its distances
+        self.keys = dists
         #: candidate vertex ids in stream order (``len`` is the stream size)
         self.candidates = vids
         self.sim_map = sim_map
@@ -162,10 +182,10 @@ class CHCandidateStream:
         budget_fn: Callable[[], float] = (
             budget if callable(budget) else (lambda: budget)  # type: ignore[assignment]
         )
-        dists = self.dists
+        keys = self.keys
         lo = start
         while True:
-            hi = bisect_right(dists, budget_fn(), lo)
+            hi = bisect_right(keys, budget_fn(), lo)
             if hi <= lo:
                 return
             yield lo, hi
@@ -224,11 +244,13 @@ class PoICandidateSearch:
     """Resumable, goal-directed modified Dijkstra toward one position's
     candidates.
 
-    ``field`` is the A* potential: a consistent lower bound on each
-    vertex's distance to the candidate set that is 0 on every candidate
-    (:func:`candidate_field`).  ``None`` means the all-zero field, which
-    makes the search the paper's plain Algorithm 2.  The stream is the
-    same under every such field.
+    ``field`` is the A* potential: a consistent distance field — the
+    position's candidate field (:func:`candidate_field`) or one of
+    BSSR's to-go rows (see the module docstring).  ``None`` means the
+    all-zero field, which makes the search the paper's plain
+    Algorithm 2.  The stream is the same under every field that is 0 on
+    every candidate; under a to-go row its keys carry the remaining
+    route, and so does its order.
     """
 
     __slots__ = (
@@ -241,6 +263,7 @@ class PoICandidateSearch:
         "_settled",
         "_heap",
         "dists",
+        "keys",
         "candidates",
         "radius",
     )
@@ -267,10 +290,13 @@ class PoICandidateSearch:
         self._heap: list[tuple[float, int]] = [(self._field[source], source)]
         #: distances of the emitted candidates, in stream order
         self.dists: list[float] = []
+        #: keys (distance plus field value) of the emitted candidates,
+        #: parallel to :attr:`dists`; the stream is sorted by them
+        self.keys: list[float] = []
         #: emitted candidate vertex ids, parallel to :attr:`dists`
         self.candidates: list[int] = []
-        #: largest settled key: every candidate at distance <= radius
-        #: has been emitted (the Table 7 "weight sum" proxy)
+        #: largest settled key: every candidate with a key <= radius has
+        #: been emitted (the Table 7 "weight sum" proxy)
         self.radius = 0.0
 
     def adopt_stats(self, stats: SearchStats | None) -> None:
@@ -303,14 +329,13 @@ class PoICandidateSearch:
         ``one``, stop once the key group of the first match is settled.
         True iff it stopped on a match.
 
-        A vertex's key is its distance plus its field value; a
-        candidate's key is its distance.  Keys settle in nondecreasing
-        order (the field is consistent), so candidates come out in
-        distance order, and a key group is never split across calls: a
-        call stops above ``limit`` or after a whole group.  Within a
-        group, matches are emitted by vertex id, so the stream is the
-        ``(distance, vertex)`` order whatever the field and the
-        discovery order of ties.
+        A vertex's key is its distance plus its field value.  Keys
+        settle in nondecreasing order (the field is consistent), so
+        candidates come out in key order, and a key group is never split
+        across calls: a call stops above ``limit`` or after a whole
+        group.  Within a group, matches are emitted by vertex id, so the
+        stream is the ``(key, vertex)`` order whatever the discovery
+        order of ties.
 
         Every array sits in a local, and stats are flushed once on the
         way out, so a consumer never observes partial counts.
@@ -322,6 +347,7 @@ class PoICandidateSearch:
         settled = self._settled
         heap = self._heap
         dists = self.dists
+        keys = self.keys
         vids = self.candidates
         push = heapq.heappush
         pop = heapq.heappop
@@ -343,9 +369,10 @@ class PoICandidateSearch:
                 # moves behind it (groups never span calls, so no
                 # consumer has read it yet)
                 i = len(vids)
-                while i and vids[i - 1] > u and dists[i - 1] == d:
+                while i and vids[i - 1] > u and keys[i - 1] == key:
                     i -= 1
                 dists.insert(i, d)
+                keys.insert(i, key)
                 vids.insert(i, u)
                 if one and not hit:
                     hit = True
@@ -388,26 +415,26 @@ class PoICandidateSearch:
         search serves consumers with different budgets; ``start`` skips
         the candidates a consumer already took — the checkpoint/resume
         offsets of :class:`~repro.core.bssr.SearchState`.  Candidate
-        order is deterministic (distance, then the heap's vertex-id
-        tie-break), so the offset is meaningful even on a freshly
+        order is deterministic (key, then vertex id) for a given field,
+        so the offset is meaningful even on a freshly
         rebuilt search instance — which is how a restored session
         resumes, since checkpoints never carry searches.
         """
-        dists = self.dists
+        keys = self.keys
         if not callable(budget):
             self._settle(budget, one=False)
-            hi = bisect_right(dists, budget, start)
+            hi = bisect_right(keys, budget, start)
             if hi > start:
                 yield start, hi
             return
         i = start
         while True:
             limit = budget()
-            if i >= len(dists):
+            if i >= len(keys):
                 if not self._settle(limit, one=True):
                     return
                 continue  # re-read the budget before handing the match out
-            if dists[i] > limit:
+            if keys[i] > limit:
                 return
             yield i, i + 1
             i += 1

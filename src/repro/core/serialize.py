@@ -82,8 +82,11 @@ SESSION_FORMAT = "repro-skysr-session"
 #: 5 stores lengths and offsets over weights snapped to the grain, with
 #: ties in every modified-Dijkstra stream in vertex-id order; version 6
 #: offsets stop after, not before, candidates that tie a budget, and
-#: deferred work and skybands keep routes that tie a threshold)
-SCHEMA_VERSION = 6
+#: deferred work and skybands keep routes that tie a threshold; version
+#: 7 offsets index modified-Dijkstra streams past position 0 in the
+#: ``(key, vertex)`` order of their to-go potential, not in distance
+#: order)
+SCHEMA_VERSION = 7
 
 _MISSING = object()
 

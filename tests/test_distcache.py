@@ -6,15 +6,17 @@ import random
 
 import pytest
 
+from repro.baselines.topk import brute_force_skyband
 from repro.core.distcache import DistanceCache, _estimate_bytes
 from repro.core.engine import SkySREngine
 from repro.core.search import PoICandidateSearch
 from repro.core.spec import PositionSpec
 from repro.datasets.presets import mini_city
 from repro.errors import QueryError
+from repro.graph.road_network import RoadNetwork
 from repro.service.prototype import SkySRService
 
-from .conftest import pick_query, random_instance, score_set
+from .conftest import pick_query, random_instance, score_set, small_forest
 
 
 def _searches(seed=31, size=3):
@@ -188,3 +190,48 @@ def test_service_wires_a_default_cache():
     custom = DistanceCache(max_entries=3)
     tuned = SkySRService(mini_city(), distance_cache=custom)
     assert tuned.engine.distance_cache is custom
+
+
+def test_streams_are_shared_only_under_the_same_potential():
+    """Past position 0 a stream's keys carry its query's remaining
+    route, so queries that agree on a position but not on what follows
+    it must not share its searches.
+
+    ``s`` reaches the one Ramen PoI ``x``.  From ``x``, the Gift PoI
+    ``y_near`` (1 away) is next to the Jazz PoI ``z1``, and ``y_far``
+    (3 away) is next to the Hotel PoI ``z2``.  Query A asks for Ramen,
+    Gift, Jazz; query B for Ramen, Gift, Hotel.  B's NNinit takes
+    ``y_near``, a 7-long route; B's optimum is ⟨x, y_far, z2⟩ at 5.  A's
+    position-1 stream from ``x`` keys ``y_far`` at 3 + 5 = 8, past B's
+    budget of 6, so B must not read it.  B's own stream keys ``y_far``
+    at 3 + 1 = 4."""
+    forest = small_forest()
+    forest.add_path("Stay", "Hotel")
+    network = RoadNetwork()
+    s = network.add_vertex()
+    x = network.add_poi(forest.resolve("Ramen"))
+    y_near = network.add_poi(forest.resolve("Gift"))
+    y_far = network.add_poi(forest.resolve("Gift"))
+    z1 = network.add_poi(forest.resolve("Jazz"))
+    z2 = network.add_poi(forest.resolve("Hotel"))
+    for u, v, w in [
+        (s, x, 1.0),
+        (x, y_near, 1.0),
+        (y_near, z1, 1.0),
+        (x, y_far, 3.0),
+        (y_far, z2, 1.0),
+    ]:
+        network.add_edge(u, v, w)
+    cache = DistanceCache(max_entries=64)
+    engine = SkySREngine(network, forest, distance_cache=cache)
+    engine.query(s, ["Ramen", "Gift", "Jazz"])
+    hits = cache.stats.hits
+    b = ["Ramen", "Gift", "Hotel"]
+    result = engine.query(s, b)
+    expected = brute_force_skyband(network, engine.compile(s, b), 1)
+    rows = [(r.pois, r.length, r.semantic) for r in result.routes]
+    assert rows == [(r.pois, r.length, r.semantic) for r in expected]
+    assert rows[0][:2] == ((x, y_far, z2), 5.0)
+    # B still shares A's position-0 stream from s, whose potential is
+    # the candidate field both queries agree on
+    assert cache.stats.hits > hits

@@ -178,7 +178,7 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
     session = warm.session(start, cats, page_size=2)
     session.next_page()
     payload = session.to_dict()
-    assert SCHEMA_VERSION == 6
+    assert SCHEMA_VERSION == 7
     assert payload["version"] == SCHEMA_VERSION
     assert "cache" not in payload["search"]["state"]
     # drive the warm engine's shared searches well past page 1's budget
@@ -364,6 +364,19 @@ def test_version_5_payload_is_rejected():
     is refused, not replayed."""
     engine, payload = _payload()
     payload["version"] = 5
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "version"
+
+
+def test_version_6_payload_is_rejected():
+    """Version 6 offsets index every modified-Dijkstra stream in
+    distance order.  Past position 0 a stream now comes out in the
+    ``(key, vertex)`` order of its to-go potential, so a version 6
+    offset would skip or replay the wrong candidates: the payload is
+    refused, not replayed."""
+    engine, payload = _payload()
+    payload["version"] = 6
     with pytest.raises(SessionDecodeError) as exc:
         PlanningSession.from_dict(engine, payload)
     assert exc.value.field == "version"

@@ -5,7 +5,10 @@ one candidate of each position ``j … n−1``, in order, then to the
 destination if there is one.  The rows must equal a brute-force
 dynamic program over Dijkstra distances, never exceed what a real
 completion still travels, share one memoized object per candidate-set
-pair, and be counted as sweeps, not as search work.
+pair, and be counted as sweeps, not as search work.  Used as the A*
+potential of a modified-Dijkstra stream, a row must key every candidate
+by its distance plus the exact remainder ahead of it, in ``(key,
+vertex)`` order, under every way a consumer drives the stream.
 """
 
 import math
@@ -19,7 +22,7 @@ from repro.core.bounds import compute_lower_bounds
 from repro.core.bssr import BSSRSearch
 from repro.core.dominance import SkylineSet
 from repro.core.options import BSSROptions
-from repro.core.search import field_memo
+from repro.core.search import PoICandidateSearch, field_memo
 from repro.extensions.predicates import AnyOf
 from repro.graph.dijkstra import dijkstra
 
@@ -137,6 +140,85 @@ def test_floor_is_admissible_for_every_completion(seed, directed, destination):
                         compiled.destination, math.inf
                     )
                 assert floor <= remaining, (j, last, tail)
+
+
+def _stream(network, spec, source, field, budget, start=0):
+    """The ``(dist, key, vid)`` triples ``scored_until(budget)`` hands
+    out from ``start`` on a fresh search, plus the search."""
+    search = PoICandidateSearch(network, spec, source, field=field)
+    got = [
+        (search.dists[i], search.keys[i], search.candidates[i])
+        for lo, hi in search.scored_until(budget, start=start)
+        for i in range(lo, hi)
+    ]
+    return got, search
+
+
+@pytest.mark.parametrize("destination", [False, True])
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_stream_on_a_to_go_row_is_keyed_by_the_remaining_route(
+    seed, directed, destination
+):
+    """Streams at positions 1 … n−1 with ``to_go[j]`` as potential:
+    keys are nondecreasing and each is the Dijkstra distance plus the
+    next row's value (the destination leg at the last position);
+    ``scored_until(B)`` covers exactly the candidates keyed at most
+    ``B``, on a fresh stream and on one already drained past ``B``; a
+    burst, a callable budget read one candidate at a time and a fresh
+    instance replayed from an offset hand out the same stream."""
+    network, _, compiled = _query(
+        seed, directed, size=4, destination=destination
+    )
+    bounds, dest_dist = _bounds(network, compiled)
+    n = compiled.size
+    sources = list(network.vertices())[:: max(1, network.num_vertices // 8)]
+    for j in range(1, n):
+        spec = compiled.specs[j]
+        field = bounds.to_go[j]
+        if j + 1 < n:
+            after = bounds.to_go[j + 1].__getitem__
+        elif dest_dist is not None:
+            after = lambda c: dest_dist.get(c, math.inf)  # noqa: E731
+        else:
+            after = lambda c: 0.0  # noqa: E731
+        for source in sources:
+            dist = dijkstra(network, source)
+            expected = sorted(
+                (
+                    (dist[c], dist[c] + after(c), c)
+                    for c in spec.sim_map
+                    if c in dist and after(c) < math.inf
+                ),
+                key=lambda t: (t[1], t[2]),
+            )
+            full, warm = _stream(network, spec, source, field, math.inf)
+            assert warm.exhausted
+            assert full == expected
+            keys = sorted({key for _, key, _ in full})
+            midpoints = [a + (b - a) / 2 for a, b in zip(keys, keys[1:])]
+            budgets = [-1.0, *keys, *midpoints]
+            for budget in budgets:
+                within = [t for t in full if t[1] <= budget]
+                burst, _ = _stream(network, spec, source, field, budget)
+                assert burst == within, (j, source, budget)
+                # a stream another consumer drained past the budget
+                # hands out the same prefix, burst or one at a time
+                for cut in (budget, lambda b=budget: b):
+                    reread = [
+                        i for lo, hi in warm.scored_until(cut)
+                        for i in range(lo, hi)
+                    ]
+                    assert reread == list(range(len(within))), (j, budget)
+                single, _ = _stream(
+                    network, spec, source, field, lambda b=budget: b
+                )
+                assert single == within, (j, source, budget)
+                offset = len(within) // 2
+                replayed, _ = _stream(
+                    network, spec, source, field, budget, start=offset
+                )
+                assert replayed == within[offset:], (j, source, budget)
 
 
 def _named_instance(size):
