@@ -20,15 +20,16 @@ the caller:
 * **Dijkstra** (the default path): each ``l_s`` leg is the minimum of
   position ``i+1``'s memoized candidate distance field
   (:func:`~repro.core.search.candidate_field`) over position ``i``'s
-  full candidate set — one pass over the set, no search.  Each ``l_p``
-  leg is the multi-source multi-destination Dijkstra of Lemma 5.9 over
-  the full sets, truncated at the best perfect route length ``l̄(ϕ)``
-  (a truncated search returns the radius — still a valid lower bound).
-  The paper's ``l̄(ϕ)`` ball (Algorithm 4 lines 3–4) is not built:
-  full-set minima can only under-, never over-state the restricted
-  ones, so they stay valid lower bounds.  Positions without a
-  memoized field (predicates) take their ``l_s`` leg from the same
-  truncated Dijkstra.
+  full candidate set — one pass over the set, no search — and each
+  ``l_p`` leg the minimum of its memoized perfect field
+  (:func:`perfect_field`) over the same set.  The paper's ``l̄(ϕ)``
+  ball (Algorithm 4 lines 3–4) is not built: full-set minima can only
+  under-, never over-state the restricted ones, so they stay valid
+  lower bounds.  Positions without memoized fields (predicates) take
+  their legs from the multi-source multi-destination Dijkstra of
+  Lemma 5.9 over the full sets, truncated at the best perfect route
+  length ``l̄(ϕ)`` (a truncated search returns the radius — still a
+  valid lower bound).
 * **ALT** (``BSSROptions.use_landmarks``): a
   :class:`~repro.graph.landmarks.LandmarkIndex` restricts each set to a
   superset of the ``l̄(ϕ)`` ball and maxes each truncated Dijkstra leg
@@ -91,9 +92,10 @@ from repro.graph.dijkstra import (  # noqa: F401 (bounded_dijkstra)
 from repro.graph.landmarks import LandmarkIndex, Profile
 from repro.graph.road_network import RoadNetwork
 
-# ``bounded_dijkstra`` is not called here.  The name stays bound in this
-# module because ``perfbench/spans.py`` wraps it, with
-# ``multi_source_min_distance``, through ``bounds.__dict__``.
+# ``bounded_dijkstra`` is not called here, and ``multi_source_min_distance``
+# runs only under ALT and for predicate positions.  Both names stay bound
+# in this module because ``perfbench/spans.py`` wraps them through
+# ``bounds.__dict__``.
 
 #: target bucket kind of each leg family
 _BUCKET_KIND = {"ls": "cands", "lp": "perfect"}
@@ -125,10 +127,10 @@ class LowerBounds:
     #: ``to_go[j]`` for route sizes ``j = 1 … n−1`` (``to_go[0]`` is
     #: ``None``); advisory — not serialized, rebuilt after a restore
     to_go: list[Sequence[float] | None] | None = None
-    #: ``to_go_min[j]``: the least length still ahead of a route once it
-    #: reaches a candidate of position ``j`` (BSSR reserves it at
-    #: position 0; later streams carry the exact value in their keys)
-    to_go_min: list[float] | None = None
+    #: the least length still ahead of a route once it reaches a
+    #: candidate of position 0 (BSSR reserves it there; later streams
+    #: carry the exact value in their keys)
+    to_go_min: float | None = None
 
     @classmethod
     def disabled(cls, n: int) -> "LowerBounds":
@@ -156,20 +158,38 @@ def _remaining_best_np_from(
     return out
 
 
+def perfect_field(network: RoadNetwork, spec) -> Sequence[float] | None:
+    """The memoized distance field toward ``spec``'s perfect matches,
+    or ``None`` for a spec without a ``share_key`` (a predicate).
+
+    Algorithm 4 reads it once per leg, at position ``j``'s candidates, so
+    it is kept in :func:`~repro.core.search.field_memo` as an
+    ``array('d')``, one per network and distinct perfect set.
+    """
+    if spec.share_key is None:
+        return None
+    memo = field_memo(network)
+    key = ("perfect", set_key(memo, spec.perfect))
+    row = memo.get(key)
+    if row is None:
+        row = memo[key] = array("d", distance_field(network, spec.perfect))
+    return row
+
+
 def to_go_rows(
     network: RoadNetwork,
     query: CompiledQuery,
     fields: list[list[float] | None],
     dest_dist=None,
-) -> tuple[list[Sequence[float] | None], list[float], int]:
-    """The query's to-go rows, ``(rows, mins, sweeps)``.
+) -> tuple[list[Sequence[float] | None], float, int]:
+    """The query's to-go rows, ``(rows, first_min, sweeps)``.
 
     ``rows[j][v]`` (``1 <= j < n``) is the length of the shortest walk
     from ``v`` through one candidate of each position ``j … n−1``, in
     order, then to the destination (``dest_dist``, distances *to* it)
-    if there is one.  ``mins[j]`` is the least of ``rows[j+1]`` (the
-    destination leg for ``j = n−1``, 0 without one) over position
-    ``j``'s candidates.  ``fields`` are the positions' candidate fields
+    if there is one.  ``first_min`` is the least of ``rows[1]`` over
+    position 0's candidates (for ``n = 1``, of the destination leg, or
+    0 without one).  ``fields`` are the positions' candidate fields
     (:func:`~repro.core.search.candidate_field`).
 
     The rows are built back to front, each by one
@@ -214,14 +234,15 @@ def to_go_rows(
             row = distance_field(network, sets[j], rows[j + 1])
             sweeps += 1
         rows[j] = row
-    mins = [
-        min((rows[j + 1][c] for c in sets[j]), default=math.inf)  # type: ignore[index]
-        for j in range(n - 1)
-    ]
-    mins.append(
-        0.0 if dest_leg is None else min(dest_leg.values(), default=math.inf)
-    )
-    return rows, mins, sweeps
+    if n > 1:
+        first_min = min((rows[1][c] for c in sets[0]), default=math.inf)  # type: ignore[index]
+    else:
+        first_min = (
+            0.0
+            if dest_leg is None
+            else min(dest_leg.values(), default=math.inf)
+        )
+    return rows, first_min, sweeps
 
 
 def compute_lower_bounds(
@@ -297,6 +318,11 @@ def compute_lower_bounds(
         if ch is None
         else None
     )
+    perfect_fields = (
+        [perfect_field(network, spec) for spec in specs]
+        if fields is not None and perfect_enabled and profiles is None
+        else None
+    )
 
     def leg(j: int, kind: str, targets) -> float:
         """Minimum distance from position ``j``'s candidates to
@@ -317,8 +343,9 @@ def compute_lower_bounds(
                     (kind, src_key, tgt_key), src_key, sources, bucket
                 )
             return ch.min_from_set(sources, bucket)
-        if kind == "ls" and profiles is None:
-            target_field = fields[j + 1]  # type: ignore[index]
+        if profiles is None:
+            target_fields = fields if kind == "ls" else perfect_fields
+            target_field = target_fields[j + 1]  # type: ignore[index]
             if target_field is not None:
                 return min(
                     (target_field[c] for c in sources), default=math.inf

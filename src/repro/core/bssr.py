@@ -36,7 +36,7 @@ The search state is explicit: :class:`SearchState` owns everything a
 paused search needs to continue — the route queue, the evolving
 skyband, an *archive* of every completed route ever scored, the
 *deferred* list (routes pruned or budget-truncated under the current
-``k``), the lower bounds, and the modified-Dijkstra cache.  Instead of
+``k``), and the modified-Dijkstra cache.  Instead of
 silently discarding work the current thresholds reject,
 :class:`BSSRSearch` parks it in ``deferred``; :meth:`BSSRSearch.resume`
 widens the skyband to a larger ``k'``, recomputes the (now looser)
@@ -159,9 +159,6 @@ class SearchState:
             routes and budget-truncated expansions — kept instead of
             discarded so a wider ``k`` can take it up again.
         queue: the route priority queue ``Q_b`` (empty at a checkpoint).
-        bounds: the Section 5.3.3 lower bounds for the current ``k``
-            (the ``l̄(ϕ)`` radius of the ``l_p`` legs grows with ``k``,
-            so resume recomputes them; the to-go rows carry over).
         dest_dist: reverse distances to the destination, if any.
         cache: the on-the-fly modified-Dijkstra cache (Section 5.3.4) —
             shared across resumes, which is a large part of why resuming
@@ -178,7 +175,6 @@ class SearchState:
     queue: list[tuple[tuple, int, PartialRoute, int]] = field(
         default_factory=list
     )
-    bounds: LowerBounds | None = None
     dest_dist: dict[int, float] | None = None
     cache: dict[tuple[int, int], PoICandidateSearch] = field(
         default_factory=dict
@@ -342,7 +338,6 @@ class BSSRSearch:
             )
 
         self._compute_bounds()
-        self.state.bounds = self.bounds
         self._bind_prune_tests()
 
         empty = PartialRoute(
@@ -398,11 +393,7 @@ class BSSRSearch:
         state.skyband = self._rebuild_skyband(k)
         # The radius l̄(ϕ) grew with k: pass-1 bounds may overprune
         # routes that only the wider skyband admits, so recompute.
-        if self.state.bounds is not None and not self.options.lower_bounds:
-            self.bounds = self.state.bounds  # disabled bounds stay valid
-        else:
-            self._compute_bounds()
-        self.state.bounds = self.bounds
+        self._compute_bounds()
         self._bind_prune_tests()
         deferred, state.deferred = state.deferred, []
         for item in deferred:
@@ -555,7 +546,7 @@ class BSSRSearch:
             first = candidate_field(self.network, self.query.specs[0])
             self._fields = [first, *bounds.to_go[1:]]
             self._potentials = self._potential_keys()
-            reserve = [bounds.to_go_min[0]] + [0.0] * (n - 1)  # type: ignore[index]
+            reserve = [bounds.to_go_min] + [0.0] * (n - 1)  # type: ignore[list-item]
         else:
             reserve = [
                 bounds.suffix_ls[j + 1] + bounds.dest_min for j in range(n)

@@ -197,7 +197,8 @@ def field_memo(network: RoadNetwork) -> dict:
 
     Keys are candidate sets: ``frozenset(C)`` holds the field toward
     ``C`` (:func:`candidate_field`), ``(frozenset(C), frozenset(D))``
-    the to-go row of the pair ``C`` then ``D`` (see
+    the to-go row of the pair ``C`` then ``D`` and ``("perfect",
+    frozenset(P))`` the field toward a perfect set ``P`` (see
     :mod:`repro.core.bounds`), built from :func:`set_key`.  A PoI edit
     (``RoadNetwork.poi_version``) or a new vertex or edge drops every
     entry.

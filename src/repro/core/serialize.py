@@ -1,33 +1,47 @@
 """Versioned (de)serialization of checkpointed searches and sessions.
 
-PR 2 made the BSSR search loop an explicit, checkpointable
+The BSSR search loop keeps its state in an explicit, checkpointable
 :class:`~repro.core.bssr.SearchState`; this module makes that state
 *durable*.  A :class:`~repro.core.session.PlanningSession` — compiled
 query, served pages, and the search checkpoint (skyband archive,
-deferred work, priority queue, lower bounds) — round-trips through
+deferred work, priority queue) — round-trips through
 plain JSON-compatible dicts, so a session can be
 persisted by a :mod:`repro.store` backend, restored in a *different
 process*, and resumed as if nothing happened.
 
+A payload stores only what a restore cannot derive.  Each route is a
+positional row, and the rest of it comes from the compiled query and
+the aggregator:
+
+* stored: an archived route as ``[pois, length]``; a deferred route as
+  ``[pois, length, serial, consumed]``; a queued one as ``[pois,
+  length, serial, queue_serial, consumed]``;
+* stored by reference: the skyband members, the served routes and each
+  page's routes are PoI tuples, each naming an archive member (a route
+  is one PoI tuple with one length, and every route a session shows
+  is archived);
+* derived: ``sims[i]`` is ``specs[i].sim_map[pois[i]]``, and the
+  aggregator state and the semantic score replay those similarities
+  through the aggregator — the same ``extend`` sequence BSSR ran, so
+  they are bit-identical;
+* derived: queue priorities, recomputed from the configured policy with
+  the unique serial tiebreak, so the restored heap pops in the original
+  order; and the lower bounds, which every search leg recomputes.
+
 Exactness is the contract, and the test layer
 (``tests/test_session_store.py``) holds it to byte-identical output:
-
-* floats survive unchanged (:func:`json.dumps` emits Python's
-  shortest-round-trip ``repr``);
-* a partial route's incremental aggregator state is *rebuilt* by
-  replaying its similarity vector through the aggregator — the same
-  ``extend`` sequence BSSR originally executed, hence bit-identical;
-* queue priorities are recomputed from the configured policy and the
-  unique serial tiebreak, so the restored heap pops in the original
-  order;
-* the skyband is restored member-for-member (not re-derived), so even
-  equal-score representatives are preserved.
+floats survive unchanged (:func:`json.dumps` emits Python's
+shortest-round-trip ``repr``), and the skyband is restored
+member-for-member (not re-derived), so even equal-score
+representatives are preserved.
 
 Schema versioning is strict: every payload carries ``format`` and
 ``version`` fields, and :func:`session_from_dict` rejects unknown
 versions and malformed fields with a typed
 :class:`~repro.errors.SessionDecodeError` naming the offending field —
-never a bare ``KeyError``/``TypeError``.  Forward compatibility is
+never a bare ``KeyError``/``TypeError``.  A malformed row, a reference
+that names no archived route and a PoI that is not a candidate at its
+position are refused the same way.  Forward compatibility is
 rejection, not guessing: a payload written by a newer schema is refused
 instead of half-read.
 
@@ -53,7 +67,6 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.bounds import LowerBounds
 from repro.core.options import BSSROptions
 from repro.core.routes import PartialRoute, SkylineRoute
 from repro.core.stats import SearchStats
@@ -85,8 +98,10 @@ SESSION_FORMAT = "repro-skysr-session"
 #: deferred work and skybands keep routes that tie a threshold; version
 #: 7 offsets index modified-Dijkstra streams past position 0 in the
 #: ``(key, vertex)`` order of their to-go potential, not in distance
-#: order)
-SCHEMA_VERSION = 7
+#: order; version 8 stores each route as a row of its PoI tuple and
+#: length, names skyband, served and page routes by PoI tuple, and
+#: drops the bounds block)
+SCHEMA_VERSION = 8
 
 _MISSING = object()
 
@@ -145,113 +160,65 @@ def _decoding(field: str, rebuild: Callable):
 # routes
 
 
-def route_to_dict(route: SkylineRoute) -> dict:
-    """JSON-compatible form of a finished route."""
-    return {
-        "pois": list(route.pois),
-        "length": route.length,
-        "semantic": route.semantic,
-        "sims": list(route.sims),
-    }
+def _row_error(where: str, row, why: str) -> SessionDecodeError:
+    text = repr(row)
+    if len(text) > 80:
+        text = text[:77] + "..."
+    return SessionDecodeError(f"{where} entry {text} {why}", field=where)
 
 
-def route_from_dict(payload: dict, *, where: str = "route") -> SkylineRoute:
-    """Inverse of :func:`route_to_dict` (strict)."""
-    return _decoding(
-        where,
-        lambda: SkylineRoute(
-            pois=tuple(int(p) for p in payload["pois"]),
-            length=float(payload["length"]),
-            semantic=float(payload["semantic"]),
-            sims=tuple(float(s) for s in payload["sims"]),
-        ),
-    )
+def _row_reader(query: "CompiledQuery", aggregator: SemanticAggregator):
+    """``read(row, width, where)`` → ``(pois, length, sims, sem_state,
+    counters)`` of one stored route row ``[pois, length, *counters]``.
 
-
-def _partial_to_dict(route: PartialRoute) -> dict:
-    # ``sem_state`` is omitted: it is a pure function of the similarity
-    # vector and the aggregator, and is replayed bit-exactly on restore.
-    return {
-        "pois": list(route.pois),
-        "length": route.length,
-        "semantic": route.semantic,
-        "sims": list(route.sims),
-        "serial": route.serial,
-    }
-
-
-def _replay_sem_state(
-    aggregator: SemanticAggregator, n: int, sims: tuple[float, ...]
-):
-    state = aggregator.initial(n)
-    for sim in sims:
-        state = aggregator.extend(state, sim)
-    return state
-
-
-def _partial_from_dict(
-    payload: dict,
-    aggregator: SemanticAggregator,
-    n: int,
-    *,
-    where: str = "partial",
-) -> PartialRoute:
-    def rebuild() -> PartialRoute:
-        sims = tuple(float(s) for s in payload["sims"])
-        return PartialRoute(
-            pois=tuple(int(p) for p in payload["pois"]),
-            length=float(payload["length"]),
-            semantic=float(payload["semantic"]),
-            sem_state=_replay_sem_state(aggregator, n, sims),
-            sims=sims,
-            serial=int(payload["serial"]),
-        )
-
-    return _decoding(where, rebuild)
-
-
-# ---------------------------------------------------------------------------
-# lower bounds
-
-
-def bounds_to_dict(bounds: LowerBounds | None) -> dict | None:
-    """JSON form of the Section 5.3.3 bounds (``None`` passes through).
-
-    Infinite leg distances (no qualifying target) survive via Python's
-    JSON ``Infinity`` extension — payloads are read back by this module,
-    which accepts it.
+    ``sims[i]`` is position ``i``'s similarity of ``pois[i]``, and
+    ``sem_state`` replays them through the aggregator: the same
+    ``extend`` sequence BSSR ran, so both are bit-identical to the live
+    route's.  A PoI that is not a candidate at its position is refused.
     """
-    if bounds is None:
-        return None
-    return {
-        "suffix_ls": list(bounds.suffix_ls),
-        "suffix_lp": list(bounds.suffix_lp),
-        "remaining_best_np": list(bounds.remaining_best_np),
-        "dest_min": bounds.dest_min,
-        "legs_ls": list(bounds.legs_ls),
-        "legs_lp": list(bounds.legs_lp),
-    }
+    sim_maps = [spec.sim_map for spec in query.specs]
+    n = len(sim_maps)
+    initial = aggregator.initial(n)
+    extend = aggregator.extend
+
+    def read(row, width: int, where: str):
+        if type(row) is not list or len(row) != width:
+            raise _row_error(where, row, f"is not a row of {width} fields")
+        pois, length, *counters = row
+        if type(pois) is not list or len(pois) > n:
+            raise _row_error(where, row, f"holds no list of at most {n} PoIs")
+        if type(length) not in (int, float) or any(
+            type(c) is not int for c in counters
+        ):
+            raise _row_error(where, row, "holds a non-numeric field")
+        sims = []
+        state = initial
+        for position, (sim_map, poi) in enumerate(zip(sim_maps, pois)):
+            sim = sim_map.get(poi) if type(poi) is int else None
+            if sim is None:
+                raise SessionDecodeError(
+                    f"{where}: PoI {poi!r} is not a candidate at position "
+                    f"{position}",
+                    field=where,
+                )
+            sims.append(sim)
+            state = extend(state, sim)
+        return tuple(pois), float(length), tuple(sims), state, counters
+
+    return read
 
 
-def bounds_from_dict(payload: dict | None) -> LowerBounds | None:
-    """Inverse of :func:`bounds_to_dict`."""
-    if payload is None:
-        return None
-
-    def rebuild() -> LowerBounds:
-        return LowerBounds(
-            suffix_ls=[float(x) for x in payload["suffix_ls"]],
-            suffix_lp=[float(x) for x in payload["suffix_lp"]],
-            remaining_best_np=[
-                None if x is None else float(x)
-                for x in payload["remaining_best_np"]
-            ],
-            dest_min=float(payload["dest_min"]),
-            legs_ls=[float(x) for x in payload["legs_ls"]],
-            legs_lp=[float(x) for x in payload["legs_lp"]],
-        )
-
-    return _decoding("search.state.bounds", rebuild)
+def _archived(
+    archive: dict[tuple[int, ...], SkylineRoute], ref, where: str
+) -> SkylineRoute:
+    """The archive member a stored PoI tuple names."""
+    try:
+        route = archive.get(tuple(ref)) if type(ref) is list else None
+    except TypeError:  # an unhashable entry
+        route = None
+    if route is None:
+        raise _row_error(where, ref, "names no archived route")
+    return route
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +241,21 @@ def search_to_dict(search: "BSSRSearch") -> dict:
             "k": state.k,
             "serial": state.serial,
             "resumes": state.resumes,
-            "archive": [route_to_dict(r) for r in state.archive.values()],
-            "skyband": [route_to_dict(r) for r in state.skyband.routes()],
+            "archive": [
+                [list(r.pois), r.length] for r in state.archive.values()
+            ],
+            "skyband": [list(r.pois) for r in state.skyband.routes()],
             "deferred": [
-                {"route": _partial_to_dict(d.route), "consumed": d.consumed}
+                [
+                    list(d.route.pois), d.route.length, d.route.serial,
+                    d.consumed,
+                ]
                 for d in state.deferred
             ],
             "queue": [
-                {
-                    "serial": serial,
-                    "route": _partial_to_dict(route),
-                    "consumed": consumed,
-                }
-                for (_priority, serial, route, consumed) in state.queue
+                [list(r.pois), r.length, r.serial, serial, consumed]
+                for (_priority, serial, r, consumed) in state.queue
             ],
-            "bounds": bounds_to_dict(state.bounds),
         },
     }
 
@@ -303,8 +270,9 @@ def search_from_dict(
 
     The restored object is behaviourally identical to the original at
     its last checkpoint: same skyband members, same deferred work and
-    queue pop order, same bounds.  Its candidate-search cache starts
-    empty and refills on demand; stream offsets replay exactly.
+    queue pop order.  Its candidate-search cache starts empty and
+    refills on demand; stream offsets replay exactly.  Its lower bounds
+    are recomputed by the next leg, as a live search's are.
     """
     import heapq
 
@@ -321,7 +289,8 @@ def search_from_dict(
     )
     state_payload = _require(payload, "state", dict, where="search")
     state = search.state
-    n = query.size
+    read = _row_reader(query, aggregator)
+    score = aggregator.score
 
     state.k = _require(state_payload, "k", int, where="search.state")
     state.serial = _require(state_payload, "serial", int, where="search.state")
@@ -329,72 +298,47 @@ def search_from_dict(
         state_payload, "resumes", int, where="search.state"
     )
 
-    archive_routes = [
-        route_from_dict(entry, where="search.state.archive")
-        for entry in _require(
-            state_payload, "archive", list, where="search.state"
-        )
-    ]
-    state.archive = {route.pois: route for route in archive_routes}
+    archive: dict[tuple[int, ...], SkylineRoute] = {}
+    where = "search.state.archive"
+    for row in _require(state_payload, "archive", list, where="search.state"):
+        pois, length, sims, sem_state, _ = read(row, 2, where)
+        if len(pois) != query.size:
+            raise _row_error(where, row, "is not a complete route")
+        archive[pois] = SkylineRoute(pois, length, score(sem_state), sims)
+    state.archive = archive
 
     # Restore the skyband member-for-member (in its stored length-sorted
     # order) instead of re-deriving it from the archive: replaying the
     # final member list through update() reproduces the exact internal
     # entry list, including equal-score representatives.
-    band = _ArchivingSkyband(state.k, state.archive)
-    for entry in _require(state_payload, "skyband", list, where="search.state"):
-        band.update(route_from_dict(entry, where="search.state.skyband"))
+    band = _ArchivingSkyband(state.k, archive)
+    for ref in _require(state_payload, "skyband", list, where="search.state"):
+        band.update(_archived(archive, ref, "search.state.skyband"))
     band.updates = 0
     band.rejects = 0
     state.skyband = band
 
-    state.deferred = [
-        _Deferred(
-            route=_partial_from_dict(
-                _require(entry, "route", dict, where="search.state.deferred"),
-                aggregator,
-                n,
-                where="search.state.deferred",
-            ),
-            consumed=_require(
-                entry, "consumed", int, where="search.state.deferred"
-            ),
+    def partial(row, width: int, where: str):
+        pois, length, sims, sem_state, counters = read(row, width, where)
+        route = PartialRoute(
+            pois, length, score(sem_state), sem_state, sims, counters[0]
         )
-        for entry in _require(
-            state_payload, "deferred", list, where="search.state"
-        )
-    ]
+        return route, counters[1:]
+
+    state.deferred = []
+    for row in _require(state_payload, "deferred", list, where="search.state"):
+        route, (consumed,) = partial(row, 4, "search.state.deferred")
+        state.deferred.append(_Deferred(route, consumed))
 
     # Queue priorities are a pure function of the route under the
     # configured policy; the serial tiebreak makes the heap order total,
     # so recomputing them restores the exact pop sequence.
     queue = []
-    for entry in _require(state_payload, "queue", list, where="search.state"):
-        route = _partial_from_dict(
-            _require(entry, "route", dict, where="search.state.queue"),
-            aggregator,
-            n,
-            where="search.state.queue",
-        )
-        queue.append(
-            (
-                search._priority(route),
-                _require(entry, "serial", int, where="search.state.queue"),
-                route,
-                _require(entry, "consumed", int, where="search.state.queue"),
-            )
-        )
+    for row in _require(state_payload, "queue", list, where="search.state"):
+        route, (serial, consumed) = partial(row, 5, "search.state.queue")
+        queue.append((search._priority(route), serial, route, consumed))
     heapq.heapify(queue)
     state.queue = queue
-
-    bounds_payload = state_payload.get("bounds", _MISSING)
-    if bounds_payload is _MISSING:
-        raise SessionDecodeError(
-            "search.state is missing required field 'bounds'", field="bounds"
-        )
-    state.bounds = bounds_from_dict(bounds_payload)
-    if state.bounds is not None:
-        search.bounds = state.bounds
 
     search._started = _require(payload, "started", bool, where="search")
     search._first_radius_recorded = _require(
@@ -432,19 +376,19 @@ def _page_to_dict(page) -> dict:
         "first_rank": page.first_rank,
         "resumed": page.resumed,
         "exhausted": page.exhausted,
-        "routes": [route_to_dict(r) for r in page.routes],
+        "routes": [list(r.pois) for r in page.routes],
         "stats": page.stats.to_dict(),
     }
 
 
-def _page_from_dict(payload: dict):
+def _page_from_dict(payload: dict, archive: dict):
     from repro.core.session import Page
 
     return Page(
         number=_require(payload, "number", int, where="pages"),
         routes=[
-            route_from_dict(entry, where="pages.routes")
-            for entry in _require(payload, "routes", list, where="pages")
+            _archived(archive, ref, "pages.routes")
+            for ref in _require(payload, "routes", list, where="pages")
         ],
         first_rank=_require(payload, "first_rank", int, where="pages"),
         stats=_decoding(
@@ -473,7 +417,7 @@ def session_to_dict(session: "PlanningSession") -> dict:
         "page_size": session.page_size,
         "diversity_lambda": session.diversity_lambda,
         "horizon": session._horizon,
-        "served": [route_to_dict(r) for r in session._served],
+        "served": [list(r.pois) for r in session._served],
         "pages": [_page_to_dict(page) for page in session.pages],
         "search": search_to_dict(session._search),
     }
@@ -557,13 +501,14 @@ def session_from_dict(
     # Rejoin the engine's cross-query cache (never serialized — cache
     # membership is a property of the serving engine, not the session).
     session._search.shared_cache = engine.distance_cache
+    archive = session._search.state.archive
     session.pages = [
-        _page_from_dict(entry)
+        _page_from_dict(entry, archive)
         for entry in _require(payload, "pages", list)
     ]
     session._served = [
-        route_from_dict(entry, where="served")
-        for entry in _require(payload, "served", list)
+        _archived(archive, ref, "served")
+        for ref in _require(payload, "served", list)
     ]
     session._served_scores = {r.scores() for r in session._served}
     session._horizon = _require(payload, "horizon", int)

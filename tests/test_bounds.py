@@ -153,3 +153,50 @@ def test_unreachable_leg_is_inf():
     bounds = compute_lower_bounds(net, query, SkylineSet())
     assert bounds.legs_ls[0] == math.inf
     assert bounds.suffix_ls[1] == math.inf
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 6])
+def test_default_lp_legs_are_memoized_perfect_field_minima(
+    seed, directed, monkeypatch
+):
+    """On the default path each ``l_p`` leg is the exact least distance
+    from position ``j``'s candidates to position ``j+1``'s perfect
+    matches, read from a memoized field: no Dijkstra runs, and a short
+    perfect route does not truncate it."""
+    from repro.core import bounds as bounds_module
+    from repro.core.bounds import perfect_field
+    from repro.core.engine import SkySREngine
+    from repro.graph.dijkstra import dijkstra
+
+    from .conftest import pick_query, random_instance
+
+    network, forest, rng = random_instance(seed, directed=directed)
+    picked = pick_query(network, forest, rng, 3)
+    assert picked is not None
+    start, cats = picked
+    query = SkySREngine(network, forest).compile(start, cats)
+
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("l_p leg ran a Dijkstra")
+
+    monkeypatch.setattr(
+        bounds_module, "multi_source_min_distance", no_dijkstra
+    )
+    skyline = SkylineSet()
+    skyline.update(SkylineRoute(pois=(-1, -2, -3), length=0.0, semantic=0.0))
+    bounds = compute_lower_bounds(network, query, skyline)
+    dist = {u: dijkstra(network, u) for u in network.vertices()}
+    specs = query.specs
+    for j in range(query.size - 1):
+        exact = min(
+            (
+                dist[c].get(p, math.inf)
+                for c in specs[j].sim_map
+                for p in specs[j + 1].perfect
+            ),
+            default=math.inf,
+        )
+        assert bounds.legs_lp[j] == exact, j
+        field = perfect_field(network, specs[j + 1])
+        assert perfect_field(network, specs[j + 1]) is field

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import datasets
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.core.serialize import SCHEMA_VERSION
@@ -178,7 +179,7 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
     session = warm.session(start, cats, page_size=2)
     session.next_page()
     payload = session.to_dict()
-    assert SCHEMA_VERSION == 7
+    assert SCHEMA_VERSION == 8
     assert payload["version"] == SCHEMA_VERSION
     assert "cache" not in payload["search"]["state"]
     # drive the warm engine's shared searches well past page 1's budget
@@ -332,7 +333,11 @@ def _payload(seed=0, pages=1):
     return engine, session.to_dict()
 
 
-@pytest.mark.parametrize("version", [SCHEMA_VERSION - 1, SCHEMA_VERSION + 1])
+@pytest.mark.parametrize(
+    "version",
+    [SCHEMA_VERSION - 1, SCHEMA_VERSION + 1],
+    ids=["previous", "next"],
+)
 def test_version_bump_is_rejected_with_field(version):
     """Newer payloads and the previous schema alike are refused: a
     previous-version offset addresses a different candidate stream."""
@@ -377,6 +382,18 @@ def test_version_6_payload_is_rejected():
     refused, not replayed."""
     engine, payload = _payload()
     payload["version"] = 6
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "version"
+
+
+def test_version_7_payload_is_rejected():
+    """Version 7 spelled out every route's similarities and semantic
+    score and carried a bounds block; version 8 stores routes as
+    ``[pois, length, …]`` rows and skyband, served and page routes as
+    PoI tuples, so a version 7 payload is refused, not half-read."""
+    engine, payload = _payload()
+    payload["version"] = 7
     with pytest.raises(SessionDecodeError) as exc:
         PlanningSession.from_dict(engine, payload)
     assert exc.value.field == "version"
@@ -443,9 +460,116 @@ def test_missing_or_mistyped_fields_name_the_field(mutate, field):
 
 def test_corrupt_route_payload_is_wrapped_not_raw():
     engine, payload = _payload()
-    payload["search"]["state"]["skyband"][0]["pois"] = "oops"
-    with pytest.raises(SessionDecodeError):
+    payload["search"]["state"]["archive"][0][0] = "oops"
+    with pytest.raises(SessionDecodeError) as exc:
         PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "search.state.archive"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda row: row.__setitem__(0, [[1], [2]]),
+        lambda row: row.__setitem__(1, "far"),
+        lambda row: row.__setitem__(1, True),
+        lambda row: row.append(0),
+        lambda row: row.pop(),
+        lambda row: row[0].pop(),
+    ],
+    ids=["nested-pois", "length", "bool-length", "extra", "short", "partial"],
+)
+def test_malformed_route_row_names_the_field(mutate):
+    """A malformed route row is a typed error naming its field, never a
+    bare ``TypeError`` or ``ValueError``; an archived route visits every
+    position."""
+    engine, payload = _payload()
+    mutate(payload["search"]["state"]["archive"][0])
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "search.state.archive"
+
+
+def _unarchived(payload):
+    """A PoI tuple of the query's size that no archive row holds."""
+    return [-1] * len(payload["search"]["state"]["archive"][0][0])
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (
+            lambda p: p["search"]["state"]["skyband"].__setitem__(
+                0, _unarchived(p)
+            ),
+            "search.state.skyband",
+        ),
+        (lambda p: p["served"].__setitem__(0, _unarchived(p)), "served"),
+        (
+            lambda p: p["pages"][0]["routes"].__setitem__(0, _unarchived(p)),
+            "pages.routes",
+        ),
+        (lambda p: p["served"].__setitem__(0, 7), "served"),
+    ],
+    ids=["skyband", "served", "page", "served-not-a-tuple"],
+)
+def test_reference_missing_from_archive_names_the_field(mutate, field):
+    """Skyband members, served routes and page routes are stored as PoI
+    tuples, and each must name an archive member."""
+    engine, payload = _payload()
+    mutate(payload)
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == field
+    assert "archived" in str(exc.value)
+
+
+@pytest.mark.parametrize("rows", ["archive", "deferred", "queue"])
+def test_stored_poi_that_is_not_a_candidate_names_the_field(rows):
+    """A route's similarities are looked up, not stored, so a PoI that is
+    not a candidate at its position is corruption."""
+    engine, payload = _payload(seed=1)
+    state = payload["search"]["state"]
+    if rows == "queue":
+        # a drained checkpoint has an empty queue: queue a deferred row
+        # as [pois, length, serial, queue_serial, consumed]
+        pois, length, serial, consumed = state["deferred"][0]
+        state["queue"] = [
+            [list(pois), length, serial, state["serial"], consumed]
+        ]
+    query = payload["query"]
+    spec = engine.compile(query["start"], query["categories"]).specs[0]
+    stranger = next(
+        v for v in range(engine.network.num_vertices) if v not in spec.sim_map
+    )
+    state[rows][0][0][0] = stranger
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == f"search.state.{rows}"
+    assert "not a candidate at position 0" in str(exc.value)
+
+
+def test_stored_session_is_compact():
+    """Routes are stored as rows and references, so a payload holds no
+    similarities, semantic scores or bounds, and restores exactly.
+
+    The fixed session (``tokyo_like(scale=0.12)``, start 241,
+    categories 56, 48 and 98, pages of 3) weighs 87,144 bytes of JSON
+    after 3 pages under schema 7 and 28,185 bytes under schema 8; the
+    pin allows 40 % of the schema 7 size.
+    """
+    data = datasets.tokyo_like(scale=0.12)
+    engine = SkySREngine(data.network, data.forest)
+    session = engine.session(241, [56, 48, 98], page_size=3)
+    for _ in range(3):
+        session.next_page()
+    text = session.dumps()
+    assert len(text) <= 0.40 * 87_144
+    for field in ('"sims"', '"semantic"', '"bounds"'):
+        assert field not in text
+    restored = PlanningSession.loads(engine, text)
+    assert page_fingerprint(restored.next_page()) == page_fingerprint(
+        session.next_page()
+    )
 
 
 # ---------------------------------------------------------------------------
