@@ -34,18 +34,25 @@ Checkpoint / resume
 
 The search state is explicit: :class:`SearchState` owns everything a
 paused search needs to continue — the route queue, the evolving
-skyband, an *archive* of every completed route ever scored, the
-*deferred* list (routes pruned or budget-truncated under the current
-``k``), and the modified-Dijkstra cache.  Instead of
-silently discarding work the current thresholds reject,
-:class:`BSSRSearch` parks it in ``deferred``; :meth:`BSSRSearch.resume`
-widens the skyband to a larger ``k'``, recomputes the (now looser)
-lower bounds, re-enqueues the deferred work, and drains the queue
-again.  Resume is exact: every route of the fresh ``k'`` search is
-either already archived, still deferred, or reachable by re-expanding a
-deferred prefix — so pagination (ranks ``k+1 .. k'``) never recomputes
-the routes the first pass already settled.  This is what
-:class:`~repro.core.session.PlanningSession` builds on.
+skyband, an *archive* of every completed route that passed its
+threshold, the *deferred* list (work the current ``k``'s thresholds
+rejected), and the modified-Dijkstra cache.  Instead of silently
+discarding that work, :class:`BSSRSearch` parks it by parent: one
+:class:`_Deferred` entry per route prefix holds where the budget cut
+its candidate stream, if it did, and each child or completion its
+prune test cut as a ``(PoI, length)`` pair — nothing is built for
+them.  :meth:`BSSRSearch.resume` widens the skyband to a larger ``k'``,
+recomputes the (now looser) lower bounds, re-tests every parked pair
+against them, pushes the children that pass (offers the completions
+to the skyband), re-enqueues every prefix whose stream was cut, and
+drains the queue again.  Resume is exact: the prune tests are monotone
+and thresholds only fall within a drain, so a pair that fails its
+re-test would fail at pop too, and a completion above the threshold has
+``k'`` strictly shorter members with a semantic score no worse.  Every
+route of the fresh ``k'`` search is thus already archived, still parked,
+or reachable from a parked prefix — so pagination (ranks
+``k+1 .. k'``) never recomputes the routes the first pass settled.
+This is what :class:`~repro.core.session.PlanningSession` builds on.
 """
 
 from __future__ import annotations
@@ -131,13 +138,24 @@ class _ArchivingSkyband(SkybandSet):
         return super().update(route)
 
 
+#: a parent's cut children (or completions), each as ``(PoI, length)``
+Cut = list[tuple[int, float]]
+
+
 @dataclass
 class _Deferred:
-    """One unit of parked work: a route prefix plus how far into its
-    candidate stream the previous pass got before pruning/truncation."""
+    """One parked parent.
+
+    ``consumed`` is how far into its candidate stream the previous pass
+    got before the budget (or a prune on pop) stopped it, ``None`` when
+    the stream was consumed to its end.  ``cut`` holds each child (or,
+    at the final position, each completion) the prune test rejected, as
+    ``(PoI, length)``: the rest of it follows from the parent.
+    """
 
     route: PartialRoute
-    consumed: int = 0
+    consumed: int | None
+    cut: Cut
 
 
 @dataclass
@@ -152,13 +170,21 @@ class SearchState:
         k: the skyband parameter the state is currently settled for.
         skyband: the evolving k-skyband ``S_k`` (the archiving variant
             for checkpointable searches, a plain set otherwise).
-        archive: every completed route ever scored, keyed by PoI tuple —
+        archive: every completed route offered to the skyband, keyed by
+            PoI tuple.  A completion above the threshold at its semantic
+            score is not offered (``k`` members dominate it) but parked
+            under its parent, so archive and deferred list together hold
             a superset of any future skyband up to the routes searched
             so far.
-        deferred: work the current thresholds rejected — pruned partial
-            routes and budget-truncated expansions — kept instead of
+        deferred: work the current thresholds rejected, one
+            :class:`_Deferred` per parent — prefixes pruned on pop or
+            whose stream the budget cut, and the children and
+            completions their prune tests cut — kept instead of
             discarded so a wider ``k`` can take it up again.
-        queue: the route priority queue ``Q_b`` (empty at a checkpoint).
+        queue: the route priority queue ``Q_b`` of ``(priority, serial,
+            route, consumed, cut)`` entries (empty at a checkpoint);
+            ``cut`` is a replayed parent's still-cut pairs, ``None`` for
+            a fresh child.
         dest_dist: reverse distances to the destination, if any.
         cache: the on-the-fly modified-Dijkstra cache (Section 5.3.4) —
             shared across resumes, which is a large part of why resuming
@@ -172,7 +198,7 @@ class SearchState:
     skyband: SkybandSet
     archive: dict[tuple[int, ...], SkylineRoute]
     deferred: list[_Deferred] = field(default_factory=list)
-    queue: list[tuple[tuple, int, PartialRoute, int]] = field(
+    queue: list[tuple[tuple, int, PartialRoute, int, Cut | None]] = field(
         default_factory=list
     )
     dest_dist: dict[int, float] | None = None
@@ -357,9 +383,9 @@ class BSSRSearch:
 
         Rebuilds the skyband from the archive at the larger ``k``,
         recomputes the lower bounds (the ``l̄(ϕ)`` radius grows with the
-        k-th perfect length; the to-go rows are reused), re-enqueues
-        every deferred route, and
-        drains the queue under the relaxed thresholds.  Returns the full
+        k-th perfect length; the to-go rows are reused), replays every
+        deferred parent (:meth:`_replay`), and drains the queue under the
+        relaxed thresholds.  Returns the full
         widened skyband plus the stats of *this leg only*, so callers
         can compare resume cost against a from-scratch run.
         """
@@ -397,7 +423,7 @@ class BSSRSearch:
         self._bind_prune_tests()
         deferred, state.deferred = state.deferred, []
         for item in deferred:
-            self._push(item.route, item.consumed)
+            self._replay(item)
         self.stats.extra["deferred_replayed"] = len(deferred)
         self._drain()
         self._finish(started)
@@ -488,7 +514,7 @@ class BSSRSearch:
         tests = self._prune_tests
         start = self.query.start
         while queue:
-            _, _, route, consumed = heapq.heappop(queue)
+            _, _, route, consumed, cut = heapq.heappop(queue)
             pois = route.pois
             if tests[len(pois)](
                 route.length,
@@ -497,14 +523,14 @@ class BSSRSearch:
                 pois[-1] if pois else start,
             ):
                 self.stats.routes_pruned_on_pop += 1
-                self._defer(route, consumed)
+                self._defer(route, consumed, cut)
                 continue
             self.stats.routes_expanded += 1
             if limit is not None and self.stats.routes_expanded > limit:
                 raise AlgorithmError(
                     f"BSSR exceeded max_routes_expanded={limit}"
                 )
-            self._expand(route, consumed)
+            self._expand(route, consumed, cut)
 
     def _finish(self, started: float) -> None:
         self.stats.elapsed = perf_counter() - started
@@ -705,18 +731,83 @@ class BSSRSearch:
 
         return prunable
 
-    def _defer(self, route: PartialRoute, consumed: int = 0) -> None:
+    def _defer(
+        self, route: PartialRoute, consumed: int | None, cut: Cut | None
+    ) -> None:
         """Park rejected work for a potential future resume (dropped
         outright when the search is not checkpointable)."""
         if not self.checkpointable:
             return
-        self.state.deferred.append(_Deferred(route, consumed))
+        self.state.deferred.append(_Deferred(route, consumed, cut or []))
         self.stats.routes_deferred += 1
 
-    def _push(self, route: PartialRoute, consumed: int = 0) -> None:
+    def _replay(self, item: _Deferred) -> None:
+        """Take a parked parent up again under the current bounds.
+
+        Each cut ``(PoI, length)`` is re-tested before anything is
+        built: a child that passes is pushed, a completion within the
+        threshold is offered to the skyband, and the rest stay parked
+        under the parent, counted as cut again.  The leg is stored, so
+        no stream is read.  A parent whose stream was cut is pushed
+        with its offset, carrying those pairs, so a parent stays one
+        entry however often it is parked.
+        """
+        route = item.route
+        pois = route.pois
+        sims = route.sims
+        sem_state = route.sem_state
+        extend = self.aggregator.extend
+        score = self.aggregator.score
+        sim_of = self.query.specs[route.size].sim_map.__getitem__
+        kept: Cut = []
+        if route.size + 1 == self.n:
+            skyline = self.skyline
+            threshold = skyline.threshold
+            for vid, length in item.cut:
+                sim = sim_of(vid)
+                semantic = score(extend(sem_state, sim))
+                if length > threshold(semantic):
+                    skyline.rejects += 1
+                    kept.append((vid, length))
+                    continue
+                skyline.update(
+                    SkylineRoute(pois + (vid,), length, semantic, sims + (sim,))
+                )
+        else:
+            prunable = self._prune_tests[route.size + 1]
+            for vid, length in item.cut:
+                sim = sim_of(vid)
+                state = extend(sem_state, sim)
+                semantic = score(state)
+                if prunable(length, semantic, state, vid):
+                    kept.append((vid, length))
+                    continue
+                self._push(
+                    PartialRoute(
+                        pois + (vid,), length, semantic, state, sims + (sim,)
+                    )
+                )
+            self.stats.routes_pruned_on_insert += len(kept)
+        if item.consumed is not None:
+            self._push(route, item.consumed, kept)
+        elif kept:
+            self._defer(route, None, kept)
+
+    def _push(
+        self,
+        route: PartialRoute,
+        consumed: int = 0,
+        cut: Cut | None = None,
+    ) -> None:
         heapq.heappush(
             self.state.queue,
-            (self._priority(route), self.state.next_serial(), route, consumed),
+            (
+                self._priority(route),
+                self.state.next_serial(),
+                route,
+                consumed,
+                cut,
+            ),
         )
         self.stats.routes_enqueued += 1
         if len(self.state.queue) > self.stats.max_queue_size:
@@ -798,7 +889,12 @@ class BSSRSearch:
             self._ch_streams[key] = stream
         return stream
 
-    def _expand(self, route: PartialRoute, consumed: int = 0) -> None:
+    def _expand(
+        self,
+        route: PartialRoute,
+        consumed: int = 0,
+        cut: Cut | None = None,
+    ) -> None:
         """Algorithm 1 lines 7–9: extend ``route`` at its next position.
 
         The stream hands out index segments (see
@@ -806,16 +902,18 @@ class BSSRSearch:
         place and pays only for the tests the paper defines.  A child
         goes through the same prune test as a queue pop
         (:meth:`_prunable`) before anything is built: a
-        :class:`PartialRoute` and its serial exist only for a child that
-        is pushed or, when checkpointable, deferred.  At the final
-        position a one-shot search counts a completion longer than the
-        threshold at its semantic score as a skyline reject without
-        building it — :meth:`SkybandSet.update` would provably reject it.
+        :class:`PartialRoute` exists only for a child that is pushed.  At
+        the final position a completion longer than the threshold at its
+        semantic score counts as a skyline reject without being built —
+        :meth:`SkybandSet.update` would provably reject it.
 
         ``consumed`` skips candidates a previous pass already processed
-        (deterministic stream order makes the offset exact).  If the
-        budget cuts the stream short, the route is deferred with its
-        new offset so a resumed search picks up the remainder.
+        (deterministic stream order makes the offset exact).  A
+        checkpointable search parks the route once if the budget cut the
+        stream short (with its new offset, so a resumed search picks up
+        the remainder) or if any child or completion was cut (as
+        ``(PoI, length)`` pairs, re-tested on resume).  ``cut`` holds the
+        pairs a replay left parked, which new ones join.
         """
         position = route.size
         reserve = self._reserve[position]
@@ -841,23 +939,26 @@ class BSSRSearch:
             search = self._ch_stream(route, position)
         else:
             search = self._candidate_search(route, position)
+        if self.checkpointable and cut is None:
+            cut = []
         if new_size == self.n:
-            index = self._complete(route, search, consumed, budget)
+            index = self._complete(route, search, consumed, budget, cut)
         else:
             # no skyline update happens below the final position, so the
             # budget is a constant the stream may settle to in one burst
-            index = self._extend(route, search, consumed, budget())
-        if self.checkpointable and (
-            index < len(search.candidates) or not search.exhausted
-        ):
-            # The budget cut the stream: park the prefix so a wider
-            # search can resume it exactly where this pass stopped.
-            # The decision is a function of the stream and the final
-            # budget alone (is a candidate left beyond it?), so a
-            # cached search that another consumer drained past the
-            # budget defers exactly like a fresh one rebuilt after a
-            # restore, whatever field drove either.
-            self._defer(route, index)
+            index = self._extend(route, search, consumed, budget(), cut)
+        if self.checkpointable:
+            # Did the budget cut the stream?  The decision is a function
+            # of the stream and the final budget alone (is a candidate
+            # left beyond it?), so a cached search that another
+            # consumer drained past the budget defers exactly like a
+            # fresh one rebuilt after a restore, whatever field drove
+            # either.
+            stopped = index < len(search.candidates) or not search.exhausted
+            if stopped or cut:
+                # park the prefix so a wider search can resume it
+                # exactly where this pass stopped
+                self._defer(route, index if stopped else None, cut)
         if not self._first_radius_recorded:
             self.stats.first_search_radius = search.radius
             self._first_radius_recorded = True
@@ -868,14 +969,16 @@ class BSSRSearch:
         search: CHCandidateStream | PoICandidateSearch,
         consumed: int,
         limit: float,
+        cut: Cut | None,
     ) -> int:
-        """Queue (or park) the children of ``route`` closer than
-        ``limit``; returns the stream offset reached."""
+        """Queue the children of ``route`` closer than ``limit``, and
+        append each one the prune test rejects to ``cut`` as ``(PoI,
+        length)`` unless it is ``None``; returns the stream offset
+        reached."""
         prunable = self._prune_tests[route.size + 1]
         extend = self.aggregator.extend
         score = self.aggregator.score
-        next_serial = self.state.next_serial
-        checkpointable = self.checkpointable
+        push = self._push
         dists = search.dists
         vids = search.candidates
         sim_of = search.sim_map.__getitem__
@@ -894,23 +997,17 @@ class BSSRSearch:
                 state = extend(sem_state, sim)
                 semantic = score(state)
                 child_length = length + dists[i]
-                cut = prunable(child_length, semantic, state, vid)
-                if cut:
+                if prunable(child_length, semantic, state, vid):
                     pruned += 1
-                    if not checkpointable:
-                        continue
-                child = PartialRoute(
-                    pois=pois + (vid,),
-                    length=child_length,
-                    semantic=semantic,
-                    sem_state=state,
-                    sims=sims + (sim,),
-                    serial=next_serial(),
+                    if cut is not None:
+                        cut.append((vid, child_length))
+                    continue
+                push(
+                    PartialRoute(
+                        pois + (vid,), child_length, semantic, state,
+                        sims + (sim,),
+                    )
                 )
-                if cut:
-                    self._defer(child)
-                else:
-                    self._push(child)
             index = hi
         self.stats.routes_pruned_on_insert += pruned
         return index
@@ -921,9 +1018,12 @@ class BSSRSearch:
         search: CHCandidateStream | PoICandidateSearch,
         consumed: int,
         budget: Callable[[], float],
+        cut: Cut | None,
     ) -> int:
         """Offer ``route``'s completions to the skyband while the budget
-        allows; returns the stream offset reached.
+        allows, and append each one above the threshold to ``cut`` as
+        ``(PoI, length)`` unless it is ``None``; returns the stream
+        offset reached.
 
         Every offer may tighten the budget, so a segment is re-checked
         against it once the skyband's version moves.
@@ -931,7 +1031,6 @@ class BSSRSearch:
         skyline = self.skyline
         threshold = skyline.threshold
         update = skyline.update
-        shortcut = not self.checkpointable  # no archive to feed
         extend = self.aggregator.extend
         score = self.aggregator.score
         leg = self.dest_dist.get if self.dest_dist is not None else None
@@ -964,10 +1063,12 @@ class BSSRSearch:
                     if extra == math.inf:
                         continue
                     total = total + extra
-                if shortcut and total > threshold(semantic):
+                if total > threshold(semantic):
                     # k members are strictly shorter at a semantic score
                     # no worse: update() would reject it as dominated
                     skyline.rejects += 1
+                    if cut is not None:
+                        cut.append((vid, total))
                     continue
                 update(
                     SkylineRoute(

@@ -11,7 +11,7 @@ Two representations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,6 @@ class PartialRoute:
     semantic: float
     sem_state: object
     sims: tuple[float, ...] = ()
-    #: insertion order, used as a heap tiebreak
-    serial: int = field(default=0, compare=False)
 
     @property
     def size(self) -> int:

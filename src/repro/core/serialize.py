@@ -13,13 +13,22 @@ A payload stores only what a restore cannot derive.  Each route is a
 positional row, and the rest of it comes from the compiled query and
 the aggregator:
 
-* stored: an archived route as ``[pois, length]``; a deferred route as
-  ``[pois, length, serial, consumed]``; a queued one as ``[pois,
-  length, serial, queue_serial, consumed]``;
+* stored: an archived route (one that passed its threshold) as
+  ``[pois, length]``; a deferred parent as ``[pois, length, consumed |
+  null, [[PoI, length], …]]``, the pairs being the children (or, at the
+  final position, the completions) its prune test cut and ``null`` an
+  offset past the end of its stream; a queued route as ``[pois, length,
+  queue_serial, consumed, [[PoI, length], …]]``;
+* stored as whole numbers of weight grains (``length / WEIGHT_GRAIN``):
+  every length, which is a sum of grain-snapped weights below
+  ``MAX_TOTAL_WEIGHT`` and so an exact integer number of grains; a
+  length off the grain is refused on encode;
 * stored by reference: the skyband members, the served routes and each
   page's routes are PoI tuples, each naming an archive member (a route
   is one PoI tuple with one length, and every route a session shows
   is archived);
+* stored sparsely: a page's stats leave out every counter at its
+  default;
 * derived: ``sims[i]`` is ``specs[i].sim_map[pois[i]]``, and the
   aggregator state and the semantic score replay those similarities
   through the aggregator — the same ``extend`` sequence BSSR ran, so
@@ -30,8 +39,9 @@ the aggregator:
 
 Exactness is the contract, and the test layer
 (``tests/test_session_store.py``) holds it to byte-identical output:
-floats survive unchanged (:func:`json.dumps` emits Python's
-shortest-round-trip ``repr``), and the skyband is restored
+a grain count times ``WEIGHT_GRAIN`` is the stored length bit for bit,
+the remaining floats survive unchanged (:func:`json.dumps` emits
+Python's shortest-round-trip ``repr``), and the skyband is restored
 member-for-member (not re-derived), so even equal-score
 representatives are preserved.
 
@@ -41,7 +51,8 @@ versions and malformed fields with a typed
 :class:`~repro.errors.SessionDecodeError` naming the offending field —
 never a bare ``KeyError``/``TypeError``.  A malformed row, a reference
 that names no archived route and a PoI that is not a candidate at its
-position are refused the same way.  Forward compatibility is
+position (or a cut PoI that is not a candidate at the parent's next
+position) are refused the same way.  Forward compatibility is
 rejection, not guessing: a payload written by a newer schema is refused
 instead of half-read.
 
@@ -75,6 +86,7 @@ from repro.errors import (
     SessionDecodeError,
     SessionEncodeError,
 )
+from repro.graph.road_network import MAX_TOTAL_WEIGHT, WEIGHT_GRAIN
 from repro.semantics.scoring import SemanticAggregator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -100,10 +112,20 @@ SESSION_FORMAT = "repro-skysr-session"
 #: ``(key, vertex)`` order of their to-go potential, not in distance
 #: order; version 8 stores each route as a row of its PoI tuple and
 #: length, names skyband, served and page routes by PoI tuple, and
-#: drops the bounds block)
-SCHEMA_VERSION = 8
+#: drops the bounds block; version 9 parks each cut child and each
+#: over-threshold completion under its parent as a ``[PoI, length]``
+#: pair instead of a deferred row or an archive row, drops the route
+#: serial column, writes lengths in weight grains and leaves page stats
+#: at their defaults out)
+SCHEMA_VERSION = 9
 
 _MISSING = object()
+
+#: weight grains per unit length (the inverse of ``WEIGHT_GRAIN``)
+_GRAINS_PER_UNIT = 1.0 / WEIGHT_GRAIN
+
+#: no route is as long as the network's total weight bound
+_MAX_GRAINS = int(MAX_TOTAL_WEIGHT * _GRAINS_PER_UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +189,33 @@ def _row_error(where: str, row, why: str) -> SessionDecodeError:
     return SessionDecodeError(f"{where} entry {text} {why}", field=where)
 
 
+def _grains(lengths: list[float]) -> list[int]:
+    """Each length as a whole number of weight grains, exactly.
+
+    Every length is a sum of grain-snapped weights below
+    ``MAX_TOTAL_WEIGHT``, so the scaled value is an integer that a float
+    holds exactly; one that is not is refused."""
+    scaled = [length * _GRAINS_PER_UNIT for length in lengths]
+    try:
+        grains = list(map(int, scaled))
+    except (OverflowError, ValueError):  # inf or nan
+        grains = None
+    if grains != scaled:
+        raise SessionEncodeError(
+            "a route length is not a whole number of weight grains"
+        )
+    return grains
+
+
 def _row_reader(query: "CompiledQuery", aggregator: SemanticAggregator):
     """``read(row, width, where)`` → ``(pois, length, sims, sem_state,
-    counters)`` of one stored route row ``[pois, length, *counters]``.
+    rest)`` of one stored route row ``[pois, length, *rest]``.
 
-    ``sims[i]`` is position ``i``'s similarity of ``pois[i]``, and
-    ``sem_state`` replays them through the aggregator: the same
-    ``extend`` sequence BSSR ran, so both are bit-identical to the live
-    route's.  A PoI that is not a candidate at its position is refused.
+    ``length`` is stored in weight grains.  ``sims[i]`` is position
+    ``i``'s similarity of ``pois[i]``, and ``sem_state`` replays them
+    through the aggregator: the same ``extend`` sequence BSSR ran, so
+    both are bit-identical to the live route's.  A PoI that is not a
+    candidate at its position is refused.
     """
     sim_maps = [spec.sim_map for spec in query.specs]
     n = len(sim_maps)
@@ -184,13 +225,11 @@ def _row_reader(query: "CompiledQuery", aggregator: SemanticAggregator):
     def read(row, width: int, where: str):
         if type(row) is not list or len(row) != width:
             raise _row_error(where, row, f"is not a row of {width} fields")
-        pois, length, *counters = row
+        pois, length, *rest = row
         if type(pois) is not list or len(pois) > n:
             raise _row_error(where, row, f"holds no list of at most {n} PoIs")
-        if type(length) not in (int, float) or any(
-            type(c) is not int for c in counters
-        ):
-            raise _row_error(where, row, "holds a non-numeric field")
+        if type(length) is not int or not 0 <= length < _MAX_GRAINS:
+            raise _row_error(where, row, "holds no length in grains")
         sims = []
         state = initial
         for position, (sim_map, poi) in enumerate(zip(sim_maps, pois)):
@@ -203,7 +242,43 @@ def _row_reader(query: "CompiledQuery", aggregator: SemanticAggregator):
                 )
             sims.append(sim)
             state = extend(state, sim)
-        return tuple(pois), float(length), tuple(sims), state, counters
+        return tuple(pois), length * WEIGHT_GRAIN, tuple(sims), state, rest
+
+    return read
+
+
+def _cut_reader(query: "CompiledQuery"):
+    """``read(pois, pairs, where)`` → the ``(PoI, length)`` list of a
+    deferred row's cut children or completions, each a candidate at
+    the parent's next position that the parent does not visit."""
+    sim_maps = [spec.sim_map for spec in query.specs]
+    n = len(sim_maps)
+
+    def read(pois: tuple[int, ...], pairs, where: str):
+        if len(pois) >= n:
+            raise _row_error(where, list(pois), "is not a partial route")
+        if type(pairs) is not list:
+            raise _row_error(where, pairs, "holds no list of cut pairs")
+        sim_map = sim_maps[len(pois)]
+        cut = []
+        for pair in pairs:
+            if (
+                type(pair) is not list
+                or len(pair) != 2
+                or type(pair[0]) is not int
+                or type(pair[1]) is not int
+                or not 0 <= pair[1] < _MAX_GRAINS
+            ):
+                raise _row_error(where, pair, "is not a [PoI, length] pair")
+            vid, grains = pair
+            if vid not in sim_map or vid in pois:
+                raise SessionDecodeError(
+                    f"{where}: cut PoI {vid!r} is not a candidate at "
+                    f"position {len(pois)}",
+                    field=where,
+                )
+            cut.append((vid, grains * WEIGHT_GRAIN))
+        return cut
 
     return read
 
@@ -233,6 +308,19 @@ def search_to_dict(search: "BSSRSearch") -> dict:
             "state and cannot be serialized"
         )
     state = search.state
+    archive = list(state.archive.values())
+    deferred = state.deferred
+    queue = state.queue
+    # lengths in grains, each list in the order its rows are written
+    archive_lengths = _grains([r.length for r in archive])
+    deferred_lengths = _grains([d.route.length for d in deferred])
+    queue_lengths = _grains([entry[2].length for entry in queue])
+    cut_lengths = iter(
+        _grains(
+            [length for d in deferred for _, length in d.cut]
+            + [length for entry in queue for _, length in entry[4] or ()]
+        )
+    )
     return {
         "options": search.options.to_dict(),
         "started": search._started,
@@ -242,19 +330,30 @@ def search_to_dict(search: "BSSRSearch") -> dict:
             "serial": state.serial,
             "resumes": state.resumes,
             "archive": [
-                [list(r.pois), r.length] for r in state.archive.values()
+                [list(r.pois), length]
+                for r, length in zip(archive, archive_lengths)
             ],
             "skyband": [list(r.pois) for r in state.skyband.routes()],
             "deferred": [
                 [
-                    list(d.route.pois), d.route.length, d.route.serial,
+                    list(d.route.pois),
+                    length,
                     d.consumed,
+                    [[vid, next(cut_lengths)] for vid, _ in d.cut],
                 ]
-                for d in state.deferred
+                for d, length in zip(deferred, deferred_lengths)
             ],
             "queue": [
-                [list(r.pois), r.length, r.serial, serial, consumed]
-                for (_priority, serial, r, consumed) in state.queue
+                [
+                    list(r.pois),
+                    length,
+                    serial,
+                    consumed,
+                    [[vid, next(cut_lengths)] for vid, _ in cut or ()],
+                ]
+                for (_priority, serial, r, consumed, cut), length in zip(
+                    queue, queue_lengths
+                )
             ],
         },
     }
@@ -318,25 +417,37 @@ def search_from_dict(
     band.rejects = 0
     state.skyband = band
 
-    def partial(row, width: int, where: str):
-        pois, length, sims, sem_state, counters = read(row, width, where)
-        route = PartialRoute(
-            pois, length, score(sem_state), sem_state, sims, counters[0]
-        )
-        return route, counters[1:]
+    def partial(pois, length, sem_state, sims) -> PartialRoute:
+        return PartialRoute(pois, length, score(sem_state), sem_state, sims)
 
+    where = "search.state.deferred"
+    read_cut = _cut_reader(query)
     state.deferred = []
     for row in _require(state_payload, "deferred", list, where="search.state"):
-        route, (consumed,) = partial(row, 4, "search.state.deferred")
-        state.deferred.append(_Deferred(route, consumed))
+        pois, length, sims, sem_state, (consumed, pairs) = read(row, 4, where)
+        if consumed is not None and type(consumed) is not int:
+            raise _row_error(where, row, "holds a non-integer offset")
+        route = partial(pois, length, sem_state, sims)
+        state.deferred.append(
+            _Deferred(route, consumed, read_cut(pois, pairs, where))
+        )
 
     # Queue priorities are a pure function of the route under the
     # configured policy; the serial tiebreak makes the heap order total,
     # so recomputing them restores the exact pop sequence.
+    where = "search.state.queue"
     queue = []
     for row in _require(state_payload, "queue", list, where="search.state"):
-        route, (serial, consumed) = partial(row, 5, "search.state.queue")
-        queue.append((search._priority(route), serial, route, consumed))
+        pois, length, sims, sem_state, (serial, consumed, pairs) = read(
+            row, 5, where
+        )
+        if type(serial) is not int or type(consumed) is not int:
+            raise _row_error(where, row, "holds a non-integer counter")
+        route = partial(pois, length, sem_state, sims)
+        cut = read_cut(pois, pairs, where) or None
+        queue.append(
+            (search._priority(route), serial, route, consumed, cut)
+        )
     heapq.heapify(queue)
     state.queue = queue
 

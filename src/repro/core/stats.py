@@ -36,8 +36,9 @@ class SearchStats:
     routes_expanded: int = 0
     routes_pruned_on_pop: int = 0
     routes_pruned_on_insert: int = 0
-    #: pruned or budget-truncated routes parked for a later resume
-    #: (checkpointable search state) instead of being discarded
+    #: routes parked for a later resume (checkpointable search state)
+    #: instead of being discarded: pruned on pop, budget-truncated, or
+    #: holding the children or completions their prune test cut
     routes_deferred: int = 0
     max_queue_size: int = 0
 
@@ -82,13 +83,20 @@ class SearchStats:
     def to_dict(self) -> dict:
         """Lossless dict form: unlike :meth:`as_dict` the free-form
         ``extra`` counters stay in their own key, so :meth:`from_dict`
-        can reverse the mapping exactly."""
+        can reverse the mapping exactly.  A field at its default (of the
+        default's type) is left out, since :meth:`from_dict` starts from
+        the defaults."""
         payload = {
             key: value
             for key, value in self.__dict__.items()
             if key != "extra"
+            and not (
+                type(value) is type(_DEFAULTS[key])
+                and value == _DEFAULTS[key]
+            )
         }
-        payload["extra"] = dict(self.extra)
+        if self.extra:
+            payload["extra"] = dict(self.extra)
         return payload
 
     @classmethod
@@ -113,6 +121,9 @@ class SearchStats:
         for key in _MAX_FIELDS:
             setattr(self, key, max(getattr(self, key), getattr(other, key)))
 
+
+#: every field's default but ``extra``'s (see :meth:`SearchStats.to_dict`)
+_DEFAULTS = {f.name: f.default for f in fields(SearchStats) if f.name != "extra"}
 
 #: peaks: merged by max, never averaged
 _MAX_FIELDS = ("max_queue_size", "peak_memory_bytes")

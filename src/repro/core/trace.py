@@ -77,8 +77,8 @@ class _TracingRun(BSSRSearch):
             )
         )
 
-    def _expand(self, route, consumed: int = 0) -> None:  # type: ignore[override]
-        super()._expand(route, consumed)
+    def _expand(self, route, consumed: int = 0, cut=None) -> None:  # type: ignore[override]
+        super()._expand(route, consumed, cut)
         self._snapshot("init" if not route.pois else "expand", route.pois)
 
 

@@ -1,11 +1,11 @@
 """BSSR's expansion loop does the same work on every path.
 
 The one-shot search (:func:`~repro.core.bssr.run_bssr`) skips the
-checkpoint machinery: it builds no child its prune test rejects and
-counts a completion the threshold rejects without building it.  Neither
-shortcut may change what is searched — routes and every work counter
-must equal the checkpointable search's, and a pinned set of counters
-catches any change in pop order.
+checkpoint machinery: it parks no child its prune test rejects and no
+completion the threshold rejects.  That may not change what is
+searched — routes and every work counter must equal the
+checkpointable search's, and a pinned set of counters catches any
+change in pop order.
 """
 
 import pytest
@@ -62,16 +62,14 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
         full, full_stats = search.run()
         assert one_shot == full
         assert _work(one_stats) == _work(full_stats)
-        # serials are drawn by built children (one for the route, one
-        # for its queue entry): one-shot builds only pushed ones
+        # serials are drawn by queue entries only: a cut child is
+        # parked under its parent as (PoI, length), not built
         lean = BSSRSearch(
             network, compiled, options=options, checkpointable=False
         )
         lean.run()
-        assert lean.state.serial == 2 * one_stats.routes_enqueued
-        assert search.state.serial == (
-            2 * full_stats.routes_enqueued + full_stats.routes_pruned_on_insert
-        )
+        assert lean.state.serial == one_stats.routes_enqueued
+        assert search.state.serial == full_stats.routes_enqueued
 
 
 #: WORK_COUNTERS of each query, in order, on a fresh tokyo_like(0.12);

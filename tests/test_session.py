@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.topk import brute_force_topk
-from repro.core.bssr import BSSRSearch
+from repro.core.bssr import BSSRSearch, _ArchivingSkyband
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.errors import AlgorithmError, QueryError
@@ -248,6 +248,44 @@ def test_deferred_routes_are_counted():
     search = BSSRSearch(engine.network, compiled, engine.aggregator)
     search.run()
     assert search.stats.routes_deferred == len(search.state.deferred)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_checkpointable_runs_archive_no_route_above_its_threshold(
+    seed, monkeypatch
+):
+    """A completion longer than the threshold at its own semantic score
+    is parked under its parent as ``(PoI, length)``, never offered to
+    the live skyband (whose archive it would join): not on the first
+    run, and not when a resume replays it under a wider ``k``."""
+    engine, _network, start, cats = _engine_and_query(seed)
+    compiled = engine.compile(start, cats)
+    search = BSSRSearch(
+        engine.network, compiled, engine.aggregator, BSSROptions().but(k=2)
+    )
+    above = []
+    update = _ArchivingSkyband.update
+
+    def checked(band, route):
+        # a resume rebuilds its band from the archive first; only
+        # offers to the live band come from the search itself
+        if band is search.state.skyband:
+            if route.length > band.threshold(route.semantic):
+                above.append(route)
+        return update(band, route)
+
+    monkeypatch.setattr(_ArchivingSkyband, "update", checked)
+    search.run()
+    for k in (4, 6):
+        search.resume(k)
+    assert above == []
+    # and a parked completion is never archived as well
+    assert not any(
+        item.route.size + 1 == compiled.size
+        and item.route.pois + (vid,) in search.state.archive
+        for item in search.state.deferred
+        for vid, _length in item.cut
+    )
 
 
 def test_one_shot_queries_skip_the_checkpoint_machinery():

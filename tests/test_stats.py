@@ -62,3 +62,25 @@ def test_every_numeric_field_is_merged_and_averaged():
             assert getattr(merged, name) == 8, name
             assert getattr(mean, name) == 4, name
     assert mean.init_length_ratio == 1.0
+
+
+def test_to_dict_leaves_defaults_out_and_round_trips():
+    default = SearchStats()
+    assert default.to_dict() == {}
+    assert SearchStats.from_dict(default.to_dict()) == default
+    populated = SearchStats(
+        algorithm="bssr",
+        elapsed=0.25,
+        settled=17,
+        routes_enqueued=4,
+        init_length_ratio=1.5,
+        max_queue_size=3,
+    )
+    populated.extra["k"] = 3
+    # a float where an int is the default is not the default
+    populated.relaxed = 0.0
+    payload = populated.to_dict()
+    assert "heap_pushes" not in payload and payload["relaxed"] == 0.0
+    restored = SearchStats.from_dict(payload)
+    assert restored == populated
+    assert type(restored.relaxed) is float
