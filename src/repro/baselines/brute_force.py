@@ -24,80 +24,6 @@ from repro.graph.road_network import RoadNetwork
 from repro.semantics.scoring import DEFAULT_AGGREGATOR, SemanticAggregator
 
 
-def brute_force_skysr(
-    network: RoadNetwork,
-    query: CompiledQuery,
-    *,
-    aggregator: SemanticAggregator | None = None,
-) -> list[SkylineRoute]:
-    """All skyline sequenced routes by exhaustive enumeration."""
-    aggregator = aggregator or DEFAULT_AGGREGATOR
-    n = query.size
-    specs = query.specs
-    if any(not spec.sim_map for spec in specs):
-        return []
-
-    dist_cache: dict[int, dict[int, float]] = {}
-
-    def distances_from(vid: int) -> dict[int, float]:
-        found = dist_cache.get(vid)
-        if found is None:
-            found = dijkstra(network, vid)  # type: ignore[assignment]
-            dist_cache[vid] = found  # type: ignore[assignment]
-        return found  # type: ignore[return-value]
-
-    dest_dist: dict[int, float] | None = None
-    if query.destination is not None:
-        dest_dist = dijkstra(network, query.destination, reverse=True)  # type: ignore[assignment]
-
-    routes: list[SkylineRoute] = []
-
-    def recurse(
-        position: int,
-        last: int | None,
-        length: float,
-        state,
-        pois: tuple[int, ...],
-        sims: tuple[float, ...],
-    ) -> None:
-        if position == n:
-            total = length
-            if dest_dist is not None:
-                leg = dest_dist.get(pois[-1], math.inf)
-                if leg == math.inf:
-                    return
-                total = length + leg
-            routes.append(
-                SkylineRoute(
-                    pois=pois,
-                    length=total,
-                    semantic=aggregator.score(state),
-                    sims=sims,
-                )
-            )
-            return
-        source_map = (
-            distances_from(query.start) if last is None else distances_from(last)
-        )
-        for vid, sim in specs[position].sim_map.items():
-            if vid in pois:
-                continue
-            d = source_map.get(vid, math.inf)
-            if d == math.inf:
-                continue
-            recurse(
-                position + 1,
-                vid,
-                length + d,
-                aggregator.extend(state, sim),
-                pois + (vid,),
-                sims + (sim,),
-            )
-
-    recurse(0, None, 0.0, aggregator.initial(n), (), ())
-    return skyline_filter(routes)
-
-
 def enumerate_sequenced_routes(
     network: RoadNetwork,
     query: CompiledQuery,
@@ -161,3 +87,15 @@ def enumerate_sequenced_routes(
 
     recurse(0, None, 0.0, aggregator.initial(n), (), ())
     return out
+
+
+def brute_force_skysr(
+    network: RoadNetwork,
+    query: CompiledQuery,
+    *,
+    aggregator: SemanticAggregator | None = None,
+) -> list[SkylineRoute]:
+    """All skyline sequenced routes by exhaustive enumeration."""
+    return skyline_filter(
+        enumerate_sequenced_routes(network, query, aggregator=aggregator)
+    )

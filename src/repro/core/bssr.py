@@ -182,15 +182,17 @@ class SearchState:
             completions their prune tests cut — kept instead of
             discarded so a wider ``k`` can take it up again.
         queue: the route priority queue ``Q_b`` of ``(priority, serial,
-            route, consumed, cut)`` entries (empty at a checkpoint);
-            ``cut`` is a replayed parent's still-cut pairs, ``None`` for
-            a fresh child.
+            route, consumed, cut)`` entries; ``cut`` is a replayed
+            parent's still-cut pairs, ``None`` for a fresh child.  Every
+            drain empties it, so a checkpoint never holds one.
         dest_dist: reverse distances to the destination, if any.
         cache: the on-the-fly modified-Dijkstra cache (Section 5.3.4) —
             shared across resumes, which is a large part of why resuming
             beats recomputing.  Never serialized: a restored state starts
             empty and rebuilds searches on demand.
-        serial: the queue tie-break counter.
+        serial: the queue tie-break counter.  Never serialized: it
+            orders only routes queued together, and a restored search
+            starts it again at 0 with an empty queue.
         resumes: how many times this state has been widened.
     """
 
@@ -514,7 +516,8 @@ class BSSRSearch:
         tests = self._prune_tests
         start = self.query.start
         while queue:
-            _, _, route, consumed, cut = heapq.heappop(queue)
+            entry = heapq.heappop(queue)
+            _, _, route, consumed, cut = entry
             pois = route.pois
             if tests[len(pois)](
                 route.length,
@@ -527,6 +530,8 @@ class BSSRSearch:
                 continue
             self.stats.routes_expanded += 1
             if limit is not None and self.stats.routes_expanded > limit:
+                # left queued: an undrained search is no checkpoint
+                heapq.heappush(queue, entry)
                 raise AlgorithmError(
                     f"BSSR exceeded max_routes_expanded={limit}"
                 )

@@ -254,7 +254,10 @@ class SkySREngine:
             destination: optional final vertex (Section 6).
             algorithm: one of :data:`ALGORITHMS`.
             ordered: ``False`` runs the unordered skyline trip-planning
-                variant (Section 6; BSSR-based only).
+                variant (Section 6): one BSSR search per category order
+                over a shared skyband, under these same options, with or
+                without a destination and for any ``k``; ``bssr`` and
+                ``bssr-noopt`` only.
             options: per-query BSSR option override.
             deadline: wall-clock budget for the naive baselines.
         """
@@ -268,31 +271,26 @@ class SkySREngine:
         compiled = self.compile(start, categories, destination=destination)
         opts = options or self.options
         k = opts.k
+        if algorithm == "bssr-noopt":
+            # Keep the non-optimization knobs (k, safety valve) while
+            # disabling every Section 5.3 technique.
+            opts = BSSROptions.without_optimizations().but(
+                k=k, max_routes_expanded=opts.max_routes_expanded
+            )
         if not ordered:
             if algorithm not in ("bssr", "bssr-noopt"):
                 raise QueryError(
                     "unordered queries are answered by the BSSR variant only"
                 )
-            if destination is not None:
-                raise QueryError(
-                    "unordered queries with destinations are not supported"
-                )
-            if k > 1:
-                raise QueryError(
-                    "top-k (k > 1) is not supported for unordered queries"
-                )
             routes, stats = run_unordered_skysr(
-                self.network, compiled, aggregator=self.aggregator
+                self.network,
+                compiled,
+                aggregator=self.aggregator,
+                options=opts,
+                distance_cache=self.distance_cache,
             )
-            return self._result(routes, stats, compiled, "unordered-bssr")
-
-        if algorithm == "bssr" or algorithm == "bssr-noopt":
-            if algorithm == "bssr-noopt":
-                # Keep the non-optimization knobs (k, safety valve)
-                # while disabling every Section 5.3 technique.
-                opts = BSSROptions.without_optimizations().but(
-                    k=opts.k, max_routes_expanded=opts.max_routes_expanded
-                )
+            algorithm = "unordered-bssr"
+        elif algorithm == "bssr" or algorithm == "bssr-noopt":
             routes, stats = run_bssr(
                 self.network,
                 compiled,

@@ -3,8 +3,8 @@
 The BSSR search loop keeps its state in an explicit, checkpointable
 :class:`~repro.core.bssr.SearchState`; this module makes that state
 *durable*.  A :class:`~repro.core.session.PlanningSession` — compiled
-query, served pages, and the search checkpoint (skyband archive,
-deferred work, priority queue) — round-trips through
+query, served pages, and the search checkpoint (skyband archive and
+deferred work) — round-trips through
 plain JSON-compatible dicts, so a session can be
 persisted by a :mod:`repro.store` backend, restored in a *different
 process*, and resumed as if nothing happened.
@@ -17,8 +17,7 @@ the aggregator:
   ``[pois, length]``; a deferred parent as ``[pois, length, consumed |
   null, [[PoI, length], …]]``, the pairs being the children (or, at the
   final position, the completions) its prune test cut and ``null`` an
-  offset past the end of its stream; a queued route as ``[pois, length,
-  queue_serial, consumed, [[PoI, length], …]]``;
+  offset past the end of its stream;
 * stored as whole numbers of weight grains (``length / WEIGHT_GRAIN``):
   every length, which is a sum of grain-snapped weights below
   ``MAX_TOTAL_WEIGHT`` and so an exact integer number of grains; a
@@ -33,9 +32,15 @@ the aggregator:
   aggregator state and the semantic score replay those similarities
   through the aggregator — the same ``extend`` sequence BSSR ran, so
   they are bit-identical;
-* derived: queue priorities, recomputed from the configured policy with
-  the unique serial tiebreak, so the restored heap pops in the original
-  order; and the lower bounds, which every search leg recomputes.
+* derived: the lower bounds, which every search leg recomputes.
+
+A checkpoint is a drained search.  Every page drains the route queue
+before it returns, and a page that fails (``max_routes_expanded``) is
+never stored, so a payload holds no queue and no queue tie-break
+counter; a restored search starts its next drain at serial 0, which
+orders the new queue as the live one would.  Encoding a search whose
+queue is not empty is refused with
+:class:`~repro.errors.SessionEncodeError`.
 
 Exactness is the contract, and the test layer
 (``tests/test_session_store.py``) holds it to byte-identical output:
@@ -116,8 +121,9 @@ SESSION_FORMAT = "repro-skysr-session"
 #: over-threshold completion under its parent as a ``[PoI, length]``
 #: pair instead of a deferred row or an archive row, drops the route
 #: serial column, writes lengths in weight grains and leaves page stats
-#: at their defaults out)
-SCHEMA_VERSION = 9
+#: at their defaults out; version 10 drops the queue rows and the queue
+#: serial, since only a drained search is encoded)
+SCHEMA_VERSION = 10
 
 _MISSING = object()
 
@@ -301,25 +307,26 @@ def _archived(
 
 
 def search_to_dict(search: "BSSRSearch") -> dict:
-    """Serialize a checkpointable :class:`~repro.core.bssr.BSSRSearch`."""
+    """Serialize a drained, checkpointable
+    :class:`~repro.core.bssr.BSSRSearch`."""
     if not search.checkpointable:
         raise SessionEncodeError(
             "one-shot searches (checkpointable=False) carry no resumable "
             "state and cannot be serialized"
         )
     state = search.state
+    if state.queue:
+        raise SessionEncodeError(
+            f"the search stopped with {len(state.queue)} queued route(s); "
+            "only a drained search is a checkpoint"
+        )
     archive = list(state.archive.values())
     deferred = state.deferred
-    queue = state.queue
     # lengths in grains, each list in the order its rows are written
     archive_lengths = _grains([r.length for r in archive])
     deferred_lengths = _grains([d.route.length for d in deferred])
-    queue_lengths = _grains([entry[2].length for entry in queue])
     cut_lengths = iter(
-        _grains(
-            [length for d in deferred for _, length in d.cut]
-            + [length for entry in queue for _, length in entry[4] or ()]
-        )
+        _grains([length for d in deferred for _, length in d.cut])
     )
     return {
         "options": search.options.to_dict(),
@@ -327,7 +334,6 @@ def search_to_dict(search: "BSSRSearch") -> dict:
         "first_radius_recorded": search._first_radius_recorded,
         "state": {
             "k": state.k,
-            "serial": state.serial,
             "resumes": state.resumes,
             "archive": [
                 [list(r.pois), length]
@@ -343,18 +349,6 @@ def search_to_dict(search: "BSSRSearch") -> dict:
                 ]
                 for d, length in zip(deferred, deferred_lengths)
             ],
-            "queue": [
-                [
-                    list(r.pois),
-                    length,
-                    serial,
-                    consumed,
-                    [[vid, next(cut_lengths)] for vid, _ in cut or ()],
-                ]
-                for (_priority, serial, r, consumed, cut), length in zip(
-                    queue, queue_lengths
-                )
-            ],
         },
     }
 
@@ -368,13 +362,11 @@ def search_from_dict(
     """Rebuild a resumable search against ``(network, query)``.
 
     The restored object is behaviourally identical to the original at
-    its last checkpoint: same skyband members, same deferred work and
-    queue pop order.  Its candidate-search cache starts empty and
+    its last checkpoint: same skyband members and deferred work, and an
+    empty queue.  Its candidate-search cache starts empty and
     refills on demand; stream offsets replay exactly.  Its lower bounds
     are recomputed by the next leg, as a live search's are.
     """
-    import heapq
-
     from repro.core.bssr import BSSRSearch, _ArchivingSkyband, _Deferred
 
     options = _decoding(
@@ -392,7 +384,6 @@ def search_from_dict(
     score = aggregator.score
 
     state.k = _require(state_payload, "k", int, where="search.state")
-    state.serial = _require(state_payload, "serial", int, where="search.state")
     state.resumes = _require(
         state_payload, "resumes", int, where="search.state"
     )
@@ -431,25 +422,6 @@ def search_from_dict(
         state.deferred.append(
             _Deferred(route, consumed, read_cut(pois, pairs, where))
         )
-
-    # Queue priorities are a pure function of the route under the
-    # configured policy; the serial tiebreak makes the heap order total,
-    # so recomputing them restores the exact pop sequence.
-    where = "search.state.queue"
-    queue = []
-    for row in _require(state_payload, "queue", list, where="search.state"):
-        pois, length, sims, sem_state, (serial, consumed, pairs) = read(
-            row, 5, where
-        )
-        if type(serial) is not int or type(consumed) is not int:
-            raise _row_error(where, row, "holds a non-integer counter")
-        route = partial(pois, length, sem_state, sims)
-        cut = read_cut(pois, pairs, where) or None
-        queue.append(
-            (search._priority(route), serial, route, consumed, cut)
-        )
-    heapq.heapify(queue)
-    state.queue = queue
 
     search._started = _require(payload, "started", bool, where="search")
     search._first_radius_recorded = _require(

@@ -14,8 +14,8 @@ page by page:
 * the first :meth:`next_page` runs the k-skyband search for the page
   size and serves ranks ``1..n``;
 * each further call *resumes* the checkpointed
-  :class:`~repro.core.bssr.SearchState` — queue, skyband archive,
-  deferred routes, Dijkstra caches — widening the skyband to
+  :class:`~repro.core.bssr.SearchState` — skyband archive, deferred
+  routes, Dijkstra caches — widening the skyband to
   ``served + n`` instead of recomputing from scratch, and serves ranks
   ``served+1 .. served+n``;
 * with a non-zero ``diversity_lambda`` each page is re-ranked by the

@@ -30,6 +30,12 @@ def score_set(routes) -> set[tuple[float, float]]:
     return {(r.length, round(r.semantic, 9)) for r in routes}
 
 
+def route_rows(routes) -> list[tuple]:
+    """``(pois, length, semantic)`` per route, in order: compared with
+    ``==``, so the representative of each equal-score class counts."""
+    return [(r.pois, r.length, round(r.semantic, 9)) for r in routes]
+
+
 def small_forest() -> CategoryForest:
     """A compact 3-tree forest exercising depths 1-3."""
     forest = CategoryForest()

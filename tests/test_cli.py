@@ -73,6 +73,35 @@ def test_query_unordered(capsys):
     assert code == 0
 
 
+def test_query_unordered_topk_with_destination(capsys):
+    """``--unordered --destination N --topk 3`` prints the permutation
+    oracle's ranked top 3, and ``--page`` still refuses ``--unordered``."""
+    from repro.core.dominance import rank_routes
+    from repro.core.engine import SkySREngine
+    from repro.datasets import mini_city
+    from repro.extensions.unordered import brute_force_unordered
+
+    cats = ["Gift Shop", "Asian Restaurant"]
+    args = ["query", "--preset", "mini", "--start", "12", "--unordered"]
+    args += ["--destination", "3", "--topk", "3", "--categories", *cats]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "top-3" in out and "unordered-bssr" in out
+    printed = [
+        line.split()[1:3] for line in out.splitlines()[2:] if line.strip()
+    ]
+    data = mini_city()
+    compiled = SkySREngine(data.network, data.forest).compile(
+        12, cats, destination=3
+    )
+    oracle = rank_routes(brute_force_unordered(data.network, compiled, 3), 3)
+    assert len(oracle) == 3
+    assert printed == [
+        [f"{r.length:.4f}", f"{r.semantic:.4f}"] for r in oracle
+    ]
+    assert main([*args, "--page", "1"]) == 2
+
+
 def test_query_algorithm_choice_validated():
     with pytest.raises(SystemExit):
         main(

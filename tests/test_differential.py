@@ -21,6 +21,10 @@ k = 1, 3 and 5, and as a ``page_size=1`` session restored from its
 checkpoint (``to_dict`` → ``from_dict``) before every page.  The ranked
 k-skyband and the pages are compared with the oracle's.  Across all of
 them, one PoI tuple has one length: the one the brute force sums.
+
+The unordered slice runs every cell as an unordered query (Section 6)
+under the same option sets and ``k`` values, against the permutation
+oracle's ranked k-skyband.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ from repro.core.dominance import rank_routes
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.core.session import PlanningSession
+from repro.extensions.unordered import brute_force_unordered
 from repro.graph.road_network import RoadNetwork
 
-from .conftest import pick_query, random_instance, small_forest
+from .conftest import pick_query, random_instance, route_rows, small_forest
 
 OPTION_SETS = {
     "default": BSSROptions(),
@@ -49,10 +54,6 @@ OPTION_SETS = {
 KS = (1, 3, 5)
 
 SEEDS = range(10)
-
-
-def _rows(routes):
-    return [(r.pois, r.length, round(r.semantic, 9)) for r in routes]
 
 
 def _chain(seed: int, directed: bool):
@@ -136,21 +137,53 @@ def test_every_path_returns_the_oracle_routes(kind, directed):
                     result = engine.query(
                         start, cats, destination=dest, options=options.but(k=k)
                     )
-                    assert _rows(rank_routes(result.skyband)) == _rows(
-                        bands[k]
+                    assert route_rows(rank_routes(result.skyband)) == (
+                        route_rows(bands[k])
                     ), (name, k, where)
-                    assert _rows(result.topk()) == _rows(tops[k]), (
-                        name,
-                        k,
-                        where,
-                    )
+                    assert route_rows(result.topk()) == route_rows(
+                        tops[k]
+                    ), (name, k, where)
                     produced.extend(result.skyband)
                 served, archive = _paged(
                     engine, start, cats, dest, options, max(KS)
                 )
-                assert _rows(served) == _rows(tops[max(KS)]), (name, where)
+                assert route_rows(served) == route_rows(tops[max(KS)]), (
+                    name,
+                    where,
+                )
                 produced.extend(served)
                 produced.extend(archive)
             for route in produced:
                 assert route.length == lengths[route.pois], (route, where)
     assert cells == 2 * len(SEEDS)  # every seed gave a query
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("kind", ["grid", "chain"])
+def test_unordered_returns_the_oracle_routes(kind, directed):
+    cells = 0
+    for seed in SEEDS:
+        for network, forest, start, cats, dest in _cells(kind, seed, directed):
+            cells += 1
+            where = (kind, directed, seed, dest)
+            engine = SkySREngine(network, forest)
+            compiled = engine.compile(start, cats, destination=dest)
+            for k in KS:
+                band = rank_routes(
+                    brute_force_unordered(network, compiled, k)
+                )
+                for name, options in OPTION_SETS.items():
+                    result = engine.query(
+                        start,
+                        cats,
+                        destination=dest,
+                        ordered=False,
+                        options=options.but(k=k),
+                    )
+                    assert route_rows(rank_routes(result.skyband)) == (
+                        route_rows(band)
+                    ), (name, k, where)
+                    assert route_rows(result.topk()) == route_rows(
+                        band[:k]
+                    ), (name, k, where)
+    assert cells == 2 * len(SEEDS)

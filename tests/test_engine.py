@@ -7,8 +7,9 @@ from repro.core.options import BSSROptions
 from repro.datasets.paper_example import figure1_query
 from repro.errors import QueryError
 from repro.extensions.predicates import AnyOf
+from repro.extensions.unordered import brute_force_unordered
 
-from .conftest import score_set
+from .conftest import route_rows, score_set
 
 
 @pytest.fixture()
@@ -56,12 +57,28 @@ def test_unknown_algorithm_rejected(figure1, engine):
 
 
 def test_unordered_restrictions(figure1, engine):
-    with pytest.raises(QueryError):
-        engine.query(0, ["Gift Shop"], ordered=False, algorithm="dij")
-    with pytest.raises(QueryError):
-        engine.query(
-            0, ["Gift Shop"], ordered=False, destination=1
-        )
+    """The naive baselines refuse unordered queries; BSSR answers them
+    with a destination too, as the permutation oracle does."""
+    for algorithm in ("dij", "pne"):
+        with pytest.raises(QueryError):
+            engine.query(0, ["Gift Shop"], ordered=False, algorithm=algorithm)
+    start = figure1.landmarks["vq"]
+    cats = list(figure1_query())
+    for destination in (1, start):
+        compiled = engine.compile(start, cats, destination=destination)
+        oracle = brute_force_unordered(figure1.network, compiled)
+        assert oracle
+        for algorithm in ("bssr", "bssr-noopt"):
+            result = engine.query(
+                start,
+                cats,
+                ordered=False,
+                destination=destination,
+                algorithm=algorithm,
+            )
+            assert route_rows(result.routes) == route_rows(oracle)
+            assert result.algorithm == "unordered-bssr"
+            assert result.destination == destination
 
 
 def test_naive_baselines_reject_predicates(figure1, engine):

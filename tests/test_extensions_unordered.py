@@ -4,15 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.options import BSSROptions
 from repro.core.spec import compile_query
+from repro.errors import AlgorithmError
+from repro.extensions.predicates import AnyOf
 from repro.extensions.unordered import (
     brute_force_unordered,
+    category_orders,
     run_unordered_skysr,
 )
 from repro.graph.poi import PoIIndex
 from repro.semantics.similarity import HierarchyWuPalmer
 
-from .conftest import pick_query, random_instance, score_set
+from .conftest import pick_query, random_instance
+
+
+def _rows(routes):
+    return [(r.pois, r.length, round(r.semantic, 9)) for r in routes]
 
 
 @settings(deadline=None, max_examples=30)
@@ -27,7 +35,7 @@ def test_property_unordered_matches_permutation_oracle(seed):
     compiled = compile_query(start, cats, index, HierarchyWuPalmer())
     expected = brute_force_unordered(network, compiled)
     actual, stats = run_unordered_skysr(network, compiled)
-    assert score_set(actual) == score_set(expected), f"seed={seed}"
+    assert _rows(actual) == _rows(expected), f"seed={seed}"
     assert stats.algorithm == "unordered-bssr"
 
 
@@ -62,22 +70,6 @@ def test_unordered_empty_position():
     assert routes == []
 
 
-def test_unordered_without_greedy_seed_still_exact():
-    for seed in (1, 4, 9):
-        network, forest, rng = random_instance(seed, num_pois=8)
-        query = pick_query(network, forest, rng, 2)
-        if query is None:
-            continue
-        start, cats = query
-        index = PoIIndex(network, forest)
-        compiled = compile_query(start, cats, index, HierarchyWuPalmer())
-        seeded, _ = run_unordered_skysr(network, compiled)
-        unseeded, _ = run_unordered_skysr(
-            network, compiled, seed_with_greedy=False
-        )
-        assert score_set(seeded) == score_set(unseeded)
-
-
 def test_unordered_routes_use_distinct_pois():
     for seed in range(6):
         network, forest, rng = random_instance(seed, num_pois=10)
@@ -90,3 +82,47 @@ def test_unordered_routes_use_distinct_pois():
         routes, _ = run_unordered_skysr(network, compiled)
         for route in routes:
             assert len(set(route.pois)) == len(route.pois)
+
+
+def test_orders_with_equal_share_keys_run_once():
+    """A repeated category gives the same ordered query in either of its
+    places, and a predicate position is distinct from every other."""
+    network, forest, _rng = random_instance(3, num_pois=10)
+    index = PoIIndex(network, forest)
+    similarity = HierarchyWuPalmer()
+    repeated = compile_query(0, ["Food", "Food", "Shop"], index, similarity)
+    orders = list(category_orders(repeated))
+    assert [[s.label for s in q.specs] for q in orders] == [
+        ["Food", "Food", "Shop"],
+        ["Food", "Shop", "Food"],
+        ["Shop", "Food", "Food"],
+    ]
+    assert all(
+        [s.index for s in q.specs] == [0, 1, 2] for q in orders
+    )
+    predicates = compile_query(
+        0, [AnyOf("Food"), AnyOf("Food")], index, similarity
+    )
+    assert len(list(category_orders(predicates))) == 2
+
+
+def test_expansion_cap_covers_every_order():
+    """``max_routes_expanded`` caps the expansions of all orders
+    together, not of each one."""
+    network, forest, rng = random_instance(9, num_pois=9)
+    start, cats = pick_query(network, forest, rng, 3)
+    index = PoIIndex(network, forest)
+    compiled = compile_query(start, cats, index, HierarchyWuPalmer())
+    _, stats = run_unordered_skysr(network, compiled)
+    total = stats.routes_expanded
+    assert total > 1
+    _, capped = run_unordered_skysr(
+        network, compiled, options=BSSROptions(max_routes_expanded=total)
+    )
+    assert capped.routes_expanded == total
+    with pytest.raises(AlgorithmError):
+        run_unordered_skysr(
+            network,
+            compiled,
+            options=BSSROptions(max_routes_expanded=total - 1),
+        )

@@ -35,6 +35,7 @@ from repro.core.session import PlanningSession
 from repro.datasets import Dataset
 from repro.errors import (
     AdmissionError,
+    AlgorithmError,
     QueryError,
     SessionDecodeError,
     SessionEncodeError,
@@ -179,9 +180,9 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
     session = warm.session(start, cats, page_size=2)
     session.next_page()
     payload = session.to_dict()
-    assert SCHEMA_VERSION == 9
+    assert SCHEMA_VERSION == 10
     assert payload["version"] == SCHEMA_VERSION
-    assert "cache" not in payload["search"]["state"]
+    assert not {"cache", "queue", "serial"} & set(payload["search"]["state"])
     # drive the warm engine's shared searches well past page 1's budget
     warm.query(start, cats, options=BSSROptions().but(k=8))
 
@@ -413,6 +414,41 @@ def test_version_8_payload_is_rejected():
     assert exc.value.field == "version"
 
 
+def test_version_9_payload_is_rejected():
+    """Version 9 stored the route queue and its serial counter; version
+    10 encodes only drained searches, so a version 9 payload is refused,
+    not misread."""
+    engine, payload = _payload()
+    payload["version"] = 9
+    payload["search"]["state"].update(queue=[], serial=0)
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "version"
+
+
+def test_undrained_search_refuses_to_serialize():
+    """A page that ``max_routes_expanded`` aborts leaves routes queued;
+    such a search is no checkpoint, so encoding it is refused rather
+    than writing queue rows no restore reads."""
+    engine, start, cats = _engine_and_query(3)
+    full = engine.session(start, cats, page_size=2)
+    full.next_page()
+    expanded = full.pages[0].stats.routes_expanded
+    assert expanded > 1
+    session = engine.session(
+        start,
+        cats,
+        page_size=2,
+        options=BSSROptions(max_routes_expanded=expanded - 1),
+    )
+    with pytest.raises(AlgorithmError):
+        session.next_page()
+    assert session._search.state.queue
+    with pytest.raises(SessionEncodeError) as exc:
+        session.to_dict()
+    assert "drained" in str(exc.value)
+
+
 def test_version_1_payload_with_search_cache_is_rejected():
     """Version 1 payloads serialized candidate searches; there is no
     reading path for them, only the typed version error."""
@@ -459,7 +495,10 @@ def test_corrupted_json_text_raises_typed_error():
         (lambda p: p.__setitem__("page_size", True), "page_size"),
         (lambda p: p.__setitem__("served", 3), "served"),
         (lambda p: p["search"].pop("state"), "state"),
-        (lambda p: p["search"]["state"].__setitem__("queue", 7), "queue"),
+        (
+            lambda p: p["search"]["state"].__setitem__("deferred", 7),
+            "deferred",
+        ),
     ],
 )
 def test_missing_or_mistyped_fields_name_the_field(mutate, field):
@@ -550,7 +589,7 @@ def test_reference_missing_from_archive_names_the_field(mutate, field):
     assert "archived" in str(exc.value)
 
 
-@pytest.mark.parametrize("rows", ["archive", "deferred", "queue", "cut"])
+@pytest.mark.parametrize("rows", ["archive", "deferred", "cut"])
 def test_stored_poi_that_is_not_a_candidate_names_the_field(rows):
     """A route's similarities are looked up, not stored, so a PoI that is
     not a candidate at its position is corruption, in a route row and in
@@ -576,13 +615,6 @@ def test_stored_poi_that_is_not_a_candidate_names_the_field(rows):
         rows = "deferred"
     else:
         position = 0
-        if rows == "queue":
-            # a drained checkpoint has an empty queue: queue a deferred
-            # row as [pois, length, queue_serial, consumed, cut]
-            pois, length, consumed, cut = state["deferred"][0]
-            state["queue"] = [
-                [list(pois), length, state["serial"], consumed or 0, cut]
-            ]
         state[rows][0][0][0] = stranger(0)
     with pytest.raises(SessionDecodeError) as exc:
         PlanningSession.from_dict(engine, payload)

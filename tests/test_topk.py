@@ -34,8 +34,9 @@ from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.core.routes import SkylineRoute
 from repro.errors import QueryError
+from repro.extensions.unordered import brute_force_unordered
 
-from .conftest import pick_query, random_instance, score_set
+from .conftest import pick_query, random_instance, route_rows, score_set
 
 # ---------------------------------------------------------------------------
 # SkybandSet
@@ -311,13 +312,29 @@ def test_topk_with_destination_matches_oracle(seed):
 
 
 def test_topk_rejected_for_naive_and_unordered():
-    engine, _network, start, cats = _engine_and_query(3)
-    opts = BSSROptions().but(k=2)
-    for algorithm in ("dij", "pne"):
-        with pytest.raises(QueryError):
-            engine.query(start, cats, algorithm=algorithm, options=opts)
-    with pytest.raises(QueryError):
-        engine.query(start, cats, ordered=False, options=opts)
+    """The naive baselines refuse top-k, ordered or not; an unordered
+    top-k query is answered and ranks the permutation oracle's
+    k-skyband."""
+    engine, network, start, cats = _engine_and_query(3)
+    for k in (2, 3, 5):
+        opts = BSSROptions().but(k=k)
+        for algorithm in ("dij", "pne"):
+            for ordered in (True, False):
+                with pytest.raises(QueryError):
+                    engine.query(
+                        start,
+                        cats,
+                        algorithm=algorithm,
+                        ordered=ordered,
+                        options=opts,
+                    )
+        result = engine.query(start, cats, ordered=False, options=opts)
+        band = brute_force_unordered(network, engine.compile(start, cats), k)
+        assert route_rows(rank_routes(result.skyband)) == route_rows(
+            rank_routes(band)
+        )
+        assert route_rows(result.topk()) == route_rows(rank_routes(band, k))
+        assert len(result.routes) <= k
 
 
 def test_topk_accessor_and_ranked_table(figure1):
