@@ -32,27 +32,30 @@ skyline level while preserving all Section 5.3 optimizations.
 Checkpoint / resume
 -------------------
 
-The search state is explicit: :class:`SearchState` owns everything a
-paused search needs to continue — the route queue, the evolving
-skyband, an *archive* of every completed route that passed its
-threshold, the *deferred* list (work the current ``k``'s thresholds
-rejected), and the modified-Dijkstra cache.  Instead of silently
-discarding that work, :class:`BSSRSearch` parks it by parent: one
-:class:`_Deferred` entry per route prefix holds where the budget cut
-its candidate stream, if it did, and each child or completion its
-prune test cut as a ``(PoI, length)`` pair — nothing is built for
-them.  :meth:`BSSRSearch.resume` widens the skyband to a larger ``k'``,
-recomputes the (now looser) lower bounds, re-tests every parked pair
-against them, pushes the children that pass (offers the completions
-to the skyband), re-enqueues every prefix whose stream was cut, and
-drains the queue again.  Resume is exact: the prune tests are monotone
-and thresholds only fall within a drain, so a pair that fails its
-re-test would fail at pop too, and a completion above the threshold has
-``k'`` strictly shorter members with a semantic score no worse.  Every
-route of the fresh ``k'`` search is thus already archived, still parked,
-or reachable from a parked prefix — so pagination (ranks
-``k+1 .. k'``) never recomputes the routes the first pass settled.
-This is what :class:`~repro.core.session.PlanningSession` builds on.
+There is one search loop, and every search can be checkpointed.  Its
+state is explicit: :class:`SearchState` owns everything a paused search
+needs to continue — the route queue, the evolving skyband, an *archive*
+of every completed route the search offered to it, the *deferred* list
+(work the current ``k``'s thresholds rejected), and the
+modified-Dijkstra cache.  Instead of silently discarding that work,
+:class:`BSSRSearch` parks it by parent: one :class:`_Deferred` entry per
+route prefix holds where the budget cut its candidate stream, if it
+did, and each child or completion its prune test cut as a ``(PoI,
+length)`` pair — nothing is built for them.  :meth:`BSSRSearch.resume`
+widens the skyband to a larger ``k'``, recomputes the (now looser)
+lower bounds, re-tests every parked pair against them, pushes the
+children that pass (offers the completions to the skyband), re-enqueues
+every prefix whose stream was cut, and drains the queue again.  Resume
+is exact: the prune tests are monotone and thresholds only fall within
+a drain, so a pair that fails its re-test would fail at pop too, and a
+completion above the threshold has ``k'`` strictly shorter members with
+a semantic score no worse.  Every route of the fresh ``k'`` search is
+thus already archived, still parked, or reachable from a parked prefix
+— so pagination (ranks ``k+1 .. k'``) never recomputes the routes the
+first pass settled.  This is what
+:class:`~repro.core.session.PlanningSession` builds on.  A one-shot
+query is the same search, run once and never resumed: what it parks is
+one ``(PoI, length)`` pair per cut child on top of the queue.
 """
 
 from __future__ import annotations
@@ -106,43 +109,19 @@ def run_bssr(
     :mod:`repro.core.bounds`).
 
     ``distance_cache`` shares modified-Dijkstra expansions *across*
-    queries (see :mod:`repro.core.distcache`).
+    queries (see :mod:`repro.core.distcache`).  The search is the one a
+    session pages with; a one-shot caller simply never resumes it.
     """
-    # One-shot callers never resume, so skip the checkpoint machinery:
-    # no route archive, no deferred-work retention.
     return BSSRSearch(
-        network,
-        query,
-        aggregator,
-        options,
-        checkpointable=False,
-        shared_cache=distance_cache,
+        network, query, aggregator, options, shared_cache=distance_cache
     ).run()
-
-
-class _ArchivingSkyband(SkybandSet):
-    """A k-skyband that remembers every route ever offered to it.
-
-    The archive (keyed by the PoI tuple, which fully determines a
-    route's scores) is what makes resume exact: rejected and evicted
-    routes may re-qualify under a larger ``k``, so the skyband of any
-    future ``k'`` can be rebuilt from the archive without re-searching.
-    """
-
-    def __init__(self, k: int, archive: dict[tuple[int, ...], SkylineRoute]):
-        super().__init__(k)
-        self.archive = archive
-
-    def update(self, route: SkylineRoute) -> bool:
-        self.archive[route.pois] = route
-        return super().update(route)
 
 
 #: a parent's cut children (or completions), each as ``(PoI, length)``
 Cut = list[tuple[int, float]]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Deferred:
     """One parked parent.
 
@@ -160,22 +139,31 @@ class _Deferred:
 
 @dataclass
 class SearchState:
-    """Explicit, checkpointable state of one BSSR search.
+    """Explicit state of one BSSR search.
 
     A drained search (queue empty) checkpoints to exactly this object;
     :meth:`BSSRSearch.resume` continues from it with a larger ``k``.
-    Fields:
 
     Attributes:
         k: the skyband parameter the state is currently settled for.
-        skyband: the evolving k-skyband ``S_k`` (the archiving variant
-            for checkpointable searches, a plain set otherwise).
-        archive: every completed route offered to the skyband, keyed by
-            PoI tuple.  A completion above the threshold at its semantic
-            score is not offered (``k`` members dominate it) but parked
-            under its parent, so archive and deferred list together hold
-            a superset of any future skyband up to the routes searched
-            so far.
+        skyband: the evolving k-skyband ``S_k``, a plain
+            :class:`SkybandSet` (an unordered query hands every order's
+            search one shared band).
+        archive: every completed route the search itself offered to the
+            skyband, keyed by PoI tuple (which fixes a route's scores).
+            The search records a route here where it offers one, in
+            :meth:`BSSRSearch._complete` and :meth:`BSSRSearch._replay`.
+            NNinit's offers are not recorded, and need not be: a route
+            left in the final k-skyband has fewer than ``k`` members
+            dominating it, so its length never exceeds a threshold at
+            its semantic score, no prune test or budget cuts one of its
+            prefixes, and the main search offers it again.  A route
+            evicted from the band was either offered by the main search
+            (so archived) or lies under a parked prefix.  A completion
+            above the threshold at its semantic score is not offered
+            (``k`` members dominate it) but parked under its parent, so
+            archive and deferred list together hold a superset of any
+            future skyband up to the routes searched so far.
         deferred: work the current thresholds rejected, one
             :class:`_Deferred` per parent — prefixes pruned on pop or
             whose stream the budget cut, and the children and
@@ -198,7 +186,7 @@ class SearchState:
 
     k: int
     skyband: SkybandSet
-    archive: dict[tuple[int, ...], SkylineRoute]
+    archive: dict[tuple[int, ...], SkylineRoute] = field(default_factory=dict)
     deferred: list[_Deferred] = field(default_factory=list)
     queue: list[tuple[tuple, int, PartialRoute, int, Cut | None]] = field(
         default_factory=list
@@ -228,10 +216,10 @@ class BSSRSearch:
     """One BSSR search (Algorithm 1 plus Section 5.3 optimizations),
     resumable to larger ``k`` via its explicit :class:`SearchState`.
 
-    ``checkpointable=False`` (the :func:`run_bssr` one-shot path) skips
-    the resume machinery — no completed-route archive, no deferred-work
-    retention — restoring the seed's O(queue + skyband) footprint;
-    :meth:`resume` then refuses to run.
+    Every search parks the work its thresholds reject and archives the
+    routes it offers, so any search can be checkpointed
+    (:meth:`to_dict`) and resumed (:meth:`resume`); a one-shot query
+    runs it once.
     """
 
     def __init__(
@@ -241,29 +229,20 @@ class BSSRSearch:
         aggregator: SemanticAggregator | None = None,
         options: BSSROptions | None = None,
         *,
-        checkpointable: bool = True,
         shared_cache: DistanceCache | None = None,
     ) -> None:
         self.network = network
         self.query = query
         self.aggregator = aggregator or DEFAULT_AGGREGATOR
         self.options = options or BSSROptions()
-        self.checkpointable = checkpointable
         self.shared_cache = shared_cache
         self.stats = SearchStats(algorithm="bssr")
         # Top-k generalization: with k > 1 the evolving set is the
         # k-skyband and every threshold below becomes the k-th-smallest
         # length, so the search keeps expanding until k routes per
         # score level are complete.  k = 1 is exactly the paper's BSSR.
-        archive: dict[tuple[int, ...], SkylineRoute] = {}
         self.state = SearchState(
-            k=self.options.k,
-            skyband=(
-                _ArchivingSkyband(self.options.k, archive)
-                if checkpointable
-                else SkybandSet(self.options.k)
-            ),
-            archive=archive,
+            k=self.options.k, skyband=SkybandSet(self.options.k)
         )
         if self.options.k > 1:
             self.stats.extra["k"] = self.options.k
@@ -301,9 +280,7 @@ class BSSRSearch:
 
     def to_dict(self) -> dict:
         """Serialize the checkpointed state (see
-        :mod:`repro.core.serialize`).  One-shot searches
-        (``checkpointable=False``) refuse with a typed
-        :class:`~repro.errors.SessionEncodeError`."""
+        :mod:`repro.core.serialize`)."""
         from repro.core.serialize import search_to_dict
 
         return search_to_dict(self)
@@ -391,11 +368,6 @@ class BSSRSearch:
         widened skyband plus the stats of *this leg only*, so callers
         can compare resume cost against a from-scratch run.
         """
-        if not self.checkpointable:
-            raise AlgorithmError(
-                "this search was run without checkpointing "
-                "(checkpointable=False); it cannot resume"
-            )
         if not self._started:
             raise AlgorithmError("resume() requires a completed run() first")
         if k < self.state.k:
@@ -495,13 +467,13 @@ class BSSRSearch:
             previous=self.bounds,
         )
 
-    def _rebuild_skyband(self, k: int) -> _ArchivingSkyband:
+    def _rebuild_skyband(self, k: int) -> SkybandSet:
         """The k-skyband of everything completed so far.
 
         Order-independent thanks to the deterministic equivalence
         collapse, so iterating the archive in any order is exact.
         """
-        band = _ArchivingSkyband(k, self.state.archive)
+        band = SkybandSet(k)
         for route in sorted(
             list(self.state.archive.values()),
             key=lambda r: (r.length, r.semantic, r.pois),
@@ -510,8 +482,13 @@ class BSSRSearch:
         return band
 
     def _drain(self) -> None:
-        """The main loop: pop, prune-or-expand, until the queue empties."""
+        """The main loop: pop, prune-or-expand, until the queue empties.
+
+        A route pruned on pop is parked as it stands, with its offset
+        and any pairs a replay left cut under it.
+        """
         queue = self.state.queue
+        deferred = self.state.deferred
         limit = self.options.max_routes_expanded
         tests = self._prune_tests
         start = self.query.start
@@ -526,7 +503,7 @@ class BSSRSearch:
                 pois[-1] if pois else start,
             ):
                 self.stats.routes_pruned_on_pop += 1
-                self._defer(route, consumed, cut)
+                deferred.append(_Deferred(route, consumed, cut or []))
                 continue
             self.stats.routes_expanded += 1
             if limit is not None and self.stats.routes_expanded > limit:
@@ -536,6 +513,9 @@ class BSSRSearch:
                     f"BSSR exceeded max_routes_expanded={limit}"
                 )
             self._expand(route, consumed, cut)
+        # run() starts the list empty and resume() takes it over before
+        # replaying, so it holds exactly what this leg parked
+        self.stats.routes_deferred = len(deferred)
 
     def _finish(self, started: float) -> None:
         self.stats.elapsed = perf_counter() - started
@@ -736,16 +716,6 @@ class BSSRSearch:
 
         return prunable
 
-    def _defer(
-        self, route: PartialRoute, consumed: int | None, cut: Cut | None
-    ) -> None:
-        """Park rejected work for a potential future resume (dropped
-        outright when the search is not checkpointable)."""
-        if not self.checkpointable:
-            return
-        self.state.deferred.append(_Deferred(route, consumed, cut or []))
-        self.stats.routes_deferred += 1
-
     def _replay(self, item: _Deferred) -> None:
         """Take a parked parent up again under the current bounds.
 
@@ -768,6 +738,7 @@ class BSSRSearch:
         if route.size + 1 == self.n:
             skyline = self.skyline
             threshold = skyline.threshold
+            archive = self.state.archive
             for vid, length in item.cut:
                 sim = sim_of(vid)
                 semantic = score(extend(sem_state, sim))
@@ -775,9 +746,11 @@ class BSSRSearch:
                     skyline.rejects += 1
                     kept.append((vid, length))
                     continue
-                skyline.update(
-                    SkylineRoute(pois + (vid,), length, semantic, sims + (sim,))
+                done = SkylineRoute(
+                    pois + (vid,), length, semantic, sims + (sim,)
                 )
+                archive[done.pois] = done
+                skyline.update(done)
         else:
             prunable = self._prune_tests[route.size + 1]
             for vid, length in item.cut:
@@ -796,7 +769,7 @@ class BSSRSearch:
         if item.consumed is not None:
             self._push(route, item.consumed, kept)
         elif kept:
-            self._defer(route, None, kept)
+            self.state.deferred.append(_Deferred(route, None, kept))
 
     def _push(
         self,
@@ -913,12 +886,12 @@ class BSSRSearch:
         :meth:`SkybandSet.update` would provably reject it.
 
         ``consumed`` skips candidates a previous pass already processed
-        (deterministic stream order makes the offset exact).  A
-        checkpointable search parks the route once if the budget cut the
-        stream short (with its new offset, so a resumed search picks up
-        the remainder) or if any child or completion was cut (as
-        ``(PoI, length)`` pairs, re-tested on resume).  ``cut`` holds the
-        pairs a replay left parked, which new ones join.
+        (deterministic stream order makes the offset exact).  The route
+        is parked once if the budget cut the stream short (with its new
+        offset, so a resumed search picks up the remainder) or if any
+        child or completion was cut (as ``(PoI, length)`` pairs,
+        re-tested on resume).  ``cut`` holds the pairs a replay left
+        parked, which new ones join.
         """
         position = route.size
         reserve = self._reserve[position]
@@ -944,7 +917,7 @@ class BSSRSearch:
             search = self._ch_stream(route, position)
         else:
             search = self._candidate_search(route, position)
-        if self.checkpointable and cut is None:
+        if cut is None:
             cut = []
         if new_size == self.n:
             index = self._complete(route, search, consumed, budget, cut)
@@ -952,18 +925,18 @@ class BSSRSearch:
             # no skyline update happens below the final position, so the
             # budget is a constant the stream may settle to in one burst
             index = self._extend(route, search, consumed, budget(), cut)
-        if self.checkpointable:
-            # Did the budget cut the stream?  The decision is a function
-            # of the stream and the final budget alone (is a candidate
-            # left beyond it?), so a cached search that another
-            # consumer drained past the budget defers exactly like a
-            # fresh one rebuilt after a restore, whatever field drove
-            # either.
-            stopped = index < len(search.candidates) or not search.exhausted
-            if stopped or cut:
-                # park the prefix so a wider search can resume it
-                # exactly where this pass stopped
-                self._defer(route, index if stopped else None, cut)
+        # Did the budget cut the stream?  The decision is a function of
+        # the stream and the final budget alone (is a candidate left
+        # beyond it?), so a cached search that another consumer drained
+        # past the budget defers exactly like a fresh one rebuilt after
+        # a restore, whatever field drove either.
+        stopped = index < len(search.candidates) or not search.exhausted
+        if stopped or cut:
+            # park the prefix so a wider search can resume it exactly
+            # where this pass stopped
+            self.state.deferred.append(
+                _Deferred(route, index if stopped else None, cut)
+            )
         if not self._first_radius_recorded:
             self.stats.first_search_radius = search.radius
             self._first_radius_recorded = True
@@ -974,12 +947,11 @@ class BSSRSearch:
         search: CHCandidateStream | PoICandidateSearch,
         consumed: int,
         limit: float,
-        cut: Cut | None,
+        cut: Cut,
     ) -> int:
         """Queue the children of ``route`` closer than ``limit``, and
         append each one the prune test rejects to ``cut`` as ``(PoI,
-        length)`` unless it is ``None``; returns the stream offset
-        reached."""
+        length)``; returns the stream offset reached."""
         prunable = self._prune_tests[route.size + 1]
         extend = self.aggregator.extend
         score = self.aggregator.score
@@ -991,7 +963,7 @@ class BSSRSearch:
         sims = route.sims
         sem_state = route.sem_state
         length = route.length
-        pruned = 0
+        held = len(cut)
         index = consumed
         for lo, hi in search.scored_until(limit, start=consumed):
             for i in range(lo, hi):
@@ -1003,9 +975,7 @@ class BSSRSearch:
                 semantic = score(state)
                 child_length = length + dists[i]
                 if prunable(child_length, semantic, state, vid):
-                    pruned += 1
-                    if cut is not None:
-                        cut.append((vid, child_length))
+                    cut.append((vid, child_length))
                     continue
                 push(
                     PartialRoute(
@@ -1014,7 +984,7 @@ class BSSRSearch:
                     )
                 )
             index = hi
-        self.stats.routes_pruned_on_insert += pruned
+        self.stats.routes_pruned_on_insert += len(cut) - held
         return index
 
     def _complete(
@@ -1023,12 +993,12 @@ class BSSRSearch:
         search: CHCandidateStream | PoICandidateSearch,
         consumed: int,
         budget: Callable[[], float],
-        cut: Cut | None,
+        cut: Cut,
     ) -> int:
         """Offer ``route``'s completions to the skyband while the budget
         allows, and append each one above the threshold to ``cut`` as
-        ``(PoI, length)`` unless it is ``None``; returns the stream
-        offset reached.
+        ``(PoI, length)``; returns the stream offset reached.  Each
+        route offered is archived first.
 
         Every offer may tighten the budget, so a segment is re-checked
         against it once the skyband's version moves.
@@ -1036,6 +1006,7 @@ class BSSRSearch:
         skyline = self.skyline
         threshold = skyline.threshold
         update = skyline.update
+        archive = self.state.archive
         extend = self.aggregator.extend
         score = self.aggregator.score
         leg = self.dest_dist.get if self.dest_dist is not None else None
@@ -1072,16 +1043,12 @@ class BSSRSearch:
                     # k members are strictly shorter at a semantic score
                     # no worse: update() would reject it as dominated
                     skyline.rejects += 1
-                    if cut is not None:
-                        cut.append((vid, total))
+                    cut.append((vid, total))
                     continue
-                update(
-                    SkylineRoute(
-                        pois=pois + (vid,),
-                        length=total,
-                        semantic=semantic,
-                        sims=sims + (sim,),
-                    )
+                done = SkylineRoute(
+                    pois + (vid,), total, semantic, sims + (sim,)
                 )
+                archive[done.pois] = done
+                update(done)
             index = hi
         return index

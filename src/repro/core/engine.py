@@ -272,10 +272,13 @@ class SkySREngine:
         opts = options or self.options
         k = opts.k
         if algorithm == "bssr-noopt":
-            # Keep the non-optimization knobs (k, safety valve) while
-            # disabling every Section 5.3 technique.
-            opts = BSSROptions.without_optimizations().but(
-                k=k, max_routes_expanded=opts.max_routes_expanded
+            # The caller's options with every Section 5.3 technique off
+            opts = opts.but(
+                initial_search=False,
+                priority_queue=False,
+                lower_bounds=False,
+                perfect_match_bound=False,
+                caching=False,
             )
         if not ordered:
             if algorithm not in ("bssr", "bssr-noopt"):

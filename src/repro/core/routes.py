@@ -75,14 +75,6 @@ class PartialRoute:
     def contains(self, vid: int) -> bool:
         return vid in self.pois
 
-    def to_skyline_route(self) -> SkylineRoute:
-        return SkylineRoute(
-            pois=self.pois,
-            length=self.length,
-            semantic=self.semantic,
-            sims=self.sims,
-        )
-
     def __str__(self) -> str:
         chain = " -> ".join(str(p) for p in self.pois) or "⟨⟩"
         return f"Partial[l={self.length:.4g} s={self.semantic:.4g}] {chain}"

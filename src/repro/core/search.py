@@ -450,7 +450,3 @@ class PoICandidateSearch:
         for lo, hi in self.scored_until(budget, start=start):
             for i in range(lo, hi):
                 yield dists[i], vids[i], sim_map[vids[i]]
-
-    def expand_fully(self) -> None:
-        """Exhaust the search (used by tests and ablations)."""
-        self._settle(math.inf, one=False)

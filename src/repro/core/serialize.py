@@ -1,6 +1,6 @@
 """Versioned (de)serialization of checkpointed searches and sessions.
 
-The BSSR search loop keeps its state in an explicit, checkpointable
+The BSSR search loop keeps its state in an explicit
 :class:`~repro.core.bssr.SearchState`; this module makes that state
 *durable*.  A :class:`~repro.core.session.PlanningSession` — compiled
 query, served pages, and the search checkpoint (skyband archive and
@@ -83,6 +83,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.dominance import SkybandSet
 from repro.core.options import BSSROptions
 from repro.core.routes import PartialRoute, SkylineRoute
 from repro.core.stats import SearchStats
@@ -307,13 +308,7 @@ def _archived(
 
 
 def search_to_dict(search: "BSSRSearch") -> dict:
-    """Serialize a drained, checkpointable
-    :class:`~repro.core.bssr.BSSRSearch`."""
-    if not search.checkpointable:
-        raise SessionEncodeError(
-            "one-shot searches (checkpointable=False) carry no resumable "
-            "state and cannot be serialized"
-        )
+    """Serialize a drained :class:`~repro.core.bssr.BSSRSearch`."""
     state = search.state
     if state.queue:
         raise SessionEncodeError(
@@ -367,7 +362,7 @@ def search_from_dict(
     refills on demand; stream offsets replay exactly.  Its lower bounds
     are recomputed by the next leg, as a live search's are.
     """
-    from repro.core.bssr import BSSRSearch, _ArchivingSkyband, _Deferred
+    from repro.core.bssr import BSSRSearch, _Deferred
 
     options = _decoding(
         "search.options",
@@ -375,9 +370,7 @@ def search_from_dict(
             _require(payload, "options", dict, where="search")
         ),
     )
-    search = BSSRSearch(
-        network, query, aggregator, options, checkpointable=True
-    )
+    search = BSSRSearch(network, query, aggregator, options)
     state_payload = _require(payload, "state", dict, where="search")
     state = search.state
     read = _row_reader(query, aggregator)
@@ -401,7 +394,7 @@ def search_from_dict(
     # order) instead of re-deriving it from the archive: replaying the
     # final member list through update() reproduces the exact internal
     # entry list, including equal-score representatives.
-    band = _ArchivingSkyband(state.k, archive)
+    band = SkybandSet(state.k)
     for ref in _require(state_payload, "skyband", list, where="search.state"):
         band.update(_archived(archive, ref, "search.state.skyband"))
     band.updates = 0

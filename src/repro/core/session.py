@@ -79,7 +79,7 @@ class PlanningSession:
     expose how much cheaper each resume is.
 
     Sessions answer the BSSR algorithm only (the naive baselines have
-    no checkpointable state) and always use per-query lower bounds.
+    no resumable search state) and always use per-query lower bounds.
     """
 
     def __init__(

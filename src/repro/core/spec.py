@@ -91,10 +91,6 @@ class PositionSpec:
     def num_candidates(self) -> int:
         return len(self.sim_map)
 
-    @property
-    def num_perfect(self) -> int:
-        return len(self.perfect)
-
     def candidates(self) -> list[int]:
         return list(self.sim_map)
 

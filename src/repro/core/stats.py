@@ -36,8 +36,8 @@ class SearchStats:
     routes_expanded: int = 0
     routes_pruned_on_pop: int = 0
     routes_pruned_on_insert: int = 0
-    #: routes parked for a later resume (checkpointable search state)
-    #: instead of being discarded: pruned on pop, budget-truncated, or
+    #: routes parked for a later resume instead of being discarded,
+    #: one-shot queries included: pruned on pop, budget-truncated, or
     #: holding the children or completions their prune test cut
     routes_deferred: int = 0
     max_queue_size: int = 0

@@ -7,9 +7,11 @@ query: it returns one :class:`TraceStep` per main-loop iteration with
 snapshots of both structures, which :func:`render_trace` formats like
 the paper's table.
 
-Tracing snapshots the queue at every step, so it is meant for small,
-didactic instances (examples, debugging, tests) — production queries
-should use :func:`repro.core.bssr.run_bssr` directly.
+The traced run is the one BSSR search (:class:`~repro.core.bssr.BSSRSearch`)
+that every query, one-shot or paged, runs; tracing only adds a snapshot
+of the queue at every step, so it is meant for small, didactic
+instances (examples, debugging, tests) — production queries should use
+:func:`repro.core.bssr.run_bssr` directly.
 """
 
 from __future__ import annotations

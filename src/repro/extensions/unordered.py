@@ -95,12 +95,7 @@ def run_unordered_skysr(
             # routes earlier orders found bound the search instead
             options = options.but(initial_search=False)
         search = BSSRSearch(
-            network,
-            ordered,
-            aggregator,
-            options,
-            checkpointable=False,
-            shared_cache=distance_cache,
+            network, ordered, aggregator, options, shared_cache=distance_cache
         )
         search.state.skyband = skyband
         _, order_stats = search.run()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.engine import ALGORITHMS, SkySREngine
 from repro.core.options import BSSROptions
+from repro.datasets import generate_workload, tokyo_like
 from repro.datasets.paper_example import figure1_query
 from repro.errors import QueryError
 from repro.extensions.predicates import AnyOf
@@ -106,6 +107,23 @@ def test_bssr_noopt_algorithm_name(figure1, engine):
     result = engine.query(start, list(figure1_query()), algorithm="bssr-noopt")
     assert result.stats.init_routes == 0
     assert result.stats.cache_hits == 0
+
+
+def test_bssr_noopt_keeps_the_callers_other_options():
+    """``bssr-noopt`` turns off the five Section 5.3 switches only: a
+    diversified top-k answer is the same list as ``bssr``'s."""
+    dataset = tokyo_like(scale=0.12)
+    engine = SkySREngine(dataset.network, dataset.forest)
+    options = BSSROptions(k=5, diversity_lambda=1.0)
+    for q in generate_workload(dataset, 3, 4, seed=7):
+        cats = list(q.categories)
+        fast = engine.query(q.start, cats, options=options)
+        plain = engine.query(
+            q.start, cats, options=options, algorithm="bssr-noopt"
+        )
+        assert plain.routes == fast.routes
+        assert plain.stats.init_routes == 0
+        assert plain.stats.cache_hits == 0
 
 
 def test_index_refresh(figure1, engine):

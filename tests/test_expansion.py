@@ -1,11 +1,11 @@
 """BSSR's expansion loop does the same work on every path.
 
-The one-shot search (:func:`~repro.core.bssr.run_bssr`) skips the
-checkpoint machinery: it parks no child its prune test rejects and no
-completion the threshold rejects.  That may not change what is
-searched — routes and every work counter must equal the
-checkpointable search's, and a pinned set of counters catches any
-change in pop order.
+There is one search: :func:`~repro.core.bssr.run_bssr` is
+``BSSRSearch(...).run()``.  Parking a cut child or completion under its
+parent may not change what is searched — routes and every work counter
+must equal a directly built search's, queue serials are drawn by queue
+entries only, and a pinned set of counters catches any change in pop
+order.
 """
 
 import pytest
@@ -64,11 +64,6 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
         assert _work(one_stats) == _work(full_stats)
         # serials are drawn by queue entries only: a cut child is
         # parked under its parent as (PoI, length), not built
-        lean = BSSRSearch(
-            network, compiled, options=options, checkpointable=False
-        )
-        lean.run()
-        assert lean.state.serial == one_stats.routes_enqueued
         assert search.state.serial == full_stats.routes_enqueued
 
 
@@ -166,15 +161,12 @@ def _dead_end_network(with_b1: bool = True):
     return net, forest, s
 
 
-@pytest.mark.parametrize("checkpointable", [False, True])
 @pytest.mark.parametrize(
     "options",
     [BSSROptions(k=20), BSSROptions(use_contraction=True, k=20)],
     ids=["default", "ch"],
 )
-def test_an_infinite_floor_prunes_under_an_infinite_threshold(
-    options, checkpointable
-):
+def test_an_infinite_floor_prunes_under_an_infinite_threshold(options):
     """Two routes exist, so at k = 20 every threshold stays infinite.
     ⟨a1, b2⟩ and ⟨a2, b2⟩ have infinite floors (b2 reaches no Jazz
     PoI), so they are never popped.  Under CH they are pruned on
@@ -184,9 +176,7 @@ def test_an_infinite_floor_prunes_under_an_infinite_threshold(
     net, forest, s = _dead_end_network()
     engine = SkySREngine(net, forest)
     compiled = engine.compile(s, ["Ramen", "Gift", "Jazz"])
-    search = BSSRSearch(
-        net, compiled, options=options, checkpointable=checkpointable
-    )
+    search = BSSRSearch(net, compiled, options=options)
     routes, stats = search.run()
     assert [r.length for r in routes] == [5.0, 7.0]
     assert stats.routes_expanded == 4

@@ -20,7 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.topk import brute_force_topk
-from repro.core.bssr import BSSRSearch, _ArchivingSkyband
+from repro.core.bssr import BSSRSearch
+from repro.core.dominance import SkybandSet
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.errors import AlgorithmError, QueryError
@@ -256,15 +257,15 @@ def test_checkpointable_runs_archive_no_route_above_its_threshold(
 ):
     """A completion longer than the threshold at its own semantic score
     is parked under its parent as ``(PoI, length)``, never offered to
-    the live skyband (whose archive it would join): not on the first
-    run, and not when a resume replays it under a wider ``k``."""
+    the live skyband (nor archived): not on the first run, and not when
+    a resume replays it under a wider ``k``."""
     engine, _network, start, cats = _engine_and_query(seed)
     compiled = engine.compile(start, cats)
     search = BSSRSearch(
         engine.network, compiled, engine.aggregator, BSSROptions().but(k=2)
     )
     above = []
-    update = _ArchivingSkyband.update
+    update = SkybandSet.update
 
     def checked(band, route):
         # a resume rebuilds its band from the archive first; only
@@ -274,7 +275,7 @@ def test_checkpointable_runs_archive_no_route_above_its_threshold(
                 above.append(route)
         return update(band, route)
 
-    monkeypatch.setattr(_ArchivingSkyband, "update", checked)
+    monkeypatch.setattr(SkybandSet, "update", checked)
     search.run()
     for k in (4, 6):
         search.resume(k)
@@ -286,30 +287,3 @@ def test_checkpointable_runs_archive_no_route_above_its_threshold(
         for item in search.state.deferred
         for vid, _length in item.cut
     )
-
-
-def test_one_shot_queries_skip_the_checkpoint_machinery():
-    """run_bssr (every plain engine.query) must not pay the resume
-    memory cost: no archive, no deferred retention, and no resume."""
-    engine, _network, start, cats = _engine_and_query(0)
-    compiled = engine.compile(start, cats)
-    search = BSSRSearch(
-        engine.network,
-        compiled,
-        engine.aggregator,
-        BSSROptions().but(k=3),
-        checkpointable=False,
-    )
-    routes, stats = search.run()
-    assert routes  # same answer as ever...
-    assert search.state.deferred == []  # ...without parked work
-    assert search.state.archive == {}  # ...or an archive
-    assert stats.routes_deferred == 0
-    with pytest.raises(AlgorithmError):
-        search.resume(6)
-    # and it is score-identical to a checkpointable run
-    full = BSSRSearch(
-        engine.network, compiled, engine.aggregator, BSSROptions().but(k=3)
-    )
-    full_routes, _ = full.run()
-    assert [r.scores() for r in routes] == [r.scores() for r in full_routes]

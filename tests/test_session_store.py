@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro import datasets
+from repro.core.bssr import BSSRSearch
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.core.serialize import SCHEMA_VERSION
@@ -95,6 +96,44 @@ def test_round_trip_pages_match_oracle_pop_for_pop(seed):
         text = restored.dumps()
         if expected["exhausted"]:
             break
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("with_destination", [False, True])
+@pytest.mark.parametrize(
+    "options",
+    [BSSROptions(), BSSROptions(use_contraction=True)],
+    ids=["default", "ch"],
+)
+def test_skyband_members_are_archived_and_restored_resumes_are_exact(
+    seed, with_destination, options
+):
+    """The search archives each route it offers, and NNinit's offers
+    need no archiving: every member of the band, after ``run()`` and
+    after each ``resume(k')``, is in the archive.  A checkpoint taken
+    at each ``k`` restores and resumes to exactly a fresh ``k'`` run."""
+    network, forest, rng = random_instance(seed, num_pois=12)
+    start, cats = pick_query(network, forest, rng, 3, distinct_trees=False)
+    destination = rng.randrange(network.num_vertices)
+    engine = SkySREngine(network, forest)
+    compiled = engine.compile(
+        start, cats, destination=destination if with_destination else None
+    )
+    aggregator = engine.aggregator
+    assert options.initial_search
+    search = BSSRSearch(network, compiled, aggregator, options)
+    search.run()
+    archive = search.state.archive
+    assert {r.pois for r in search.skyline.routes()} <= archive.keys()
+    for k in (2, 3, 5):
+        payload = json.loads(json.dumps(search.to_dict()))
+        restored = BSSRSearch.from_dict(network, compiled, aggregator, payload)
+        fresh, _ = BSSRSearch(
+            network, compiled, aggregator, options.but(k=k)
+        ).run()
+        assert restored.resume(k)[0] == fresh
+        assert search.resume(k)[0] == fresh
+        assert {r.pois for r in search.skyline.routes()} <= archive.keys()
 
 
 @pytest.mark.parametrize("seed", [1, 4, 9])
@@ -250,15 +289,6 @@ def test_unstarted_session_round_trip():
     assert page_fingerprint(restored.next_page()) == page_fingerprint(
         oracle.next_page()
     )
-
-
-def test_non_checkpointable_search_refuses_to_serialize():
-    engine, start, cats = _engine_and_query(3)
-    session = engine.session(start, cats, page_size=2)
-    session.next_page()
-    session._search.checkpointable = False
-    with pytest.raises(SessionEncodeError):
-        session.to_dict()
 
 
 # ---------------------------------------------------------------------------
