@@ -39,23 +39,27 @@ of every completed route the search offered to it, the *deferred* list
 (work the current ``k``'s thresholds rejected), and the
 modified-Dijkstra cache.  Instead of silently discarding that work,
 :class:`BSSRSearch` parks it by parent: one :class:`_Deferred` entry per
-route prefix holds where the budget cut its candidate stream, if it
-did, and each child or completion its prune test cut as a ``(PoI,
-length)`` pair — nothing is built for them.  :meth:`BSSRSearch.resume`
-widens the skyband to a larger ``k'``, recomputes the (now looser)
-lower bounds, re-tests every parked pair against them, pushes the
-children that pass (offers the completions to the skyband), re-enqueues
-every prefix whose stream was cut, and drains the queue again.  Resume
-is exact: the prune tests are monotone and thresholds only fall within
-a drain, so a pair that fails its re-test would fail at pop too, and a
-completion above the threshold has ``k'`` strictly shorter members with
-a semantic score no worse.  Every route of the fresh ``k'`` search is
-thus already archived, still parked, or reachable from a parked prefix
-— so pagination (ranks ``k+1 .. k'``) never recomputes the routes the
-first pass settled.  This is what
-:class:`~repro.core.session.PlanningSession` builds on.  A one-shot
-query is the same search, run once and never resumed: what it parks is
-one ``(PoI, length)`` pair per cut child on top of the queue.
+route prefix holds where the budgets cut its candidate stream, one
+offset per similarity level, if they did, and each child or completion
+its prune test cut as a ``(PoI, length)`` pair — nothing is built for
+them.  Each level is read only up to the Lemma 5.3 budget at its own
+semantic score, so a candidate the threshold would reject for its
+similarity alone stays unread behind its level's offset instead of
+being cut one at a time.  :meth:`BSSRSearch.resume` widens the skyband
+to a larger ``k'``, recomputes the (now looser) lower bounds, re-tests
+every parked pair against them, pushes the children that pass (offers
+the completions to the skyband), re-enqueues every prefix whose stream
+was cut, and drains the queue again.  Resume is exact: the prune tests
+are monotone and thresholds only fall within a drain, so a pair that
+fails its re-test would fail at pop too, and a completion above the
+threshold has ``k'`` strictly shorter members with a semantic score no
+worse.  Every route of the fresh ``k'`` search is thus already
+archived, still parked, or reachable from a parked prefix — so
+pagination (ranks ``k+1 .. k'``) never recomputes the routes the first
+pass settled.  This is what :class:`~repro.core.session.PlanningSession`
+builds on.  A one-shot query is the same search, run once and never
+resumed: what it parks is its cut prefixes' offsets and the few pairs
+its prune tests cut inside their level's budget.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ from repro.graph.contraction import (
     CHDistanceOracle,
     contraction_for,
     shared_bucket,
-    sorted_row,
 )
 from repro.graph.dijkstra import dijkstra
 from repro.graph.landmarks import landmarks_for
@@ -125,15 +128,17 @@ Cut = list[tuple[int, float]]
 class _Deferred:
     """One parked parent.
 
-    ``consumed`` is how far into its candidate stream the previous pass
-    got before the budget (or a prune on pop) stopped it, ``None`` when
-    the stream was consumed to its end.  ``cut`` holds each child (or,
-    at the final position, each completion) the prune test rejected, as
-    ``(PoI, length)``: the rest of it follows from the parent.
+    ``consumed`` holds, per similarity level of the parent's next
+    position, how far into that level's view of its candidate stream
+    the previous pass got before the level's budget (or a prune on pop)
+    stopped it; ``None`` when every level was consumed to the end of the
+    stream.  ``cut`` holds each child (or, at the final position, each
+    completion) the prune test rejected, as ``(PoI, length)``: the rest
+    of it follows from the parent.
     """
 
     route: PartialRoute
-    consumed: int | None
+    consumed: tuple[int, ...] | None
     cut: Cut
 
 
@@ -161,18 +166,21 @@ class SearchState:
             evicted from the band was either offered by the main search
             (so archived) or lies under a parked prefix.  A completion
             above the threshold at its semantic score is not offered
-            (``k`` members dominate it) but parked under its parent, so
-            archive and deferred list together hold a superset of any
-            future skyband up to the routes searched so far.
+            (``k`` members dominate it) but parked under its parent, as
+            a cut pair or behind its level's stream offset, so archive
+            and deferred list together hold a superset of any future
+            skyband up to the routes searched so far.
         deferred: work the current thresholds rejected, one
             :class:`_Deferred` per parent — prefixes pruned on pop or
-            whose stream the budget cut, and the children and
+            whose stream a level's budget cut, and the children and
             completions their prune tests cut — kept instead of
             discarded so a wider ``k`` can take it up again.
         queue: the route priority queue ``Q_b`` of ``(priority, serial,
-            route, consumed, cut)`` entries; ``cut`` is a replayed
-            parent's still-cut pairs, ``None`` for a fresh child.  Every
-            drain empties it, so a checkpoint never holds one.
+            route, consumed, cut)`` entries; ``consumed`` is the route's
+            per-level stream offsets (all 0 for a fresh child) and
+            ``cut`` a replayed parent's still-cut pairs, ``None`` for a
+            fresh child.  Every drain empties it, so a checkpoint never
+            holds one.
         dest_dist: reverse distances to the destination, if any.
         cache: the on-the-fly modified-Dijkstra cache (Section 5.3.4) —
             shared across resumes, which is a large part of why resuming
@@ -188,7 +196,9 @@ class SearchState:
     skyband: SkybandSet
     archive: dict[tuple[int, ...], SkylineRoute] = field(default_factory=dict)
     deferred: list[_Deferred] = field(default_factory=list)
-    queue: list[tuple[tuple, int, PartialRoute, int, Cut | None]] = field(
+    queue: list[
+        tuple[tuple, int, PartialRoute, tuple[int, ...], Cut | None]
+    ] = field(
         default_factory=list
     )
     dest_dist: dict[int, float] | None = None
@@ -275,6 +285,12 @@ class BSSRSearch:
         # once it takes a candidate there (its expansion budget's
         # reserve), bound by _bind_prune_tests
         self._reserve: list[float] = [0.0] * self.n
+        # per position, the stream offsets of a route that has read
+        # nothing yet: one 0 per similarity level
+        self._fresh = [(0,) * len(spec.levels) for spec in query.specs]
+        # per position, each level's aggregator state and semantic score
+        # by the aggregator state of the route extended there
+        self._level_scores: list[dict] = [{} for _ in query.specs]
 
     # Durable checkpoints ----------------------------------------------
 
@@ -352,7 +368,7 @@ class BSSRSearch:
             sem_state=self.aggregator.initial(self.n),
             sims=(),
         )
-        self._expand(empty, 0)
+        self._expand(empty, self._fresh[0])
         self._drain()
         self._finish(started)
         return self.skyline.routes(), self.stats
@@ -616,10 +632,9 @@ class BSSRSearch:
           to-go value — the exact remaining route, destination
           included, relaxed to ignore distinctness and similarity.  A
           child of a route of size 1 or more comes from a stream keyed
-          by that same floor, which the budget has already held to the
-          parent's threshold, so on insert the floor only cuts children
-          whose own semantic score lowers the threshold (Lemma 5.8 cuts
-          as before).
+          by that same floor, which its level's budget has already held
+          to the threshold at the child's own semantic score, so on
+          insert only Lemma 5.8 cuts.
           The empty route, popped only after a resume, is floored
           without a sweep: its first-leg field value plus position 0's
           reserve;
@@ -753,6 +768,7 @@ class BSSRSearch:
                 skyline.update(done)
         else:
             prunable = self._prune_tests[route.size + 1]
+            fresh = self._fresh[route.size + 1]
             for vid, length in item.cut:
                 sim = sim_of(vid)
                 state = extend(sem_state, sim)
@@ -763,7 +779,8 @@ class BSSRSearch:
                 self._push(
                     PartialRoute(
                         pois + (vid,), length, semantic, state, sims + (sim,)
-                    )
+                    ),
+                    fresh,
                 )
             self.stats.routes_pruned_on_insert += len(kept)
         if item.consumed is not None:
@@ -774,9 +791,11 @@ class BSSRSearch:
     def _push(
         self,
         route: PartialRoute,
-        consumed: int = 0,
+        consumed: tuple[int, ...],
         cut: Cut | None = None,
     ) -> None:
+        """Queue ``route`` at its per-level stream offsets (all 0 for a
+        fresh child), carrying ``cut``."""
         heapq.heappush(
             self.state.queue,
             (
@@ -840,8 +859,8 @@ class BSSRSearch:
     ) -> CHCandidateStream:
         """The CH label-row stream of ``position`` from the route's
         endpoint (see :class:`~repro.core.search.CHCandidateStream`):
-        exact distances to the full candidate set, sorted, no road-graph
-        settles.  Like modified-Dijkstra streams they are
+        exact distances to the full candidate set, sorted and grown
+        lazily, no road-graph settles.  Like modified-Dijkstra streams they are
         route-independent, so one per ``(source, position)`` serves
         every route; distinctness is enforced by the caller's
         ``vid in route.pois`` filter.  Share-keyed rows come from the
@@ -854,88 +873,124 @@ class BSSRSearch:
             spec = self.query.specs[position]
             ch = self._ch_index()
             if spec.share_key is not None:
-                dists, vids = ch.memo_stream(
-                    spec.share_key, source, spec.sim_map
+                row = ch.memo_stream(
+                    spec.share_key, source, spec.sim_map, spec.levels
                 )
             else:
                 bucket = self._ch_buckets.get(position)
                 if bucket is None:
                     bucket = ch.bucket(spec.sim_map)
                     self._ch_buckets[position] = bucket
-                dists, vids = sorted_row(ch.distances_from(source, bucket))
-            stream = CHCandidateStream(dists, vids, spec.sim_map)
+                row = ch.label_stream(
+                    source, bucket, spec.sim_map, spec.levels
+                )
+            stream = CHCandidateStream(row, spec.sim_map)
             self._ch_streams[key] = stream
         return stream
 
     def _expand(
         self,
         route: PartialRoute,
-        consumed: int = 0,
+        consumed: tuple[int, ...],
         cut: Cut | None = None,
     ) -> None:
         """Algorithm 1 lines 7–9: extend ``route`` at its next position.
 
-        The stream hands out index segments (see
-        :mod:`repro.core.search`); each candidate is read from them in
-        place and pays only for the tests the paper defines.  A child
-        goes through the same prune test as a queue pop
-        (:meth:`_prunable`) before anything is built: a
-        :class:`PartialRoute` exists only for a child that is pushed.  At
-        the final position a completion longer than the threshold at its
-        semantic score counts as a skyline reject without being built —
-        :meth:`SkybandSet.update` would provably reject it.
+        The stream is read one similarity level at a time, highest
+        first, through its level views (see :mod:`repro.core.search`).
+        Every candidate of a level gives its child the same semantic
+        score, so each level has its own Lemma 5.3 budget: the threshold
+        at that score, less the route's length and the position's
+        reserve.  A candidate past it cannot reach the threshold
+        whatever follows, so it is never read.  Each one read pays only
+        for the tests the paper defines: a child goes through the same
+        prune test as a queue pop (:meth:`_prunable`) before anything is
+        built, so a :class:`PartialRoute` exists only for a child that
+        is pushed.  At the final position a completion longer than the
+        threshold at its semantic score counts as a skyline reject
+        without being built — :meth:`SkybandSet.update` would provably
+        reject it.
 
-        ``consumed`` skips candidates a previous pass already processed
-        (deterministic stream order makes the offset exact).  The route
-        is parked once if the budget cut the stream short (with its new
-        offset, so a resumed search picks up the remainder) or if any
-        child or completion was cut (as ``(PoI, length)`` pairs,
-        re-tested on resume).  ``cut`` holds the pairs a replay left
-        parked, which new ones join.
+        ``consumed`` holds one offset per level: the candidates a
+        previous pass already processed (deterministic stream order
+        makes each offset exact).  The route is parked once if a budget
+        cut a level short (with the new offsets, so a resumed search
+        picks up the rest) or if any child or completion was cut (as
+        ``(PoI, length)`` pairs, re-tested on resume).  ``cut`` holds
+        the pairs a replay left parked, which new ones join.
         """
         position = route.size
         reserve = self._reserve[position]
         if reserve == math.inf:
             return  # no candidate of this position reaches a completion
-        new_size = position + 1
-        skyline = self.skyline
+        threshold = self.skyline.threshold
         length = route.length
-        semantic = route.semantic
-
-        def budget() -> float:
-            # Lemma 5.3 break: settle only while a candidate at this
-            # key could still reach the threshold at the route's
-            # (minimum possible) semantic score; the stream keeps a
-            # candidate exactly at the budget.  A key is the distance
-            # plus the potential's value there.  Past position 0 under
-            # to-go rows that value is the child's exact remainder, so
-            # the child's floor is ``length + key`` and the reserve is
-            # 0; elsewhere the reserve floors the remainder.
-            return skyline.threshold(semantic) - length - reserve
-
+        # each level's aggregator state and semantic score, which only
+        # the route's own state decides
+        known = self._level_scores[position]
+        found = known.get(route.sem_state)
+        if found is None:
+            extend = self.aggregator.extend
+            extended = [
+                extend(route.sem_state, sim)
+                for sim in self.query.specs[position].levels
+            ]
+            found = known[route.sem_state] = (
+                extended,
+                [self.aggregator.score(state) for state in extended],
+            )
+        extended, semantics = found
         if self.options.use_contraction:
             search = self._ch_stream(route, position)
         else:
             search = self._candidate_search(route, position)
         if cut is None:
             cut = []
-        if new_size == self.n:
-            index = self._complete(route, search, consumed, budget, cut)
+        offsets = list(consumed)  # advanced in place as levels are read
+        # Lemma 5.3 break, per level: read only while a candidate at
+        # this key could still reach the threshold at the level's
+        # semantic score; the stream keeps a candidate exactly at the
+        # budget.  A key is the distance plus the potential's value
+        # there.  Past position 0 under to-go rows that value is the
+        # child's exact remainder, so the child's floor is ``length +
+        # key`` and the reserve is 0; elsewhere the reserve floors the
+        # remainder.
+        if position + 1 == self.n:
+            # every offer may tighten the thresholds: re-read budgets
+            budgets = [
+                lambda semantic=semantic: (
+                    threshold(semantic) - length - reserve
+                )
+                for semantic in semantics
+            ]
+            self._complete(
+                route, search, consumed, offsets, semantics, budgets, cut
+            )
         else:
             # no skyline update happens below the final position, so the
-            # budget is a constant the stream may settle to in one burst
-            index = self._extend(route, search, consumed, budget(), cut)
-        # Did the budget cut the stream?  The decision is a function of
-        # the stream and the final budget alone (is a candidate left
-        # beyond it?), so a cached search that another consumer drained
-        # past the budget defers exactly like a fresh one rebuilt after
-        # a restore, whatever field drove either.
-        stopped = index < len(search.candidates) or not search.exhausted
+            # budgets are constants the stream may settle to in one burst
+            budgets = [
+                threshold(semantic) - length - reserve
+                for semantic in semantics
+            ]
+            self._extend(
+                route, search, consumed, offsets, extended, semantics,
+                budgets, cut,
+            )
+        # Did a budget cut the stream?  The decision is a function of
+        # the stream and the final offsets alone (is a candidate left
+        # beyond them?), so a cached search that another consumer
+        # drained past the budgets defers exactly like a fresh one
+        # rebuilt after a restore, whatever field drove either.
+        stopped = any(
+            offset < len(view)
+            for offset, (_, view) in zip(offsets, search.levels)
+        ) or not search.exhausted
         if stopped or cut:
             # park the prefix so a wider search can resume it exactly
             # where this pass stopped
             self.state.deferred.append(
-                _Deferred(route, index if stopped else None, cut)
+                _Deferred(route, tuple(offsets) if stopped else None, cut)
             )
         if not self._first_radius_recorded:
             self.stats.first_search_radius = search.radius
@@ -945,34 +1000,36 @@ class BSSRSearch:
         self,
         route: PartialRoute,
         search: CHCandidateStream | PoICandidateSearch,
-        consumed: int,
-        limit: float,
+        consumed: tuple[int, ...],
+        offsets: list[int],
+        extended: list,
+        semantics: list[float],
+        budgets: list[float],
         cut: Cut,
-    ) -> int:
-        """Queue the children of ``route`` closer than ``limit``, and
-        append each one the prune test rejects to ``cut`` as ``(PoI,
-        length)``; returns the stream offset reached."""
+    ) -> None:
+        """Queue the children of ``route`` within their level's budget,
+        from the ``consumed`` offsets on, and append each one the prune
+        test rejects to ``cut`` as ``(PoI, length)``; ``offsets``
+        advance to where each level stopped."""
         prunable = self._prune_tests[route.size + 1]
-        extend = self.aggregator.extend
-        score = self.aggregator.score
+        fresh = self._fresh[route.size + 1]
         push = self._push
         dists = search.dists
         vids = search.candidates
-        sim_of = search.sim_map.__getitem__
+        views = search.levels
         pois = route.pois
         sims = route.sims
-        sem_state = route.sem_state
         length = route.length
         held = len(cut)
-        index = consumed
-        for lo, hi in search.scored_until(limit, start=consumed):
-            for i in range(lo, hi):
+        for level, lo, hi in search.scored_until(budgets, start=consumed):
+            sim, positions = views[level]
+            state = extended[level]
+            semantic = semantics[level]
+            child_sims = sims + (sim,)
+            for i in positions[lo:hi]:
                 vid = vids[i]
                 if vid in pois:
                     continue  # distinctness (Definition 3.4 iii)
-                sim = sim_of(vid)
-                state = extend(sem_state, sim)
-                semantic = score(state)
                 child_length = length + dists[i]
                 if prunable(child_length, semantic, state, vid):
                     cut.append((vid, child_length))
@@ -980,59 +1037,63 @@ class BSSRSearch:
                 push(
                     PartialRoute(
                         pois + (vid,), child_length, semantic, state,
-                        sims + (sim,),
-                    )
+                        child_sims,
+                    ),
+                    fresh,
                 )
-            index = hi
+            offsets[level] = hi
         self.stats.routes_pruned_on_insert += len(cut) - held
-        return index
 
     def _complete(
         self,
         route: PartialRoute,
         search: CHCandidateStream | PoICandidateSearch,
-        consumed: int,
-        budget: Callable[[], float],
+        consumed: tuple[int, ...],
+        offsets: list[int],
+        semantics: list[float],
+        budgets: list[Callable[[], float]],
         cut: Cut,
-    ) -> int:
-        """Offer ``route``'s completions to the skyband while the budget
-        allows, and append each one above the threshold to ``cut`` as
-        ``(PoI, length)``; returns the stream offset reached.  Each
-        route offered is archived first.
+    ) -> None:
+        """Offer ``route``'s completions within their level's budget to
+        the skyband, from the ``consumed`` offsets on, and append each
+        one above the threshold to ``cut`` as ``(PoI, length)``;
+        ``offsets`` advance to where each level stopped.  Each route
+        offered is archived first.
 
-        Every offer may tighten the budget, so a segment is re-checked
-        against it once the skyband's version moves.
+        Every offer may tighten the budgets, so a segment is re-checked
+        against its level's budget once the skyband's version moves.
         """
         skyline = self.skyline
         threshold = skyline.threshold
         update = skyline.update
         archive = self.state.archive
-        extend = self.aggregator.extend
-        score = self.aggregator.score
         leg = self.dest_dist.get if self.dest_dist is not None else None
         dists = search.dists
         keys = search.keys
         vids = search.candidates
-        sim_of = search.sim_map.__getitem__
+        views = search.levels
         pois = route.pois
         sims = route.sims
-        sem_state = route.sem_state
         length = route.length
-        index = consumed
-        for lo, hi in search.scored_until(budget, start=consumed):
+        for level, lo, hi in search.scored_until(budgets, start=consumed):
+            sim, positions = views[level]
+            semantic = semantics[level]
+            budget = budgets[level]
+            done_sims = sims + (sim,)
+            offsets[level] = hi
             version = skyline.version
             limit = math.inf
-            for i in range(lo, hi):
+            for j in range(lo, hi):
                 if skyline.version != version:
                     version = skyline.version
                     limit = budget()
+                i = positions[j]
                 if keys[i] > limit:
-                    return i
+                    offsets[level] = j
+                    break
                 vid = vids[i]
                 if vid in pois:
                     continue  # distinctness (Definition 3.4 iii)
-                sim = sim_of(vid)
-                semantic = score(extend(sem_state, sim))
                 total = length + dists[i]
                 if leg is not None:
                     extra = leg(vid, math.inf)
@@ -1045,10 +1106,6 @@ class BSSRSearch:
                     skyline.rejects += 1
                     cut.append((vid, total))
                     continue
-                done = SkylineRoute(
-                    pois + (vid,), total, semantic, sims + (sim,)
-                )
+                done = SkylineRoute(pois + (vid,), total, semantic, done_sims)
                 archive[done.pois] = done
                 update(done)
-            index = hi
-        return index

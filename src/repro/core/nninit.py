@@ -63,7 +63,10 @@ def nninit(
     first; the last leg replays the settle order by iterating the
     position's memoized candidate stream (sorted by ``(d, vid)``, the
     same one BSSR's expansions read), emitting the same seeds and
-    stopping at the same perfect match.  Legs without a ``share_key``
+    stopping at the same perfect match.  The stream is grown lazily: when
+    the iteration reaches its end, only as far as the nearest unused
+    perfect match, taken from the memoized perfect row, instead of
+    reading a full row.  Legs without a ``share_key``
     (or without perfect matches) fall back per-leg to the Dijkstra
     loop.
     """
@@ -88,10 +91,33 @@ def nninit(
         if ch is not None and spec.share_key is not None and perfect:
             counters = ExpansionCounters()
             if is_last:
-                dists, vids = ch.memo_stream(
-                    spec.share_key, source, spec.sim_map, counters
+                stream = ch.memo_stream(
+                    spec.share_key, source, spec.sim_map, spec.levels,
+                    counters,
                 )
-                for d, u in zip(dists, vids):
+                dists = stream.dists
+                vids = stream.vids
+                i = 0
+                while found is None:
+                    if i == len(vids):
+                        if stream.exhausted:
+                            break
+                        # grow only to the nearest unused perfect match
+                        # (all of the row when there is none)
+                        row = ch.memo_row(
+                            "perfect", spec.share_key, source, perfect,
+                            counters,
+                        )
+                        stream.grow(
+                            min(
+                                (d for u, d in row.items() if u not in used),
+                                default=math.inf,
+                            )
+                        )
+                        continue
+                    d = dists[i]
+                    u = vids[i]
+                    i += 1
                     if u in used:
                         continue
                     sim = sim_of(u)
@@ -111,7 +137,6 @@ def nninit(
                         skyline.update(route)
                     if u in perfect:
                         found = (d, u)
-                        break
             else:
                 row = ch.memo_row(
                     "perfect", spec.share_key, source, perfect, counters

@@ -81,33 +81,53 @@ Both stream classes here (:class:`PoICandidateSearch` and
   the candidate; a CH row's keys are its distances) and vertex ids in
   ``(key, vertex)`` order, and ``sim_map`` — each candidate's
   similarity;
-* ``scored_until(budget, start=...)`` — a generator of index segments
-  ``(lo, hi)``: contiguous, half-open, starting at ``start``, covering
-  the candidates within the budget (key ``<=`` budget: a candidate
-  exactly at the budget can still tie the threshold, and a tie may
-  replace a member's representative).  The consumer reads each segment
-  in place.  ``budget`` is a float when it cannot change while the
-  consumer works (BSSR below the final position), and a callable when
-  it may tighten after any candidate (the final position, where every
-  completion is offered to the skyband); a consumer that tightens it
-  mid-segment stops at the first candidate whose key the new budget
-  excludes;
+* ``levels`` — one view per similarity level of the position
+  (``PositionSpec.levels``), highest similarity first: ``(sim,
+  positions)``, the stream positions of that level's candidates in
+  stream order (so in key order), appended as candidates are emitted.
+  The views partition the stream;
+* ``scored_until(budgets, start=offsets)`` — a generator of index
+  segments ``(level, lo, hi)``, one level at a time, highest first:
+  ``offsets`` holds one offset per level and ``budgets`` one budget per
+  level, and each segment indexes that level's ``positions``.  A
+  level's segments are contiguous, half-open, start at its offset and
+  cover the level's candidates within its budget (key ``<=`` budget: a
+  candidate exactly at the budget can still tie the threshold, and a
+  tie may replace a member's representative).  The consumer reads each
+  segment in place.  Budgets are floats when they cannot change while
+  the consumer works (BSSR below the final position), and callables
+  when they may tighten after any candidate (the final position, where
+  every completion is offered to the skyband); a consumer that tightens
+  one mid-segment stops at the first candidate whose key the new budget
+  excludes.  A level's candidates all give a child the same semantic
+  score, so each level gets its own Lemma 5.3 budget, and one call
+  serves a whole expansion; a stream with one level is read whole;
 * ``exhausted`` — every candidate with a finite key that is reachable
   from the source has been emitted, which decides whether a budget cut
-  the stream short (the consumer parks its route iff it is not, or it
-  stopped before the end of the stream).  Both kernels give the same
-  answer at every budget when every candidate is reachable from the
-  source; otherwise they may prove it at different budgets, and either
+  the stream short (the consumer parks its route iff it stopped before
+  the end of a level's view, or the stream is not exhausted).  A CH
+  stream decides it from its row alone, however far it was grown.  Both
+  kernels give the same answer at every budget when every candidate is
+  reachable from the source; otherwise the modified Dijkstra may prove
+  it later, at a budget past its last reachable candidate, and either
   answer is safe (a route parked in vain finds nothing new when it is
   resumed);
 * ``radius`` — how far the stream has looked: every candidate with a
   key up to ``radius`` is in it.  For the modified Dijkstra it is the
-  key frontier, the largest key settled so far.
+  key frontier, the largest key settled so far; for a CH row, the
+  bound it was last grown to, or its last distance once it is
+  complete.
 
-A CH stream answers each budget with one ``bisect`` of its row.  The
-modified Dijkstra settles a whole burst for a float budget and stops
-after every key group holding a match for a callable one, so it settles
-exactly the vertices a one-candidate-at-a-time search would.
+A CH stream grows its label row to each budget it reads (only the label
+windows between its old radius and the budget are scanned, see
+:class:`~repro.graph.contraction.LabelStream`) and answers it with one
+``bisect`` per level.  The modified Dijkstra settles a whole burst for
+float budgets (to the largest one) and stops after every key group
+holding a match for a callable one, so it settles exactly the vertices
+a one-candidate-at-a-time search would.  Read level by level,
+the highest level's budget is the largest (a higher similarity never
+gives a worse semantic score, and a better score never a lower
+threshold), so the levels below it settle nothing more.
 
 Like the plain Dijkstra flavors, the expansion loop runs over the
 adjacency rows of :mod:`repro.graph.csr`.
@@ -118,12 +138,12 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from array import array
 from bisect import bisect_right
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.core.spec import PositionSpec
 from repro.core.stats import SearchStats
+from repro.graph.contraction import LabelStream
 from repro.graph.csr import flat_adjacency
 from repro.graph.dijkstra import distance_field
 from repro.graph.road_network import RoadNetwork
@@ -134,11 +154,13 @@ class CHCandidateStream:
 
     With contraction hierarchies enabled, BSSR's expansions do not need
     the modified Dijkstra at all: the exact one-to-many row from the
-    route's endpoint to the position's full candidate set (one memoized
-    label scan, :meth:`~repro.graph.contraction.ContractionHierarchy.memo_stream`)
+    route's endpoint to the position's full candidate set (a memoized
+    :class:`~repro.graph.contraction.LabelStream`,
+    :meth:`~repro.graph.contraction.ContractionHierarchy.memo_stream`)
     is emitted sorted by ``(distance, vertex)`` — the heap's own
     tie-break.  No road-graph vertex is settled, so expansion cost stops
-    scaling with the settle radius.
+    scaling with the settle radius.  The row grows lazily: a budget
+    past its radius first scans the label windows up to that budget.
 
     Exactness: like :class:`PoICandidateSearch`, the stream holds every
     candidate at its true shortest-path distance, which is exactly the
@@ -150,46 +172,70 @@ class CHCandidateStream:
     the budget cannot reach the threshold at any semantic score it can
     still attain.
 
-    The stream is the memoized ``(dists, vids)`` typed-array pair, read
-    in place; similarities come from ``sim_map``, so the stream stores
-    nothing per route.  ``start`` offsets address this stream's
-    deterministic order.  A checkpoint carries ``use_contraction`` in
-    its options, so a restored search rebuilds the same streams and the
-    offsets line up.
+    The stream reads the row's typed arrays and level views in place;
+    similarities come from ``sim_map``, so the stream stores nothing per
+    route.  ``start`` offsets address this stream's deterministic order.
+    A checkpoint carries ``use_contraction`` in its options, so a
+    restored search rebuilds the same streams and the offsets line up.
     """
 
-    __slots__ = ("dists", "keys", "candidates", "sim_map", "radius")
+    __slots__ = ("_row", "dists", "keys", "candidates", "levels", "sim_map")
 
-    #: the row is complete by construction; only budgets cut it short
-    exhausted = True
-
-    def __init__(
-        self, dists: array, vids: array, sim_map: dict[int, float]
-    ) -> None:
-        self.dists = dists
+    def __init__(self, row: LabelStream, sim_map: dict[int, float]) -> None:
+        self._row = row
+        self.dists = row.dists
         #: a CH row carries no potential: its keys are its distances
-        self.keys = dists
+        self.keys = row.dists
         #: candidate vertex ids in stream order (``len`` is the stream size)
-        self.candidates = vids
+        self.candidates = row.vids
+        self.levels = row.levels
         self.sim_map = sim_map
-        self.radius = dists[-1] if dists else 0.0
+
+    @property
+    def radius(self) -> float:
+        """The bound the row was last grown to, or its last distance
+        once it is complete."""
+        radius = self._row.radius
+        if radius == math.inf:
+            return self.dists[-1] if self.dists else 0.0
+        return radius
+
+    @property
+    def exhausted(self) -> bool:
+        return self._row.exhausted
 
     def scored_until(
-        self, budget: Callable[[], float] | float, *, start: int = 0
-    ) -> Iterator[tuple[int, int]]:
-        """Segments of the row within the budget: one bisect per budget
-        value, from where the previous segment ended."""
-        budget_fn: Callable[[], float] = (
-            budget if callable(budget) else (lambda: budget)  # type: ignore[assignment]
-        )
-        keys = self.keys
-        lo = start
-        while True:
-            hi = bisect_right(keys, budget_fn(), lo)
-            if hi <= lo:
-                return
-            yield lo, hi
-            lo = hi
+        self,
+        budgets: Sequence[float] | Sequence[Callable[[], float]],
+        *,
+        start: tuple[int, ...],
+    ) -> Iterator[tuple[int, int, int]]:
+        """Segments of the level views within their budgets (see the
+        module docstring): the row grows to each budget value read, and
+        each value costs one bisect of its level's view, from where the
+        previous segment ended."""
+        grow = self._row.grow
+        key = self.keys.__getitem__
+        levels = self.levels
+        if not callable(budgets[0]):
+            grow(max(budgets))
+            for level, lo in enumerate(start):
+                positions = levels[level][1]
+                hi = bisect_right(positions, budgets[level], lo, key=key)
+                if hi > lo:
+                    yield level, lo, hi
+            return
+        for level, lo in enumerate(start):
+            positions = levels[level][1]
+            budget = budgets[level]
+            while True:
+                limit = budget()
+                grow(limit)
+                hi = bisect_right(positions, limit, lo, key=key)
+                if hi <= lo:
+                    break
+                yield level, lo, hi
+                lo = hi
 
 
 def field_memo(network: RoadNetwork) -> dict:
@@ -263,9 +309,11 @@ class PoICandidateSearch:
         "_dist",
         "_settled",
         "_heap",
+        "_level_of",
         "dists",
         "keys",
         "candidates",
+        "levels",
         "radius",
     )
 
@@ -296,6 +344,13 @@ class PoICandidateSearch:
         self.keys: list[float] = []
         #: emitted candidate vertex ids, parallel to :attr:`dists`
         self.candidates: list[int] = []
+        #: a similarity's level: its index in ``spec.levels``
+        self._level_of = spec.levels.index
+        #: one ``(sim, stream positions)`` view per similarity level of
+        #: the position, highest first, each in stream order
+        self.levels: list[tuple[float, list[int]]] = [
+            (sim, []) for sim in spec.levels
+        ]
         #: largest settled key: every candidate with a key <= radius has
         #: been emitted (the Table 7 "weight sum" proxy)
         self.radius = 0.0
@@ -354,6 +409,7 @@ class PoICandidateSearch:
         pop = heapq.heappop
         settled_n = relaxed_n = pushes_n = 0
         radius = self.radius
+        emitted = len(vids)
         hit = False
         if limit == math.inf:
             limit = sys.float_info.max  # never settle an infinite key
@@ -388,6 +444,11 @@ class PoICandidateSearch:
                     push(heap, (nd + field[v], v))
                     pushes_n += 1
         self.radius = radius
+        # the group order is final once the call returns
+        levels = self.levels
+        level_of = self._level_of
+        for i in range(emitted, len(vids)):
+            levels[level_of(sim_map[vids[i]])][1].append(i)
         stats = self._stats
         if stats is not None:
             stats.settled += settled_n
@@ -400,53 +461,53 @@ class PoICandidateSearch:
     # ------------------------------------------------------------------
 
     def scored_until(
-        self, budget: Callable[[], float] | float, *, start: int = 0
-    ) -> Iterator[tuple[int, int]]:
-        """Segments of the stream within the budget, expanding on demand.
+        self,
+        budgets: Sequence[float] | Sequence[Callable[[], float]],
+        *,
+        start: tuple[int, ...],
+    ) -> Iterator[tuple[int, int, int]]:
+        """Segments of the level views within their budgets (see the
+        module docstring), expanding on demand.
 
-        A constant (float) budget cannot move while the consumer works,
-        so the search settles the whole burst up to it at once and hands
-        out one segment.  A callable budget may tighten after every
-        candidate (BSSR's final position, where each one is offered to
-        the skyline), so the search stops at each match and re-reads the
-        budget before handing it out — the settles are exactly those a
-        one-at-a-time search makes.
+        Constant (float) budgets cannot move while the consumer works,
+        so the search settles the whole burst up to the largest at once
+        and hands out at most one segment per level.  Callable budgets
+        may tighten after every candidate (BSSR's final position, where
+        each one is offered to the skyline), so the search stops at each
+        match of the level being read and re-reads its budget before
+        handing it out — the settles are exactly those a one-at-a-time
+        search makes.
 
         Already-discovered candidates are replayed first, so a cached
         search serves consumers with different budgets; ``start`` skips
         the candidates a consumer already took — the checkpoint/resume
         offsets of :class:`~repro.core.bssr.SearchState`.  Candidate
         order is deterministic (key, then vertex id) for a given field,
-        so the offset is meaningful even on a freshly
-        rebuilt search instance — which is how a restored session
-        resumes, since checkpoints never carry searches.
+        so the offsets are meaningful even on a freshly rebuilt search
+        instance — which is how a restored session resumes, since
+        checkpoints never carry searches.
         """
         keys = self.keys
-        if not callable(budget):
-            self._settle(budget, one=False)
-            hi = bisect_right(keys, budget, start)
-            if hi > start:
-                yield start, hi
+        levels = self.levels
+        if not callable(budgets[0]):
+            self._settle(max(budgets), one=False)
+            key = keys.__getitem__
+            for level, lo in enumerate(start):
+                positions = levels[level][1]
+                hi = bisect_right(positions, budgets[level], lo, key=key)
+                if hi > lo:
+                    yield level, lo, hi
             return
-        i = start
-        while True:
-            limit = budget()
-            if i >= len(keys):
-                if not self._settle(limit, one=True):
-                    return
-                continue  # re-read the budget before handing the match out
-            if keys[i] > limit:
-                return
-            yield i, i + 1
-            i += 1
-
-    def candidates_until(
-        self, budget: Callable[[], float] | float, *, start: int = 0
-    ) -> Iterator[tuple[float, int, float]]:
-        """:meth:`scored_until`, one ``(distance, vid, sim)`` at a time."""
-        dists = self.dists
-        vids = self.candidates
-        sim_map = self.sim_map
-        for lo, hi in self.scored_until(budget, start=start):
-            for i in range(lo, hi):
-                yield dists[i], vids[i], sim_map[vids[i]]
+        for level, i in enumerate(start):
+            positions = levels[level][1]
+            budget = budgets[level]
+            while True:
+                limit = budget()
+                if i >= len(positions):
+                    if not self._settle(limit, one=True):
+                        break
+                    continue  # re-read the budget before handing it out
+                if keys[positions[i]] > limit:
+                    break
+                yield level, i, i + 1
+                i += 1

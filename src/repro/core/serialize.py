@@ -15,9 +15,11 @@ the aggregator:
 
 * stored: an archived route (one that passed its threshold) as
   ``[pois, length]``; a deferred parent as ``[pois, length, consumed |
-  null, [[PoI, length], …]]``, the pairs being the children (or, at the
-  final position, the completions) its prune test cut and ``null`` an
-  offset past the end of its stream;
+  null, [[PoI, length], …]]``, ``consumed`` being one offset per
+  similarity level of the parent's next position (an index into that
+  level's view of the stream, highest similarity first), ``null``
+  offsets past the end of a drained stream, and the pairs the children
+  (or, at the final position, the completions) its prune test cut;
 * stored as whole numbers of weight grains (``length / WEIGHT_GRAIN``):
   every length, which is a sum of grain-snapped weights below
   ``MAX_TOTAL_WEIGHT`` and so an exact integer number of grains; a
@@ -123,8 +125,10 @@ SESSION_FORMAT = "repro-skysr-session"
 #: pair instead of a deferred row or an archive row, drops the route
 #: serial column, writes lengths in weight grains and leaves page stats
 #: at their defaults out; version 10 drops the queue rows and the queue
-#: serial, since only a drained search is encoded)
-SCHEMA_VERSION = 10
+#: serial, since only a drained search is encoded; version 11 stores a
+#: deferred parent's offset as one offset per similarity level of its
+#: next position, since every level is read up to its own budget)
+SCHEMA_VERSION = 11
 
 _MISSING = object()
 
@@ -339,7 +343,7 @@ def search_to_dict(search: "BSSRSearch") -> dict:
                 [
                     list(d.route.pois),
                     length,
-                    d.consumed,
+                    None if d.consumed is None else list(d.consumed),
                     [[vid, next(cut_lengths)] for vid, _ in d.cut],
                 ]
                 for d, length in zip(deferred, deferred_lengths)
@@ -406,15 +410,23 @@ def search_from_dict(
 
     where = "search.state.deferred"
     read_cut = _cut_reader(query)
+    levels = [len(spec.levels) for spec in query.specs]
     state.deferred = []
     for row in _require(state_payload, "deferred", list, where="search.state"):
         pois, length, sims, sem_state, (consumed, pairs) = read(row, 4, where)
-        if consumed is not None and type(consumed) is not int:
-            raise _row_error(where, row, "holds a non-integer offset")
+        cut = read_cut(pois, pairs, where)
+        if consumed is not None:
+            if (
+                type(consumed) is not list
+                or len(consumed) != levels[len(pois)]
+                or any(type(o) is not int or o < 0 for o in consumed)
+            ):
+                raise _row_error(
+                    where, row, "holds no list of one offset per level"
+                )
+            consumed = tuple(consumed)
         route = partial(pois, length, sem_state, sims)
-        state.deferred.append(
-            _Deferred(route, consumed, read_cut(pois, pairs, where))
-        )
+        state.deferred.append(_Deferred(route, consumed, cut))
 
     search._started = _require(payload, "started", bool, where="search")
     search._first_radius_recorded = _require(

@@ -18,7 +18,7 @@ Compiling once per query keeps the hot search loops free of tree walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.errors import QueryError
@@ -70,6 +70,10 @@ class PositionSpec:
             can serve the other (the cross-query
             :class:`~repro.core.distcache.DistanceCache`).  ``None``
             (e.g. predicate requirements) means not shareable.
+        levels: the distinct candidate similarities, highest first —
+            the position's similarity levels, one view each in every
+            candidate stream (see :mod:`repro.core.search`); always
+            derived from ``sim_map``.
     """
 
     index: int
@@ -79,6 +83,10 @@ class PositionSpec:
     tree_ids: frozenset[int]
     best_nonperfect: float | None = None
     share_key: tuple | None = None
+    levels: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.levels = tuple(sorted(set(self.sim_map.values()), reverse=True))
 
     def similarity(self, vid: int) -> float | None:
         """Similarity of PoI ``vid`` at this position (None = no match)."""

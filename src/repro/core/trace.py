@@ -79,7 +79,7 @@ class _TracingRun(BSSRSearch):
             )
         )
 
-    def _expand(self, route, consumed: int = 0, cut=None) -> None:  # type: ignore[override]
+    def _expand(self, route, consumed, cut=None) -> None:  # type: ignore[override]
         super()._expand(route, consumed, cut)
         self._snapshot("init" if not route.pois else "expand", route.pois)
 

@@ -41,7 +41,16 @@ Beyond point-to-point, the pieces BSSR consumes directly:
   downward sweep);
 * :meth:`~ContractionHierarchy.distances_from` — one forward upward
   sweep from a source scanned against a bucket: exact one-to-many
-  distances (NNinit's legs);
+  distances (NNinit's perfect legs);
+* :class:`LabelStream` — the same one-to-many row, emitted in ``(d,
+  vid)`` order and grown lazily: each bucket hub keeps its pairs as
+  arrays sorted by distance, so growing the row from its radius to a
+  bound bisects each of the source's hubs once and scans only the pairs
+  in between.  BSSR reads only the head of most rows (on
+  ``hot_city_ch``, a sixth of the entries), so the rest is never
+  scanned or sorted.  :meth:`~ContractionHierarchy.memo_stream` keeps
+  one per source and share-keyed candidate set, shared by every query,
+  with one view per similarity level of its targets;
 * :meth:`~ContractionHierarchy.min_from_set` — a multi-source forward
   upward sweep against a bucket's per-hub minimum: the exact
   set-to-set minimum distance (the Section 5.3.3 leg bounds), in one
@@ -64,10 +73,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import TYPE_CHECKING, Collection, Iterable
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.road_network import RoadNetwork
@@ -105,24 +115,138 @@ class CHStats:
 class CHBucket:
     """A target set folded into the hierarchy's hub space.
 
-    ``pairs[h]`` lists ``(target, d(h, target))`` for every target whose
-    backward upward sweep reached hub ``h``; ``hubmin[h]`` is the
-    minimum of those distances (the set-to-set fast path).  A bucket
-    depends only on the target set, never on a query.
+    ``targets`` lists the set's vertex ids in increasing order, and a
+    target's *slot* is its index there, so slot order is vertex order.
+    ``pairs[h]`` is the ``(dists, slots)`` pair of typed arrays, sorted
+    by ``(d, slot)``, of every target whose backward upward sweep
+    reached hub ``h`` at ``d = d(h, target)``, so a window of distances
+    is one bisect; ``hubmin[h]`` is the smallest of them (the set-to-set
+    fast path).  A bucket depends only on the target set, never on a
+    query.
     """
 
-    pairs: dict[int, list[tuple[int, float]]]
+    targets: array
+    pairs: dict[int, tuple[array, array]]
     hubmin: dict[int, float]
 
 
-def sorted_row(row: dict[int, float]) -> tuple[array, array]:
-    """A ``{vid: d}`` row as ``(dists, vids)`` typed arrays sorted by
-    ``(d, vid)`` — the modified Dijkstra's own settle tie-break."""
-    entries = sorted(zip(row.values(), row.keys()))
-    return (
-        array("d", [d for d, _ in entries]),
-        array("i", [vid for _, vid in entries]),
-    )
+class LabelStream:
+    """The exact one-to-many row from one source to a bucket's targets,
+    in ``(d, vid)`` order, grown lazily.
+
+    ``dists`` and ``vids`` hold every target whose distance is at most
+    :attr:`radius`, and nothing else.  :meth:`grow` extends the row to a
+    larger bound by scanning, for each hub ``h`` of the source's forward
+    row (at ``g = d(source, h)``), only the bucket pairs in the window
+    ``radius - g < d <= bound - g``: one bisect on the hub's sorted
+    distances.  A target first seen in a window is at its true distance
+    there, the least of its pairs in it: every pair sum is a real path
+    length, and the meeting hub of a shortest path gives the distance
+    itself.  A target already in the row (one bit per slot says so) is
+    skipped, since its distance lies below the window.
+
+    ``targets`` maps each target to a level value (BSSR passes a
+    position's similarity map), and ``levels`` lists the distinct values
+    highest first (``PositionSpec.levels``).  :attr:`levels` holds one
+    ``(value, positions)`` view per level in that order: the row
+    positions of that value's targets in row order, appended as they are
+    emitted.
+    """
+
+    __slots__ = ("dists", "vids", "levels", "radius", "_g", "_hubs",
+                 "_bucket", "_targets", "_emitted", "_reachable")
+
+    def __init__(
+        self,
+        hubs: tuple[array, array],
+        bucket: CHBucket,
+        targets: Mapping[int, float],
+        levels: Sequence[float],
+    ) -> None:
+        #: the source's forward row as ``(g, hubs)`` arrays, nearest hub
+        #: first (:meth:`ContractionHierarchy.forward_hubs`): a growth
+        #: stops at the first hub past its bound
+        self._g, self._hubs = hubs
+        self._bucket = bucket
+        self._targets = targets
+        #: one bit per bucket slot: is that target in the row
+        self._emitted = bytearray((len(bucket.targets) + 7) >> 3)
+        #: how many targets the source reaches, counted on first need
+        self._reachable: int | None = None
+        self.dists = array("d")
+        self.vids = array("i")
+        self.levels = [(value, array("i")) for value in levels]
+        #: every target at a distance up to ``radius`` is in the row
+        #: (``inf`` once every reachable one is)
+        self.radius = -_INF
+
+    @property
+    def exhausted(self) -> bool:
+        """Every target reachable from the source is in the row.
+
+        The answer depends on the row alone, never on the bounds it was
+        grown through: a row grown past its last reachable target says
+        so whether or not every pair has been scanned, so a consumer's
+        decision to park a route is the same on a stream another query
+        grew to the end as on one rebuilt after a restore.
+        """
+        if self.radius != _INF:
+            reachable = self._reachable
+            if reachable is None:
+                # the distinct slots under the source's hubs
+                pairs = self._bucket.pairs
+                slots = [pairs[h][1] for h in self._hubs if h in pairs]
+                reachable = self._reachable = len(set().union(*slots))
+            if len(self.vids) == reachable:
+                self.radius = _INF
+        return self.radius == _INF
+
+    def grow(self, bound: float) -> None:
+        """Extend the row by every target at a distance up to ``bound``."""
+        radius = self.radius
+        if bound <= radius:
+            return
+        best: dict[int, float] = {}
+        get = best.get
+        pairs = self._bucket.pairs
+        emitted = self._emitted
+        for g, h in zip(self._g, self._hubs):
+            if g > bound:
+                break
+            entry = pairs.get(h)
+            if entry is None:
+                continue
+            dists, slots = entry
+            lo = bisect_right(dists, radius - g)
+            hi = bisect_right(dists, bound - g, lo)
+            for i in range(lo, hi):
+                s = slots[i]
+                if emitted[s >> 3] & (1 << (s & 7)):
+                    continue
+                total = g + dists[i]
+                if total < get(s, _INF):
+                    best[s] = total
+        row_vids = self.vids
+        if best:
+            row_dists = self.dists
+            views = dict(self.levels)
+            vertex = self._bucket.targets
+            value_of = self._targets
+            position = len(row_vids)
+            # slot order is vertex order, so this is ``(d, vid)`` order
+            for d, s in sorted([(d, s) for s, d in best.items()]):
+                t = vertex[s]
+                emitted[s >> 3] |= 1 << (s & 7)
+                row_dists.append(d)
+                row_vids.append(t)
+                views[value_of[t]].append(position)
+                position += 1
+        # complete once every pair is scanned or every target is in (a
+        # row short of its targets learns it reached every reachable one
+        # when asked, see :attr:`exhausted`)
+        if bound == _INF or len(row_vids) == len(self._bucket.targets):
+            bound = _INF
+        self.radius = bound
 
 
 class ContractionHierarchy:
@@ -355,20 +479,25 @@ class ContractionHierarchy:
     def bucket(self, targets: Collection[int], counters=None) -> CHBucket:
         """Fold a target set into its hub table (one backward upward
         sweep per target; cacheable — depends only on the set)."""
-        pairs: dict[int, list[tuple[int, float]]] = {}
-        hubmin: dict[int, float] = {}
-        for t in targets:
-            row = self._sweep([(t, 0.0)], False, counters)
-            for h, d in row.items():
-                entry = pairs.get(h)
+        vertices = array("i", sorted(targets))
+        lists: dict[int, list[tuple[float, int]]] = {}
+        for slot, t in enumerate(vertices):
+            for h, d in self._sweep([(t, 0.0)], False, counters).items():
+                entry = lists.get(h)
                 if entry is None:
-                    pairs[h] = [(t, d)]
-                    hubmin[h] = d
+                    lists[h] = [(d, slot)]
                 else:
-                    entry.append((t, d))
-                    if d < hubmin[h]:
-                        hubmin[h] = d
-        return CHBucket(pairs=pairs, hubmin=hubmin)
+                    entry.append((d, slot))
+        pairs: dict[int, tuple[array, array]] = {}
+        hubmin: dict[int, float] = {}
+        for h, entry in lists.items():
+            entry.sort()
+            pairs[h] = (
+                array("d", [d for d, _ in entry]),
+                array("i", [slot for _, slot in entry]),
+            )
+            hubmin[h] = entry[0][0]
+        return CHBucket(targets=vertices, pairs=pairs, hubmin=hubmin)
 
     def forward_row(self, u: int, counters=None) -> dict[int, float]:
         """``u``'s forward hub labels: ``{hub: d(u, hub)}``, memoized.
@@ -387,6 +516,22 @@ class ContractionHierarchy:
             self._memo[key] = row
         return row
 
+    def forward_hubs(self, u: int, counters=None) -> tuple[array, array]:
+        """``u``'s forward row as ``(g, hubs)`` typed arrays sorted by
+        ``(g, hub)``, memoized beside it: every lazy label stream from
+        ``u`` (one per target set) walks this one copy."""
+        key = ("hubs", u)
+        hubs = self._memo.get(key)
+        if hubs is None:
+            labels = sorted(
+                (g, h) for h, g in self.forward_row(u, counters).items()
+            )
+            hubs = self._memo[key] = (
+                array("d", [g for g, _ in labels]),
+                array("i", [h for _, h in labels]),
+            )
+        return hubs
+
     def distances_from(
         self, source: int, bucket: CHBucket, counters=None
     ) -> dict[int, float]:
@@ -397,11 +542,15 @@ class ContractionHierarchy:
         best: dict[int, float] = {}
         get = best.get
         for h, g in self.forward_row(source, counters).items():
-            for t, d in pairs.get(h, ()):
+            entry = pairs.get(h)
+            if entry is None:
+                continue
+            for d, s in zip(*entry):
                 total = g + d
-                if total < get(t, _INF):
-                    best[t] = total
-        return best
+                if total < get(s, _INF):
+                    best[s] = total
+        vertex = bucket.targets
+        return {vertex[s]: d for s, d in best.items()}
 
     def min_from_set(
         self, sources: Collection[int], bucket: CHBucket, counters=None
@@ -492,7 +641,7 @@ class ContractionHierarchy:
         set is a per-network constant — NNinit's ``"perfect"`` legs
         re-request the same rows every query, so after the first build
         they are dict lookups.  Candidate rows are not stored here: they
-        live once, sorted, in :meth:`memo_stream`.  ``counters`` only
+        live once, grown lazily, in :meth:`memo_stream`.  ``counters`` only
         ticks when the row (or its bucket) is actually swept — memo hits
         report zero work, which is the point.
         """
@@ -505,29 +654,49 @@ class ContractionHierarchy:
             memo[key] = row
         return row
 
+    def label_stream(
+        self,
+        source: int,
+        bucket: CHBucket,
+        targets: Mapping[int, float],
+        levels: Sequence[float],
+        counters=None,
+    ) -> LabelStream:
+        """A fresh :class:`LabelStream` from ``source`` to the bucket's
+        targets, empty until grown."""
+        return LabelStream(
+            self.forward_hubs(source, counters), bucket, targets, levels
+        )
+
     def memo_stream(
         self,
         share_key: tuple,
         source: int,
-        targets: Collection[int],
+        targets: Mapping[int, float],
+        levels: Sequence[float],
         counters=None,
-    ) -> tuple[array, array]:
+    ) -> LabelStream:
         """The candidate stream from ``source`` to a share-keyed
-        candidate set, memoized: ``(dists, vids)`` typed arrays in
-        ``(d, vid)`` order (see :func:`sorted_row`).
+        candidate set, memoized: one :class:`LabelStream` per
+        ``(share_key, source)``, grown by whichever query needs it
+        farther.
 
         The row is a per-network constant, so BSSR's expansions at every
-        position and NNinit's last leg re-read it every query; after the
-        first build it is one dict lookup.  It is stored only here, once,
-        at about 12 bytes per entry (no ``(d, vid, sim)`` tuples — equal
-        ``share_key`` implies equal ``sim_map``, see
-        ``PositionSpec.share_key``, so consumers look similarities up as
-        they read).  Growth bound: at most one stream per
-        ``(share_key, source)``, each at most ``|targets| x 12`` bytes;
-        1,700 ``hot_city_ch`` requests at tokyo@0.5 leave 11,127 streams
-        holding 836k entries (about 10 MB).  Stall pruning leaves stream
+        position and NNinit's last leg share it across queries; after
+        the first touch it is one dict lookup.  It is stored only here,
+        at about 16 bytes per emitted entry (distance, vertex and level
+        position) plus the stream's own arrays and one bit per target,
+        with its source's hubs shared from :meth:`forward_hubs` (no
+        ``(d, vid, sim)`` tuples — equal ``share_key`` implies equal
+        ``sim_map``, see ``PositionSpec.share_key``, so consumers look
+        similarities up as they read).  Growth bound: at most one
+        stream per ``(share_key, source)``, each at most ``|targets|``
+        entries, and only as far as a budget ever asked: 1,700
+        ``hot_city_ch`` requests at tokyo@0.5 leave 11,222 streams
+        holding 153k entries, about 11 MB with their level views (their
+        full rows would hold 843k).  Stall pruning leaves stream
         contents as they were; the labels they are scanned from shrink
-        (same replay: 1,149 forward rows, 51.5k labels instead of 162k;
+        (same replay: 1,149 forward rows, 51.6k labels instead of 162k;
         73 distinct buckets, 58k pairs instead of 183k; plus 63
         ``memo_min`` source-set rows, 31k labels).
         """
@@ -536,7 +705,9 @@ class ContractionHierarchy:
         stream = memo.get(key)
         if stream is None:
             bucket = self.memo_bucket("cands", share_key, targets, counters)
-            stream = sorted_row(self.distances_from(source, bucket, counters))
+            stream = self.label_stream(
+                source, bucket, targets, levels, counters
+            )
             memo[key] = stream
         return stream
 
@@ -651,11 +822,12 @@ def contraction_for(network: "RoadNetwork") -> ContractionHierarchy:
     token = (network.num_vertices, network.num_edges)
     if cached is not None and cached._token == token:
         if cached._poi_version != network.poi_version:
-            # everything but the forward rows is keyed by category
-            # share_key, which names another vertex set after a PoI edit
+            # everything but the forward rows (as dicts and as sorted
+            # hubs) is keyed by category share_key, which names another
+            # vertex set after a PoI edit
             cached._memo = {
                 key: row for key, row in cached._memo.items()
-                if key[0] == "fwd"
+                if key[0] in ("fwd", "hubs")
             }
             cached._poi_version = network.poi_version
         return cached

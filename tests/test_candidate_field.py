@@ -60,18 +60,28 @@ def _budgets(network, spec, source):
     return [0.0, *ds, *mids, ds[-1] + 1.0, math.inf] if ds else [math.inf]
 
 
-def _view(search, budget, start=0):
-    """What a consumer sees at ``budget``: the stream, where its
+def _view(search, budget):
+    """What a consumer sees at ``budget`` (the same at every level):
+    the candidates it read, in stream order, where each level's
     segments ended, whether the stream is exhausted, and whether BSSR
     would park the route (the ``_expand`` defer rule)."""
-    index = start
-    for _lo, hi in search.scored_until(budget, start=start):
-        index = hi
-    cut = index < len(search.candidates) or not search.exhausted
+    offsets = [0] * len(search.levels)
+    for level, _lo, hi in search.scored_until(
+        [budget] * len(offsets), start=tuple(offsets)
+    ):
+        offsets[level] = hi
+    views = [positions for _, positions in search.levels]
+    read = sorted(
+        i for positions, offset in zip(views, offsets)
+        for i in positions[:offset]
+    )
+    cut = any(
+        offset < len(positions) for positions, offset in zip(views, offsets)
+    ) or not search.exhausted
     return (
-        list(search.dists[:index]),
-        list(search.candidates[:index]),
-        index,
+        [search.dists[i] for i in read],
+        [search.candidates[i] for i in read],
+        offsets,
         search.exhausted,
         cut,
     )

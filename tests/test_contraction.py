@@ -224,13 +224,19 @@ def test_memoized_rows_and_streams_are_consistent():
     # memo hit: same object, no recomputation
     memo = ch.memo_row("cands", spec.share_key, start, spec.sim_map)
     assert memo is ch.memo_row("cands", spec.share_key, start, spec.sim_map)
-    # the stream is the row as (dists, vids) typed arrays in (d, vid)
-    # order, stored once: a memo hit returns the same object
-    dists, vids = stream = ch.memo_stream(spec.share_key, start, spec.sim_map)
-    assert list(zip(dists, vids)) == sorted(
+    # the stream grown to the end is the row as (dists, vids) typed
+    # arrays in (d, vid) order, stored once: a memo hit returns the same
+    # object
+    stream = ch.memo_stream(
+        spec.share_key, start, spec.sim_map, spec.levels
+    )
+    stream.grow(math.inf)
+    assert list(zip(stream.dists, stream.vids)) == sorted(
         (d, vid) for vid, d in row.items()
     )
-    assert stream is ch.memo_stream(spec.share_key, start, spec.sim_map)
+    assert stream is ch.memo_stream(
+        spec.share_key, start, spec.sim_map, spec.levels
+    )
     if row:
         expected = min(row.values())
         assert (

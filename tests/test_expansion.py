@@ -71,23 +71,25 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
 #: under CH the settles are the hierarchy's first-touch memo builds.
 #: Default-path streams past position 0 run on the to-go rows, so a
 #: child whose floor passes its parent's threshold is never emitted,
-#: let alone cut on insert.
+#: let alone cut on insert; and every similarity level is read only up
+#: to its own budget, so neither is a child or completion whose floor
+#: passes the threshold at its own semantic score.
 GOLDEN_WORK = {
     "default": [
-        (8, 9, 1, 10, 3, 2, 315, 1213, 368, 9, 8),
-        (44, 73, 29, 245, 12, 43, 5135, 19457, 6683, 33, 55),
-        (9, 15, 6, 1, 6, 25, 1674, 6351, 1697, 8, 11),
-        (10, 31, 21, 27, 8, 6, 2294, 8622, 2156, 10, 29),
-        (17, 21, 4, 5, 14, 86, 3309, 12428, 3239, 12, 11),
+        (8, 9, 1, 6, 3, 2, 315, 1213, 368, 9, 8),
+        (44, 73, 29, 0, 12, 8, 5135, 19457, 6683, 33, 55),
+        (9, 15, 6, 0, 6, 8, 1674, 6351, 1697, 8, 11),
+        (10, 31, 21, 10, 8, 3, 2294, 8622, 2156, 10, 29),
+        (17, 21, 4, 4, 14, 24, 3309, 12428, 3239, 12, 11),
         (4, 4, 0, 1, 2, 1, 240, 909, 134, 4, 2),
     ],
     "ch": [
-        (11, 12, 1, 25, 3, 2, 1209, 6909, 0, 0, 11),
-        (45, 73, 28, 384, 12, 43, 1655, 9543, 0, 0, 55),
-        (9, 15, 6, 1, 6, 25, 326, 1859, 0, 0, 11),
-        (10, 42, 32, 30, 8, 6, 433, 2349, 0, 0, 40),
-        (17, 21, 4, 8, 14, 86, 27, 129, 0, 0, 11),
-        (5, 5, 0, 3, 2, 1, 212, 1179, 0, 0, 3),
+        (11, 12, 1, 15, 3, 2, 1361, 7809, 0, 0, 11),
+        (45, 73, 28, 43, 12, 8, 1931, 11165, 0, 0, 55),
+        (9, 15, 6, 1, 6, 8, 326, 1859, 0, 0, 11),
+        (10, 42, 32, 15, 8, 3, 530, 2875, 0, 0, 40),
+        (17, 21, 4, 7, 14, 24, 117, 660, 0, 0, 11),
+        (5, 5, 0, 3, 2, 1, 384, 2088, 0, 0, 3),
     ],
 }
 

@@ -36,13 +36,30 @@ def _line_instance():
     return net, spec, dict(start=start, weak=weak, perfect=perfect, far=far)
 
 
+def _read(search, budget, start=None):
+    """``(distance, vid, sim)`` of every candidate ``scored_until`` hands
+    out, in stream order, with the same ``budget`` (a float or a
+    callable) at every level, from per-level offsets ``start``."""
+    levels = len(search.levels)
+    found = []
+    for level, lo, hi in search.scored_until(
+        [budget] * levels, start=start or (0,) * levels
+    ):
+        found += search.levels[level][1][lo:hi]
+    vids = search.candidates
+    return [
+        (search.dists[i], vids[i], search.sim_map[vids[i]])
+        for i in sorted(found)
+    ]
+
+
 def test_candidates_in_distance_order_with_perfect_stop():
     """Every match comes out at its true distance, in ``(d, vid)``
     order.  The perfect match no longer stops traversal (Lemma 5.5 ii
     is dropped), so ``far`` appears behind it."""
     net, spec, ids = _line_instance()
     search = PoICandidateSearch(net, spec, ids["start"])
-    found = list(search.candidates_until(math.inf))
+    found = _read(search, math.inf)
     assert found == [
         (1.0, ids["weak"], 0.5),
         (2.0, ids["perfect"], 1.0),
@@ -67,7 +84,7 @@ def test_suppression_of_weaker_candidate_behind_stronger():
         index, HierarchyWuPalmer(), 0
     )
     search = PoICandidateSearch(net, spec, start)
-    found = list(search.candidates_until(math.inf))
+    found = _read(search, math.inf)
     assert found == [(1.0, sushi, 0.8), (2.0, italian, 0.5)]
 
 
@@ -87,7 +104,7 @@ def test_equal_distance_candidates_in_vertex_order():
         index, HierarchyWuPalmer(), 0
     )
     search = PoICandidateSearch(net, spec, start)
-    found = [(d, v) for d, v, _ in search.candidates_until(math.inf)]
+    found = [(d, v) for d, v, _ in _read(search, math.inf)]
     assert found == [(1.0, c), (2.0, a), (2.0, b)]
 
 
@@ -104,23 +121,24 @@ def test_stronger_candidate_behind_weaker_is_emitted():
         index, HierarchyWuPalmer(), 0
     )
     search = PoICandidateSearch(net, spec, start)
-    found = [(v, s) for _, v, s in search.candidates_until(math.inf)]
+    found = [(v, s) for _, v, s in _read(search, math.inf)]
     assert found == [(italian, 0.5), (sushi, 0.8)]
 
 
 def test_budget_pauses_and_resumes_search():
     net, spec, ids = _line_instance()
     search = PoICandidateSearch(net, spec, ids["start"])
-    first = list(search.candidates_until(1.5))
+    first = _read(search, 1.5)
     assert [v for _, v, _ in first] == [ids["weak"]]
     assert not search.exhausted
     # resume with a bigger budget: stored candidates replayed first
-    second = list(search.candidates_until(2.5))
+    second = _read(search, 2.5)
     assert [v for _, v, _ in second] == [ids["weak"], ids["perfect"]]
     assert search.radius == 2.0
     assert not search.exhausted
-    # a consumer resuming at its offset sees only the remainder
-    third = list(search.candidates_until(math.inf, start=2))
+    # a consumer resuming at its per-level offsets (levels 1.0, 0.8,
+    # 0.5: perfect, far, weak) sees only the remainder
+    third = _read(search, math.inf, start=(1, 0, 1))
     assert [v for _, v, _ in third] == [ids["far"]]
     assert search.radius == 3.0
     assert search.exhausted
@@ -130,7 +148,7 @@ def test_dynamic_budget_callable():
     net, spec, ids = _line_instance()
     search = PoICandidateSearch(net, spec, ids["start"])
     budgets = iter([5.0, 5.0, 5.0, 0.0, 0.0, 0.0])
-    found = list(search.candidates_until(lambda: next(budgets)))
+    found = _read(search, lambda: next(budgets))
     assert len(found) <= 2
 
 
@@ -138,7 +156,7 @@ def test_stats_counters():
     net, spec, ids = _line_instance()
     stats = SearchStats()
     search = PoICandidateSearch(net, spec, ids["start"], stats=stats)
-    list(search.candidates_until(math.inf))
+    _read(search, math.inf)
     assert stats.settled == 4  # start, weak, perfect and far behind it
     assert stats.relaxed == 6  # both directions of the three edges
     assert stats.heap_pushes == 3
@@ -157,7 +175,7 @@ def test_source_can_be_candidate():
         index, HierarchyWuPalmer(), 0
     )
     search = PoICandidateSearch(net, spec, poi)
-    found = list(search.candidates_until(math.inf))
+    found = _read(search, math.inf)
     assert found == [(0.0, poi, 1.0), (2.0, other, 0.8)]
 
 
@@ -172,26 +190,40 @@ def test_compiled_query_end_to_end():
     index = PoIIndex(net, forest)
     compiled = compile_query(start, ["Ramen", "Gift"], index, HierarchyWuPalmer())
     s0 = PoICandidateSearch(net, compiled.specs[0], start)
-    assert [v for _, v, _ in s0.candidates_until(math.inf)] == [ramen]
+    assert [v for _, v, _ in _read(s0, math.inf)] == [ramen]
     s1 = PoICandidateSearch(net, compiled.specs[1], ramen)
-    assert [v for _, v, _ in s1.candidates_until(math.inf)] == [gift]
+    assert [v for _, v, _ in _read(s1, math.inf)] == [gift]
 
 
 def test_float_budget_settles_a_burst_and_callable_budget_one_match():
-    """A constant budget is one segment after one burst of settles; a
-    callable one is a segment per match.  Both settle the same vertices."""
-    net, spec, ids = _line_instance()
+    """A constant budget is one segment per level after one burst of
+    settles; a callable one is a segment per match.  Both settle the
+    same vertices.  Three Ramen PoIs on a line make one level, so the
+    level is the whole stream."""
+    forest = small_forest()
+    net = RoadNetwork()
+    start = net.add_vertex()
+    ramen = [net.add_poi(forest.resolve("Ramen")) for _ in range(3)]
+    for u, v in zip([start, *ramen], ramen):
+        net.add_edge(u, v, 1.0)
+    spec = CategoryRequirement(forest.resolve("Ramen")).compile(
+        PoIIndex(net, forest), HierarchyWuPalmer(), 0
+    )
+    assert spec.levels == (1.0,)
     burst_stats, single_stats = SearchStats(), SearchStats()
-    burst = PoICandidateSearch(net, spec, ids["start"], stats=burst_stats)
-    single = PoICandidateSearch(net, spec, ids["start"], stats=single_stats)
-    assert list(burst.scored_until(2.5)) == [(0, 2)]
-    assert list(single.scored_until(lambda: 2.5)) == [(0, 1), (1, 2)]
+    burst = PoICandidateSearch(net, spec, start, stats=burst_stats)
+    single = PoICandidateSearch(net, spec, start, stats=single_stats)
+    assert list(burst.scored_until([2.5], start=(0,))) == [(0, 0, 2)]
+    assert list(single.scored_until([lambda: 2.5], start=(0,))) == [
+        (0, 0, 1),
+        (0, 1, 2),
+    ]
     assert burst_stats == single_stats
     assert burst.dists == single.dists == [1.0, 2.0]
-    assert burst.candidates == single.candidates == [ids["weak"], ids["perfect"]]
+    assert burst.candidates == single.candidates == ramen[:2]
     # a resumed consumer gets the replay and the new burst as one segment
-    assert list(burst.scored_until(math.inf, start=1)) == [(1, 3)]
-    assert list(burst.scored_until(math.inf, start=3)) == []
+    assert list(burst.scored_until([math.inf], start=(1,))) == [(0, 1, 3)]
+    assert list(burst.scored_until([math.inf], start=(3,))) == []
 
 
 @pytest.mark.parametrize("callable_budget", [False, True])
@@ -202,7 +234,7 @@ def test_budget_is_closed(callable_budget):
     stats = SearchStats()
     search = PoICandidateSearch(net, spec, ids["start"], stats=stats)
     budget = (lambda: 2.0) if callable_budget else 2.0
-    found = list(search.candidates_until(budget))
+    found = _read(search, budget)
     assert [(d, v) for d, v, _ in found] == [
         (1.0, ids["weak"]),
         (2.0, ids["perfect"]),
@@ -216,17 +248,36 @@ def test_ch_stream_bisects_once_per_budget():
     from array import array
 
     from repro.core.search import CHCandidateStream
+    from repro.graph.contraction import CHBucket, LabelStream
 
-    stream = CHCandidateStream(
-        array("d", [1.0, 2.0, 2.0, 5.0]), array("q", [7, 3, 9, 4]), {}
+    # one hub at distance 0 from the source, holding four targets, by
+    # slot (index in the sorted targets 3, 4, 7, 9): 7 at 1.0, 3 and 9
+    # at 2.0, 4 at 5.0
+    bucket = CHBucket(
+        targets=array("i", [3, 4, 7, 9]),
+        pairs={
+            0: (array("d", [1.0, 2.0, 2.0, 5.0]), array("i", [2, 0, 3, 1]))
+        },
+        hubmin={0: 1.0},
     )
-    # the budget is closed: both candidates at exactly 2.0 are within it
-    assert list(stream.scored_until(2.0)) == [(0, 3)]
-    assert list(stream.scored_until(1.5)) == [(0, 1)]
-    assert list(stream.scored_until(3.0, start=1)) == [(1, 3)]
+    sim_map = {7: 1.0, 3: 1.0, 9: 1.0, 4: 1.0}
+    hubs = (array("d", [0.0]), array("i", [0]))
+    stream = CHCandidateStream(
+        LabelStream(hubs, bucket, sim_map, (1.0,)), sim_map
+    )
+    # the budget is closed: both candidates at exactly 2.0 are within it,
+    # and the row grows only that far
+    assert list(stream.scored_until([2.0], start=(0,))) == [(0, 0, 3)]
+    assert list(stream.candidates) == [7, 3, 9]
+    assert stream.radius == 2.0 and not stream.exhausted
+    assert list(stream.scored_until([1.5], start=(0,))) == [(0, 0, 1)]
+    assert list(stream.scored_until([3.0], start=(1,))) == [(0, 1, 3)]
     budgets = iter([3.0, 3.0])
-    assert list(stream.scored_until(lambda: next(budgets))) == [(0, 3)]
-    assert list(stream.scored_until(math.inf, start=4)) == []
+    assert list(
+        stream.scored_until([lambda: next(budgets)], start=(0,))
+    ) == [(0, 0, 3)]
+    assert list(stream.scored_until([math.inf], start=(4,))) == []
+    assert stream.exhausted and list(stream.candidates) == [7, 3, 9, 4]
 
 
 # ----------------------------------------------------------------------

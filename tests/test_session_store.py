@@ -21,6 +21,8 @@ Three pillars of evidence:
 from __future__ import annotations
 
 import json
+import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -43,12 +45,19 @@ from repro.errors import (
     SessionExpiredError,
     SessionNotFoundError,
 )
+from repro.graph.contraction import contraction_for
 from repro.graph.io import save_dataset
+from repro.graph.road_network import RoadNetwork
 from repro.service import SessionApi
 from repro.service.prototype import SkySRService
 from repro.store import DiskSessionStore, InMemorySessionStore
 
-from .conftest import pick_query, random_instance
+from .conftest import (
+    attach_integer_pois,
+    pick_query,
+    random_instance,
+    small_forest,
+)
 
 PAGES = 4
 
@@ -219,7 +228,7 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
     session = warm.session(start, cats, page_size=2)
     session.next_page()
     payload = session.to_dict()
-    assert SCHEMA_VERSION == 10
+    assert SCHEMA_VERSION == 11
     assert payload["version"] == SCHEMA_VERSION
     assert not {"cache", "queue", "serial"} & set(payload["search"]["state"])
     # drive the warm engine's shared searches well past page 1's budget
@@ -240,6 +249,72 @@ def test_restored_pages_do_not_depend_on_cache_warmth(seed):
             text = restored.dumps()
         pages[name] = fingerprints
     assert pages["warm"] == pages["cold"] == pages["no-cache"]
+
+
+def _one_way_grid(seed, rows=4, cols=4):
+    """A directed grid whose roads run only right and down, plus a few
+    random chords: from most vertices some PoIs are unreachable."""
+    rng = random.Random(seed)
+    forest = small_forest()
+    network = RoadNetwork(directed=True)
+    ids = [
+        [network.add_vertex(float(c), float(r)) for c in range(cols)]
+        for r in range(rows)
+    ]
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                network.add_edge(
+                    ids[r][c], ids[r][c + 1], float(rng.randint(1, 3))
+                )
+            if r + 1 < rows:
+                network.add_edge(
+                    ids[r][c], ids[r + 1][c], float(rng.randint(1, 3))
+                )
+    for _ in range(3):
+        u, v = rng.randrange(rows * cols), rng.randrange(rows * cols)
+        if u != v:
+            network.add_edge(u, v, float(rng.randint(1, 4)))
+    attach_integer_pois(network, 12, forest.leaves(), rng)
+    return network, forest, rng
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_ch_restored_pages_do_not_depend_on_stream_growth(seed):
+    """Under CH, one page-1 payload restored on the live engine after
+    every memoized label stream was grown to its end, and on a fresh
+    hierarchy whose streams grow only as far as budgets ask, serves
+    identical pages 2-4, pops included, on a one-way grid where a
+    route's endpoint cannot reach every candidate.  Whether a stream
+    cut a route short (and so whether the route is parked) must depend
+    on the stream's row alone, not on how far it was grown."""
+    network, forest, rng = _one_way_grid(seed)
+    _, cats = pick_query(network, forest, rng, 3, distinct_trees=False)
+    options = BSSROptions(use_contraction=True)
+    warm = SkySREngine(network, forest, options=options)
+    session = warm.session(0, cats, page_size=1)
+    session.next_page()
+    payload = session.dumps()
+    cold_network, cold_forest, _ = _one_way_grid(seed)
+    engines = {
+        "warm": warm,
+        "cold": SkySREngine(cold_network, cold_forest, options=options),
+    }
+    pages = {}
+    for name, engine in engines.items():
+        text = payload
+        fingerprints = []
+        for _ in range(PAGES - 1):
+            if name == "warm":
+                memo = contraction_for(network)._memo
+                for key, row in list(memo.items()):
+                    if key[0] == "stream":
+                        row.grow(math.inf)
+            restored = PlanningSession.loads(engine, text)
+            fingerprints.append(page_fingerprint(restored.next_page()))
+            text = restored.dumps()
+        pages[name] = fingerprints
+    assert pages["warm"] == pages["cold"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 6])
@@ -456,6 +531,20 @@ def test_version_9_payload_is_rejected():
     assert exc.value.field == "version"
 
 
+def test_version_10_payload_is_rejected():
+    """Version 10 stored one offset per deferred parent, into its whole
+    candidate stream; version 11 stores one per similarity level, so a
+    version 10 payload is refused, not misread."""
+    engine, payload = _payload()
+    payload["version"] = 10
+    for row in payload["search"]["state"]["deferred"]:
+        if row[2] is not None:
+            row[2] = sum(row[2])
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "version"
+
+
 def test_undrained_search_refuses_to_serialize():
     """A page that ``max_routes_expanded`` aborts leaves routes queued;
     such a search is no checkpoint, so encoding it is refused rather
@@ -637,11 +726,9 @@ def test_stored_poi_that_is_not_a_candidate_names_the_field(rows):
         )
 
     if rows == "cut":
-        pois, _length, _consumed, cut = next(
-            row for row in state["deferred"] if row[3]
-        )
+        pois, _length, _consumed, cut = state["deferred"][0]
         position = len(pois)
-        cut[0][0] = stranger(position)
+        cut.append([stranger(position), 0])
         rows = "deferred"
     else:
         position = 0
@@ -650,6 +737,11 @@ def test_stored_poi_that_is_not_a_candidate_names_the_field(rows):
         PlanningSession.from_dict(engine, payload)
     assert exc.value.field == f"search.state.{rows}"
     assert f"not a candidate at position {position}" in str(exc.value)
+
+
+def _offsets(rows):
+    """The per-level offsets of the first deferred row that has them."""
+    return next(row[2] for row in rows if row[2] is not None)
 
 
 def _complete_deferred_row(payload):
@@ -666,12 +758,16 @@ def _complete_deferred_row(payload):
         lambda rows: rows[0][3].append([7, 1.5]),
         lambda rows: rows[0][3].append([True, 3]),
         lambda rows: rows[0][3].append([7, 3, 0]),
-        lambda rows: next(r for r in rows if r[3])[3][0].__setitem__(
-            1, 10**400
-        ),
+        lambda rows: rows[0][3].append([7, 10**400]),
         lambda rows: rows[0].__setitem__(3, None),
         lambda rows: rows[0].__setitem__(2, "far"),
         lambda rows: rows[0].__setitem__(2, 1.0),
+        lambda rows: rows[0].__setitem__(2, 0),
+        lambda rows: _offsets(rows).pop(),
+        lambda rows: _offsets(rows).append(0),
+        lambda rows: _offsets(rows).__setitem__(0, -1),
+        lambda rows: _offsets(rows).__setitem__(0, True),
+        lambda rows: _offsets(rows).__setitem__(0, 1.0),
         None,
     ],
     ids=[
@@ -684,13 +780,20 @@ def _complete_deferred_row(payload):
         "cut-not-a-list",
         "offset-string",
         "offset-float",
+        "offset-not-a-list",
+        "one-offset-short",
+        "one-offset-long",
+        "negative-offset",
+        "bool-offset",
+        "float-offset",
         "complete-route",
     ],
 )
 def test_malformed_deferred_row_names_the_field(mutate):
     """A deferred row is ``[pois, length, consumed | null, [[PoI,
-    length], …]]`` of a partial route; anything else is a typed error
-    naming the deferred list."""
+    length], …]]`` of a partial route, ``consumed`` holding one
+    non-negative offset per similarity level of the next position;
+    anything else is a typed error naming the deferred list."""
     engine, payload = _payload(seed=2)
     rows = payload["search"]["state"]["deferred"]
     if mutate is None:
@@ -708,9 +811,12 @@ def test_stored_session_is_compact():
 
     The fixed session (``tokyo_like(scale=0.12)``, start 241,
     categories 56, 48 and 98, pages of 3) weighs 87,144 bytes of JSON
-    after 3 pages under schema 7, 28,185 bytes under schema 8 and about
-    17,120 bytes under schema 9 (its page stats hold timings, so the
-    size moves by a few bytes from run to run); the pin allows 18,000.
+    after 3 pages under schema 7, 28,185 bytes under schema 8, about
+    17,100 bytes under schemas 9 and 10 and about 12,360 bytes under
+    schema 11, whose searches read each similarity level only up to its
+    own budget and so park far fewer cut pairs (its page stats hold
+    timings, so the size moves by a few bytes from run to run); the pin
+    allows 14,200.
     """
     data = datasets.tokyo_like(scale=0.12)
     engine = SkySREngine(data.network, data.forest)
@@ -718,7 +824,7 @@ def test_stored_session_is_compact():
     for _ in range(3):
         session.next_page()
     text = session.dumps()
-    assert len(text) <= 18_000
+    assert len(text) <= 14_200
     for field in ('"sims"', '"semantic"', '"bounds"'):
         assert field not in text
     restored = PlanningSession.loads(engine, text)

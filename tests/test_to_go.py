@@ -136,14 +136,25 @@ def test_floor_is_admissible_for_every_completion(seed, directed, destination):
                 assert floor <= remaining, (j, last, tail)
 
 
-def _stream(network, spec, source, field, budget, start=0):
-    """The ``(dist, key, vid)`` triples ``scored_until(budget)`` hands
-    out from ``start`` on a fresh search, plus the search."""
+def _read(search, budget, start=None):
+    """The stream positions ``scored_until`` hands out, in stream order,
+    with ``budget`` at every level, from per-level offsets ``start``."""
+    levels = len(search.levels)
+    segments = list(
+        search.scored_until([budget] * levels, start=start or (0,) * levels)
+    )
+    return sorted(
+        i for level, lo, hi in segments for i in search.levels[level][1][lo:hi]
+    )
+
+
+def _stream(network, spec, source, field, budget, start=None):
+    """The ``(dist, key, vid)`` triples :func:`_read` hands out on a
+    fresh search, plus the search."""
     search = PoICandidateSearch(network, spec, source, field=field)
     got = [
         (search.dists[i], search.keys[i], search.candidates[i])
-        for lo, hi in search.scored_until(budget, start=start)
-        for i in range(lo, hi)
+        for i in _read(search, budget, start)
     ]
     return got, search
 
@@ -199,20 +210,33 @@ def test_a_stream_on_a_to_go_row_is_keyed_by_the_remaining_route(
                 # a stream another consumer drained past the budget
                 # hands out the same prefix, burst or one at a time
                 for cut in (budget, lambda b=budget: b):
-                    reread = [
-                        i for lo, hi in warm.scored_until(cut)
-                        for i in range(lo, hi)
-                    ]
+                    reread = _read(warm, cut)
                     assert reread == list(range(len(within))), (j, budget)
                 single, _ = _stream(
                     network, spec, source, field, lambda b=budget: b
                 )
                 assert single == within, (j, source, budget)
-                offset = len(within) // 2
-                replayed, _ = _stream(
-                    network, spec, source, field, budget, start=offset
+                # a fresh instance replayed from per-level offsets: half
+                # of each level's candidates within the budget
+                level_of = [
+                    spec.levels.index(spec.sim_map[vid])
+                    for _, _, vid in within
+                ]
+                offsets = tuple(
+                    level_of.count(level) // 2
+                    for level in range(len(spec.levels))
                 )
-                assert replayed == within[offset:], (j, source, budget)
+                rest = []
+                taken = [0] * len(spec.levels)
+                for triple, level in zip(within, level_of):
+                    if taken[level] < offsets[level]:
+                        taken[level] += 1
+                    else:
+                        rest.append(triple)
+                replayed, _ = _stream(
+                    network, spec, source, field, budget, start=offsets
+                )
+                assert replayed == rest, (j, source, budget)
 
 
 def _named_instance(size):

@@ -64,11 +64,11 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "bisect-dists-not-keys",
         "src/repro/core/search.py",
-        "            hi = bisect_right(keys, budget, start)\n",
-        "            hi = bisect_right(self.dists, budget, start)\n",
+        "            key = keys.__getitem__\n",
+        "            key = self.dists.__getitem__\n",
         (
-            "tests/test_to_go.py::"
-            "test_a_stream_on_a_to_go_row_is_keyed_by_the_remaining_route",
+            "tests/test_level_streams.py::"
+            "test_modified_dijkstra_level_views_under_a_to_go_potential",
         ),
     ),
     Mutant(
@@ -123,10 +123,40 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_differential.py",),
     ),
     Mutant(
+        "level-budgets-at-the-lowest-level",
+        "src/repro/core/bssr.py",
+        "                threshold(semantic) - length - reserve\n"
+        "                for semantic in semantics\n",
+        "                threshold(semantics[-1]) - length - reserve\n"
+        "                for semantic in semantics\n",
+        ("tests/test_differential.py",),
+    ),
+    Mutant(
+        "label-window-bisect-left-at-the-bound",
+        "src/repro/graph/contraction.py",
+        "            hi = bisect_right(dists, bound - g, lo)\n",
+        '            hi = __import__("bisect").bisect_left('
+        "dists, bound - g, lo)\n",
+        (
+            "tests/test_level_streams.py::"
+            "test_lazy_label_stream_is_the_sorted_row_up_to_its_radius",
+        ),
+    ),
+    Mutant(
+        "label-stream-exhausted-by-growth",
+        "src/repro/graph/contraction.py",
+        "            if len(self.vids) == reachable:\n",
+        "            if len(self.vids) == len(self._bucket.targets):\n",
+        (
+            "tests/test_session_store.py::"
+            "test_ch_restored_pages_do_not_depend_on_stream_growth",
+        ),
+    ),
+    Mutant(
         "docstring-only-control",
         "src/repro/core/bssr.py",
-        "route offered is archived first.",
-        "route offered is recorded in the archive first.",
+        "offered is archived first.",
+        "offered is recorded in the archive first.",
         (
             "tests/test_session_store.py::"
             "test_skyband_members_are_archived_and_restored_resumes_are_exact",
