@@ -160,6 +160,7 @@ def _print_stats(engine: SkySREngine, search_stats=None) -> None:
         payload["query"] = {
             "elapsed_ms": search_stats.elapsed * 1e3,
             "routes_expanded": search_stats.routes_expanded,
+            "routes_continued": search_stats.routes_continued,
             "settled": search_stats.settled,
             "relaxed": search_stats.relaxed,
         }

@@ -45,11 +45,18 @@ its prune test cut as a ``(PoI, length)`` pair — nothing is built for
 them.  Each level is read only up to the Lemma 5.3 budget at its own
 semantic score, so a candidate the threshold would reject for its
 similarity alone stays unread behind its level's offset instead of
-being cut one at a time.  :meth:`BSSRSearch.resume` widens the skyband
-to a larger ``k'``, recomputes the (now looser) lower bounds, re-tests
-every parked pair against them, pushes the children that pass (offers
-the completions to the skyband), re-enqueues every prefix whose stream
-was cut, and drains the queue again.  Resume is exact: the prune tests
+being cut one at a time.  Below the final position a route's children
+are handed out one at a time by a *cursor* queued behind each child
+(partial expansion, after Felner et al.'s PEA*), so each sibling is
+read and tested at the thresholds of its own turn, and the cursor
+parks its parent once the stream is done.  Every cursor runs out inside
+the drain that queued it, so a drained search — a checkpoint — holds
+no cursor, only parked parents with their offsets and cut pairs.
+:meth:`BSSRSearch.resume` widens the skyband to a larger ``k'``,
+recomputes the (now looser) lower bounds, re-tests every parked pair
+against them, pushes the children that pass (offers the completions to
+the skyband), re-enqueues every prefix whose stream was cut, and drains
+the queue again.  Resume is exact: the prune tests
 are monotone and thresholds only fall within a drain, so a pair that
 fails its re-test would fail at pop too, and a completion above the
 threshold has ``k'`` strictly shorter members with a semantic score no
@@ -69,7 +76,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.core.bounds import LowerBounds, compute_lower_bounds
 from repro.core.distcache import DistanceCache
@@ -179,16 +186,21 @@ class SearchState:
             route, consumed, cut)`` entries; ``consumed`` is the route's
             per-level stream offsets (all 0 for a fresh child) and
             ``cut`` a replayed parent's still-cut pairs, ``None`` for a
-            fresh child.  Every drain empties it, so a checkpoint never
-            holds one.
+            fresh child.  A *cursor* entry ``(priority, serial, parent,
+            None, cursor)`` sits right behind the child it last handed
+            out (same priority, next serial) and holds the generator
+            over the parent's stream that hands out the next one
+            (:meth:`BSSRSearch._advance`).  Every drain empties the
+            queue, cursors included, so a checkpoint never holds one.
         dest_dist: reverse distances to the destination, if any.
         cache: the on-the-fly modified-Dijkstra cache (Section 5.3.4) —
             shared across resumes, which is a large part of why resuming
             beats recomputing.  Never serialized: a restored state starts
             empty and rebuilds searches on demand.
-        serial: the queue tie-break counter.  Never serialized: it
-            orders only routes queued together, and a restored search
-            starts it again at 0 with an empty queue.
+        serial: the queue tie-break counter, drawn by route and cursor
+            entries alike.  Never serialized: it orders only entries
+            queued together, and a restored search starts it again at 0
+            with an empty queue.
         resumes: how many times this state has been widened.
     """
 
@@ -291,6 +303,8 @@ class BSSRSearch:
         # per position, each level's aggregator state and semantic score
         # by the aggregator state of the route extended there
         self._level_scores: list[dict] = [{} for _ in query.specs]
+        # cursor entries on the queue (``max_queue_size`` counts routes)
+        self._cursors = 0
 
     # Durable checkpoints ----------------------------------------------
 
@@ -500,17 +514,33 @@ class BSSRSearch:
     def _drain(self) -> None:
         """The main loop: pop, prune-or-expand, until the queue empties.
 
-        A route pruned on pop is parked as it stands, with its offset
-        and any pairs a replay left cut under it.
+        A popped cursor hands out its parent's next child
+        (:meth:`_advance`) without a second prune test of the parent or
+        the setup of :meth:`_expand`.  A route pruned on pop is parked
+        as it stands, with its offsets and any pairs a replay left cut
+        under it.  A route popped at its fresh offsets opens its stream
+        (``routes_expanded``); one popped at stored offsets, a parent a
+        resume re-queued where a budget stopped it, reads on where its
+        earlier pop left off, and counts with the cursors as
+        ``routes_continued``.
         """
         queue = self.state.queue
         deferred = self.state.deferred
         limit = self.options.max_routes_expanded
         tests = self._prune_tests
+        fresh = self._fresh
         start = self.query.start
+        stats = self.stats
         while queue:
             entry = heapq.heappop(queue)
             _, _, route, consumed, cut = entry
+            if consumed is None:
+                # a cursor: ``cut`` is the generator over the parent's
+                # stream
+                self._cursors -= 1
+                stats.routes_continued += 1
+                self._advance(route, cut)
+                continue
             pois = route.pois
             if tests[len(pois)](
                 route.length,
@@ -518,20 +548,23 @@ class BSSRSearch:
                 route.sem_state,
                 pois[-1] if pois else start,
             ):
-                self.stats.routes_pruned_on_pop += 1
+                stats.routes_pruned_on_pop += 1
                 deferred.append(_Deferred(route, consumed, cut or []))
                 continue
-            self.stats.routes_expanded += 1
-            if limit is not None and self.stats.routes_expanded > limit:
-                # left queued: an undrained search is no checkpoint
-                heapq.heappush(queue, entry)
-                raise AlgorithmError(
-                    f"BSSR exceeded max_routes_expanded={limit}"
-                )
+            if consumed != fresh[len(pois)]:
+                stats.routes_continued += 1
+            else:
+                stats.routes_expanded += 1
+                if limit is not None and stats.routes_expanded > limit:
+                    # left queued: an undrained search is no checkpoint
+                    heapq.heappush(queue, entry)
+                    raise AlgorithmError(
+                        f"BSSR exceeded max_routes_expanded={limit}"
+                    )
             self._expand(route, consumed, cut)
         # run() starts the list empty and resume() takes it over before
         # replaying, so it holds exactly what this leg parked
-        self.stats.routes_deferred = len(deferred)
+        stats.routes_deferred = len(deferred)
 
     def _finish(self, started: float) -> None:
         self.stats.elapsed = perf_counter() - started
@@ -612,9 +645,10 @@ class BSSRSearch:
         last)``.
 
         This is the one prune test.  It runs on raw values, so the
-        queue pops it and :meth:`_expand` tests a child with it before
-        the child is built.  Everything that depends on ``size`` alone
-        is bound once; what is left per route is the arithmetic.
+        queue pops it and a cursor (:meth:`_cursor`) tests a child with
+        it before the child is built.  Everything that depends on
+        ``size`` alone is bound once; what is left per route is the
+        arithmetic.
 
         Every comparison is strict.  A route whose floor *equals* the
         threshold at its semantic score may complete with exactly a
@@ -793,22 +827,35 @@ class BSSRSearch:
         route: PartialRoute,
         consumed: tuple[int, ...],
         cut: Cut | None = None,
-    ) -> None:
+    ) -> tuple:
         """Queue ``route`` at its per-level stream offsets (all 0 for a
-        fresh child), carrying ``cut``."""
+        fresh child), carrying ``cut``; returns its priority."""
+        queue = self.state.queue
+        priority = self._priority(route)
         heapq.heappush(
-            self.state.queue,
-            (
-                self._priority(route),
-                self.state.next_serial(),
-                route,
-                consumed,
-                cut,
-            ),
+            queue, (priority, self.state.next_serial(), route, consumed, cut)
         )
         self.stats.routes_enqueued += 1
-        if len(self.state.queue) > self.stats.max_queue_size:
-            self.stats.max_queue_size = len(self.state.queue)
+        if len(queue) - self._cursors > self.stats.max_queue_size:
+            self.stats.max_queue_size = len(queue) - self._cursors
+        return priority
+
+    def _advance(
+        self, route: PartialRoute, cursor: Iterator[PartialRoute]
+    ) -> None:
+        """Hand out ``cursor``'s next child of ``route``: queue the child
+        and the cursor right behind it (same priority, next serial), so
+        the cursor pops again once the child's subtree is done.  A
+        cursor with no child left has parked ``route`` and is dropped."""
+        child = next(cursor, None)
+        if child is None:
+            return
+        priority = self._push(child, self._fresh[child.size])
+        heapq.heappush(
+            self.state.queue,
+            (priority, self.state.next_serial(), route, None, cursor),
+        )
+        self._cursors += 1
 
     def _candidate_search(
         self, route: PartialRoute, position: int
@@ -906,18 +953,28 @@ class BSSRSearch:
         for the tests the paper defines: a child goes through the same
         prune test as a queue pop (:meth:`_prunable`) before anything is
         built, so a :class:`PartialRoute` exists only for a child that
-        is pushed.  At the final position a completion longer than the
+        is queued.  At the final position a completion longer than the
         threshold at its semantic score counts as a skyline reject
         without being built — :meth:`SkybandSet.update` would provably
         reject it.
 
+        Below the final position the children are handed out one at a
+        time by a cursor (:meth:`_cursor`, partial expansion after
+        Felner et al.'s PEA*): the first one is queued here with the
+        cursor right behind it, and each later one is read, tested and
+        built only when the cursor pops again, at the thresholds of its
+        own turn.  The final position offers every completion in this
+        one call (:meth:`_complete`).  Either way the budgets are
+        re-read as the skyband tightens them.
+
         ``consumed`` holds one offset per level: the candidates a
         previous pass already processed (deterministic stream order
-        makes each offset exact).  The route is parked once if a budget
-        cut a level short (with the new offsets, so a resumed search
-        picks up the rest) or if any child or completion was cut (as
-        ``(PoI, length)`` pairs, re-tested on resume).  ``cut`` holds
-        the pairs a replay left parked, which new ones join.
+        makes each offset exact).  The route is parked once, when its
+        stream is done (:meth:`_park`): if a budget cut a level short
+        (with the new offsets, so a resumed search picks up the rest)
+        or if any child or completion was cut (as ``(PoI, length)``
+        pairs, re-tested on resume).  ``cut`` holds the pairs a replay
+        left parked, which new ones join.
         """
         position = route.size
         reserve = self._reserve[position]
@@ -946,7 +1003,6 @@ class BSSRSearch:
             search = self._candidate_search(route, position)
         if cut is None:
             cut = []
-        offsets = list(consumed)  # advanced in place as levels are read
         # Lemma 5.3 break, per level: read only while a candidate at
         # this key could still reach the threshold at the level's
         # semantic score; the stream keeps a candidate exactly at the
@@ -954,34 +1010,42 @@ class BSSRSearch:
         # there.  Past position 0 under to-go rows that value is the
         # child's exact remainder, so the child's floor is ``length +
         # key`` and the reserve is 0; elsewhere the reserve floors the
-        # remainder.
+        # remainder.  Every offer may tighten the thresholds, so the
+        # budgets are re-read.
+        budgets = [
+            lambda semantic=semantic: threshold(semantic) - length - reserve
+            for semantic in semantics
+        ]
         if position + 1 == self.n:
-            # every offer may tighten the thresholds: re-read budgets
-            budgets = [
-                lambda semantic=semantic: (
-                    threshold(semantic) - length - reserve
-                )
-                for semantic in semantics
-            ]
+            offsets = list(consumed)  # advanced as levels are read
             self._complete(
                 route, search, consumed, offsets, semantics, budgets, cut
             )
+            self._park(route, search, offsets, cut)
         else:
-            # no skyline update happens below the final position, so the
-            # budgets are constants the stream may settle to in one burst
-            budgets = [
-                threshold(semantic) - length - reserve
-                for semantic in semantics
-            ]
-            self._extend(
-                route, search, consumed, offsets, extended, semantics,
-                budgets, cut,
+            cursor = self._cursor(
+                route, search, consumed, extended, semantics, budgets, cut
             )
-        # Did a budget cut the stream?  The decision is a function of
-        # the stream and the final offsets alone (is a candidate left
-        # beyond them?), so a cached search that another consumer
-        # drained past the budgets defers exactly like a fresh one
-        # rebuilt after a restore, whatever field drove either.
+            self._advance(route, cursor)
+
+    def _park(
+        self,
+        route: PartialRoute,
+        search: CHCandidateStream | PoICandidateSearch,
+        offsets: list[int],
+        cut: Cut,
+    ) -> None:
+        """Park ``route`` once its stream is done, if a budget cut a
+        level short or anything was cut.
+
+        Did a budget cut the stream?  The decision is a function of the
+        stream and the final offsets alone (is a candidate left beyond
+        them?), so a cached search that another consumer drained past
+        the budgets defers exactly like a fresh one rebuilt after a
+        restore, whatever field drove either.  The empty route's stream
+        is the first search: its radius once the run is done with it is
+        the Table 7 weight sum.
+        """
         stopped = any(
             offset < len(view)
             for offset, (_, view) in zip(offsets, search.levels)
@@ -992,57 +1056,70 @@ class BSSRSearch:
             self.state.deferred.append(
                 _Deferred(route, tuple(offsets) if stopped else None, cut)
             )
-        if not self._first_radius_recorded:
+        if not route.pois and not self._first_radius_recorded:
             self.stats.first_search_radius = search.radius
             self._first_radius_recorded = True
 
-    def _extend(
+    def _cursor(
         self,
         route: PartialRoute,
         search: CHCandidateStream | PoICandidateSearch,
         consumed: tuple[int, ...],
-        offsets: list[int],
         extended: list,
         semantics: list[float],
-        budgets: list[float],
+        budgets: list[Callable[[], float]],
         cut: Cut,
-    ) -> None:
-        """Queue the children of ``route`` within their level's budget,
-        from the ``consumed`` offsets on, and append each one the prune
-        test rejects to ``cut`` as ``(PoI, length)``; ``offsets``
-        advance to where each level stopped."""
+    ) -> Iterator[PartialRoute]:
+        """Yield the children of ``route`` within their level's budget,
+        one at a time, from the ``consumed`` offsets on; append each one
+        the prune test rejects to ``cut`` as ``(PoI, length)``, and park
+        the route (:meth:`_park`) once the stream is done.
+
+        The skyband moves between two children (the first one's subtree
+        runs in between), so a segment is re-checked against its level's
+        budget once the skyband's version moves, and each child is
+        tested at the thresholds of its own turn.
+        """
         prunable = self._prune_tests[route.size + 1]
-        fresh = self._fresh[route.size + 1]
-        push = self._push
+        skyline = self.skyline
+        stats = self.stats
         dists = search.dists
+        keys = search.keys
         vids = search.candidates
         views = search.levels
         pois = route.pois
         sims = route.sims
         length = route.length
-        held = len(cut)
+        offsets = list(consumed)  # advanced as levels are read
         for level, lo, hi in search.scored_until(budgets, start=consumed):
             sim, positions = views[level]
             state = extended[level]
             semantic = semantics[level]
+            budget = budgets[level]
             child_sims = sims + (sim,)
-            for i in positions[lo:hi]:
+            offsets[level] = hi
+            version = skyline.version
+            limit = math.inf
+            for j in range(lo, hi):
+                if skyline.version != version:
+                    version = skyline.version
+                    limit = budget()
+                i = positions[j]
+                if keys[i] > limit:
+                    offsets[level] = j
+                    break
                 vid = vids[i]
                 if vid in pois:
                     continue  # distinctness (Definition 3.4 iii)
                 child_length = length + dists[i]
                 if prunable(child_length, semantic, state, vid):
                     cut.append((vid, child_length))
+                    stats.routes_pruned_on_insert += 1
                     continue
-                push(
-                    PartialRoute(
-                        pois + (vid,), child_length, semantic, state,
-                        child_sims,
-                    ),
-                    fresh,
+                yield PartialRoute(
+                    pois + (vid,), child_length, semantic, state, child_sims
                 )
-            offsets[level] = hi
-        self.stats.routes_pruned_on_insert += len(cut) - held
+        self._park(route, search, offsets, cut)
 
     def _complete(
         self,

@@ -18,9 +18,9 @@ enforced by the consumer on every emit — so one stream per ``(source,
 position)`` serves every route.
 
 The search is *resumable*: it settles vertices in key order and
-pauses when the consumer's budget (Lemma 5.3's threshold, re-evaluated
-continuously as the skyline set improves) is passed.  BSSR's
-on-the-fly cache (Section 5.3.4) keeps one instance per
+pauses at every match, and once the consumer's budget (Lemma 5.3's
+threshold, re-evaluated continuously as the skyline set improves) is
+passed.  BSSR's on-the-fly cache (Section 5.3.4) keeps one instance per
 ``(source, position)`` and simply resumes it when a later route needs a
 larger radius — reuse never sacrifices exactness.
 
@@ -94,14 +94,15 @@ Both stream classes here (:class:`PoICandidateSearch` and
   cover the level's candidates within its budget (key ``<=`` budget: a
   candidate exactly at the budget can still tie the threshold, and a
   tie may replace a member's representative).  The consumer reads each
-  segment in place.  Budgets are floats when they cannot change while
-  the consumer works (BSSR below the final position), and callables
-  when they may tighten after any candidate (the final position, where
-  every completion is offered to the skyband); a consumer that tightens
-  one mid-segment stops at the first candidate whose key the new budget
-  excludes.  A level's candidates all give a child the same semantic
-  score, so each level gets its own Lemma 5.3 budget, and one call
-  serves a whole expansion; a stream with one level is read whole;
+  segment in place.  A budget is a callable, read again before every
+  segment: BSSR's thresholds may tighten after any candidate (each
+  completion is offered to the skyband, and below the final position
+  each child's subtree runs before its next sibling is read), and a
+  consumer whose budget tightens mid-segment stops at the first
+  candidate whose key the new budget excludes.  A level's candidates
+  all give a child the same semantic score, so each level gets its own
+  Lemma 5.3 budget, and one call serves a whole expansion; a stream with
+  one level is read whole;
 * ``exhausted`` — every candidate with a finite key that is reachable
   from the source has been emitted, which decides whether a budget cut
   the stream short (the consumer parks its route iff it stopped before
@@ -118,16 +119,16 @@ Both stream classes here (:class:`PoICandidateSearch` and
   bound it was last grown to, or its last distance once it is
   complete.
 
-A CH stream grows its label row to each budget it reads (only the label
-windows between its old radius and the budget are scanned, see
+A CH stream grows its label row to each budget value it reads (only the
+label windows between its old radius and the budget are scanned, see
 :class:`~repro.graph.contraction.LabelStream`) and answers it with one
-``bisect`` per level.  The modified Dijkstra settles a whole burst for
-float budgets (to the largest one) and stops after every key group
-holding a match for a callable one, so it settles exactly the vertices
-a one-candidate-at-a-time search would.  Read level by level,
-the highest level's budget is the largest (a higher similarity never
-gives a worse semantic score, and a better score never a lower
-threshold), so the levels below it settle nothing more.
+``bisect`` per level.  The modified Dijkstra stops after every key group
+holding a match, so it settles exactly the vertices a
+one-candidate-at-a-time search would, and never past the budget in force
+at its last read.  Read level by level, the
+highest level's budget is the largest (a higher similarity never gives a
+worse semantic score, and a better score never a lower threshold), so
+the levels below it settle nothing more.
 
 Like the plain Dijkstra flavors, the expansion loop runs over the
 adjacency rows of :mod:`repro.graph.csr`.
@@ -206,7 +207,7 @@ class CHCandidateStream:
 
     def scored_until(
         self,
-        budgets: Sequence[float] | Sequence[Callable[[], float]],
+        budgets: Sequence[Callable[[], float]],
         *,
         start: tuple[int, ...],
     ) -> Iterator[tuple[int, int, int]]:
@@ -217,14 +218,6 @@ class CHCandidateStream:
         grow = self._row.grow
         key = self.keys.__getitem__
         levels = self.levels
-        if not callable(budgets[0]):
-            grow(max(budgets))
-            for level, lo in enumerate(start):
-                positions = levels[level][1]
-                hi = bisect_right(positions, budgets[level], lo, key=key)
-                if hi > lo:
-                    yield level, lo, hi
-            return
         for level, lo in enumerate(start):
             positions = levels[level][1]
             budget = budgets[level]
@@ -379,11 +372,11 @@ class PoICandidateSearch:
             heapq.heappop(heap)
         return not heap or heap[0][0] == math.inf
 
-    def _settle(self, limit: float, *, one: bool) -> bool:
-        """Settle every vertex whose key is at most ``limit`` (never one
-        with an infinite key), appending matches to the stream; with
-        ``one``, stop once the key group of the first match is settled.
-        True iff it stopped on a match.
+    def _settle(self, limit: float) -> bool:
+        """Settle vertices in key order up to ``limit`` (never one with
+        an infinite key), appending matches to the stream, and stop once
+        the key group of the first match is settled.  True iff it
+        stopped on a match.
 
         A vertex's key is its distance plus its field value.  Keys
         settle in nondecreasing order (the field is consistent), so
@@ -410,7 +403,6 @@ class PoICandidateSearch:
         settled_n = relaxed_n = pushes_n = 0
         radius = self.radius
         emitted = len(vids)
-        hit = False
         if limit == math.inf:
             limit = sys.float_info.max  # never settle an infinite key
         while heap and heap[0][0] <= limit:
@@ -431,10 +423,7 @@ class PoICandidateSearch:
                 dists.insert(i, d)
                 keys.insert(i, key)
                 vids.insert(i, u)
-                if one and not hit:
-                    hit = True
-                    # finish this key group, then stop
-                    limit = radius
+                limit = key  # finish this key group, then stop
             row = rows[u]
             relaxed_n += len(row)
             for v, w in row:
@@ -454,7 +443,7 @@ class PoICandidateSearch:
             stats.settled += settled_n
             stats.relaxed += relaxed_n
             stats.heap_pushes += pushes_n
-        return hit
+        return len(vids) > emitted
 
     # ------------------------------------------------------------------
     # consumer interface
@@ -462,21 +451,19 @@ class PoICandidateSearch:
 
     def scored_until(
         self,
-        budgets: Sequence[float] | Sequence[Callable[[], float]],
+        budgets: Sequence[Callable[[], float]],
         *,
         start: tuple[int, ...],
     ) -> Iterator[tuple[int, int, int]]:
         """Segments of the level views within their budgets (see the
         module docstring), expanding on demand.
 
-        Constant (float) budgets cannot move while the consumer works,
-        so the search settles the whole burst up to the largest at once
-        and hands out at most one segment per level.  Callable budgets
-        may tighten after every candidate (BSSR's final position, where
-        each one is offered to the skyline), so the search stops at each
-        match of the level being read and re-reads its budget before
-        handing it out — the settles are exactly those a one-at-a-time
-        search makes.
+        A budget may tighten after every candidate (BSSR offers each
+        completion to the skyline, and runs each child's subtree before
+        its next sibling is read), so the search hands out one candidate
+        at a time, stops at each match of the level being read and
+        re-reads its budget before handing it out — the settles are
+        exactly those a one-at-a-time search makes.
 
         Already-discovered candidates are replayed first, so a cached
         search serves consumers with different budgets; ``start`` skips
@@ -489,22 +476,13 @@ class PoICandidateSearch:
         """
         keys = self.keys
         levels = self.levels
-        if not callable(budgets[0]):
-            self._settle(max(budgets), one=False)
-            key = keys.__getitem__
-            for level, lo in enumerate(start):
-                positions = levels[level][1]
-                hi = bisect_right(positions, budgets[level], lo, key=key)
-                if hi > lo:
-                    yield level, lo, hi
-            return
         for level, i in enumerate(start):
             positions = levels[level][1]
             budget = budgets[level]
             while True:
                 limit = budget()
                 if i >= len(positions):
-                    if not self._settle(limit, one=True):
+                    if not self._settle(limit):
                         break
                     continue  # re-read the budget before handing it out
                 if keys[positions[i]] > limit:

@@ -32,8 +32,14 @@ class SearchStats:
     cache_hits: int = 0
 
     # route queue Q_b (Table 8 / Section 5.3.2)
+    #: routes built and queued (a cursor entry is not a route)
     routes_enqueued: int = 0
+    #: pops that open a route's stream from its start
     routes_expanded: int = 0
+    #: pops that read on in a stream an earlier pop of the same route
+    #: left: a queued cursor handing out its parent's next child, or a
+    #: parent a resume re-queued at its stored offsets
+    routes_continued: int = 0
     routes_pruned_on_pop: int = 0
     routes_pruned_on_insert: int = 0
     #: routes parked for a later resume instead of being discarded,

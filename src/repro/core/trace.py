@@ -5,7 +5,12 @@ the route queue ``Q_b`` and the skyline set ``S`` after every
 expansion.  :func:`trace_bssr` replays that presentation for any small
 query: it returns one :class:`TraceStep` per main-loop iteration with
 snapshots of both structures, which :func:`render_trace` formats like
-the paper's table.
+the paper's table.  Below the final position a popped route hands out
+its children one at a time through a cursor (see
+:meth:`~repro.core.bssr.BSSRSearch._expand`), so a step is either a
+route's expansion or a cursor handing out its parent's next child
+(``next``), and a queued cursor shows in ``Qb`` as its parent followed
+by ``…``.
 
 The traced run is the one BSSR search (:class:`~repro.core.bssr.BSSRSearch`)
 that every query, one-shot or paged, runs; tracing only adds a snapshot
@@ -32,9 +37,11 @@ class TraceStep:
     """State after one BSSR main-loop iteration (Table 4 row)."""
 
     step: int
-    action: str  # "init", "expand", or "prune"
+    action: str  # "init", "expand", or "next"
     route: tuple[int, ...]
-    queue: list[tuple[int, ...]] = field(default_factory=list)
+    #: queued routes and, as the parent's PoIs followed by ``...``,
+    #: queued cursors, in pop order
+    queue: list[tuple] = field(default_factory=list)
     skyline: list[SkylineRoute] = field(default_factory=list)
 
     def describe(self) -> str:
@@ -52,17 +59,20 @@ class TraceStep:
         )
 
 
-def _chain(pois: tuple[int, ...]) -> str:
-    return "⟨" + ",".join(str(p) for p in pois) + "⟩"
+def _chain(pois: tuple) -> str:
+    return "⟨" + ",".join("…" if p is ... else str(p) for p in pois) + "⟩"
 
 
 class _TracingRun(BSSRSearch):
-    """A BSSR run that records a TraceStep per queue pop."""
+    """A BSSR run that records a TraceStep per expansion and per cursor
+    pop."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.steps: list[TraceStep] = []
         self._step_counter = 0
+        # True inside _expand until its cursor hands out a child
+        self._opening = False
 
     def _snapshot(self, action: str, route: tuple[int, ...]) -> None:
         self._step_counter += 1
@@ -72,7 +82,8 @@ class _TracingRun(BSSRSearch):
                 action=action,
                 route=route,
                 queue=[
-                    entry[2].pois
+                    entry[2].pois if entry[3] is not None
+                    else (*entry[2].pois, ...)
                     for entry in sorted(self.state.queue, key=lambda e: e[:2])
                 ],
                 skyline=self.skyline.routes(),
@@ -80,8 +91,22 @@ class _TracingRun(BSSRSearch):
         )
 
     def _expand(self, route, consumed, cut=None) -> None:  # type: ignore[override]
+        self._opening = True
         super()._expand(route, consumed, cut)
-        self._snapshot("init" if not route.pois else "expand", route.pois)
+        if self._opening:  # no cursor: the final position, or no stream
+            self._step(route)
+
+    def _advance(self, route, cursor) -> None:  # type: ignore[override]
+        super()._advance(route, cursor)
+        self._step(route)
+
+    def _step(self, route) -> None:
+        if self._opening:
+            self._opening = False
+            action = "init" if not route.pois else "expand"
+        else:
+            action = "next"
+        self._snapshot(action, route.pois)
 
 
 def trace_bssr(

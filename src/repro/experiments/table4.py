@@ -39,6 +39,7 @@ def run(config: ExperimentConfig | None = None) -> Report:
         f"query: {' -> '.join(figure1_query())} from vq\n\n"
         f"{trace}\n\nfinal SkySR set:\n{final}\n"
         f"({stats.routes_expanded} expansions, "
+        f"{stats.routes_continued} cursor pops, "
         f"{stats.routes_pruned_on_pop} pruned at pop)"
     )
     return Report(

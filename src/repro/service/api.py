@@ -83,7 +83,12 @@ class SessionResource:
 
 @dataclass
 class PageResource:
-    """One served page: ranked route cards plus paging metadata."""
+    """One served page: ranked route cards plus paging metadata.
+
+    ``routes`` holds one dict per :class:`~repro.service.RouteCard`,
+    built once per page; :meth:`as_dict` passes them through instead of
+    copying them again.
+    """
 
     session_id: str
     page: int
@@ -93,7 +98,7 @@ class PageResource:
     exhausted: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -313,7 +318,8 @@ class SessionApi:
             session_id=session_id,
             page=page.number,
             first_rank=page.first_rank,
-            routes=[asdict(card) for card in cards],
+            # each card is fresh, so its fields can be handed out as is
+            routes=[dict(vars(card)) for card in cards],
             resumed=page.resumed,
             exhausted=page.exhausted,
         )

@@ -61,13 +61,13 @@ def _budgets(network, spec, source):
 
 
 def _view(search, budget):
-    """What a consumer sees at ``budget`` (the same at every level):
-    the candidates it read, in stream order, where each level's
-    segments ended, whether the stream is exhausted, and whether BSSR
-    would park the route (the ``_expand`` defer rule)."""
+    """What a consumer sees at the constant ``budget`` (the same at
+    every level): the candidates it read, in stream order, where each
+    level's segments ended, whether the stream is exhausted, and whether
+    BSSR would park the route (the ``_park`` rule)."""
     offsets = [0] * len(search.levels)
     for level, _lo, hi in search.scored_until(
-        [budget] * len(offsets), start=tuple(offsets)
+        [lambda: budget] * len(offsets), start=tuple(offsets)
     ):
         offsets[level] = hi
     views = [positions for _, positions in search.levels]
@@ -103,15 +103,11 @@ def test_field_stream_equals_zero_field_stream_fresh(seed, directed):
         field = candidate_field(network, spec)
         for source in rng.sample(range(network.num_vertices), 4):
             for budget in _budgets(network, spec, source):
-                for as_callable in (False, True):
-                    b = (lambda b=budget: b) if as_callable else budget
-                    zero = PoICandidateSearch(network, spec, source)
-                    goal = PoICandidateSearch(
-                        network, spec, source, field=field
-                    )
-                    assert _view(goal, b) == _view(zero, b)
-                    assert goal.dists == zero.dists
-                    assert goal.candidates == zero.candidates
+                zero = PoICandidateSearch(network, spec, source)
+                goal = PoICandidateSearch(network, spec, source, field=field)
+                assert _view(goal, budget) == _view(zero, budget)
+                assert goal.dists == zero.dists
+                assert goal.candidates == zero.candidates
 
 
 @pytest.mark.parametrize("seed, directed", CASES)

@@ -360,6 +360,7 @@ def _assert_same_search(got, expected):
     assert got.routes == expected.routes
     for counter in (
         "routes_expanded",
+        "routes_continued",
         "routes_enqueued",
         "routes_pruned_on_pop",
         "routes_pruned_on_insert",

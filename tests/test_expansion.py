@@ -11,6 +11,7 @@ order.
 import pytest
 
 from repro import SkySREngine
+from repro.baselines.topk import brute_force_skyband
 from repro.core.bssr import BSSRSearch, run_bssr
 from repro.core.options import BSSROptions
 from repro.datasets import generate_workload, tokyo_like
@@ -62,9 +63,13 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
         full, full_stats = search.run()
         assert one_shot == full
         assert _work(one_stats) == _work(full_stats)
-        # serials are drawn by queue entries only: a cut child is
-        # parked under its parent as (PoI, length), not built
-        assert search.state.serial == full_stats.routes_enqueued
+        # serials are drawn by queue entries only, a route's or a
+        # cursor's (each cursor entry pops once, as a continuation): a
+        # cut child is parked under its parent as (PoI, length), not
+        # built
+        assert search.state.serial == (
+            full_stats.routes_enqueued + full_stats.routes_continued
+        )
 
 
 #: WORK_COUNTERS of each query, in order, on a fresh tokyo_like(0.12);
@@ -73,23 +78,27 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
 #: child whose floor passes its parent's threshold is never emitted,
 #: let alone cut on insert; and every similarity level is read only up
 #: to its own budget, so neither is a child or completion whose floor
-#: passes the threshold at its own semantic score.
+#: passes the threshold at its own semantic score.  Below the final
+#: position a cursor hands the children out one at a time, each read at
+#: the thresholds of its own turn, and each is popped right after it is
+#: queued: so no route is pruned on pop, and the queue holds one route
+#: at a time besides the cursors.
 GOLDEN_WORK = {
     "default": [
-        (8, 9, 1, 6, 3, 2, 315, 1213, 368, 9, 8),
-        (44, 73, 29, 0, 12, 8, 5135, 19457, 6683, 33, 55),
-        (9, 15, 6, 0, 6, 8, 1674, 6351, 1697, 8, 11),
-        (10, 31, 21, 10, 8, 3, 2294, 8622, 2156, 10, 29),
-        (17, 21, 4, 4, 14, 24, 3309, 12428, 3239, 12, 11),
-        (4, 4, 0, 1, 2, 1, 240, 909, 134, 4, 2),
+        (7, 7, 0, 6, 2, 2, 308, 1186, 353, 8, 1),
+        (41, 41, 0, 2, 9, 6, 4586, 17390, 5918, 32, 1),
+        (8, 8, 0, 1, 6, 6, 972, 3701, 793, 7, 1),
+        (7, 7, 0, 5, 4, 3, 2149, 8065, 1892, 7, 1),
+        (17, 17, 0, 4, 14, 24, 2786, 10481, 2626, 12, 1),
+        (4, 4, 0, 0, 2, 1, 234, 880, 118, 4, 1),
     ],
     "ch": [
-        (11, 12, 1, 15, 3, 2, 1361, 7809, 0, 0, 11),
-        (45, 73, 28, 43, 12, 8, 1931, 11165, 0, 0, 55),
-        (9, 15, 6, 1, 6, 8, 326, 1859, 0, 0, 11),
-        (10, 42, 32, 15, 8, 3, 530, 2875, 0, 0, 40),
-        (17, 21, 4, 7, 14, 24, 117, 660, 0, 0, 11),
-        (5, 5, 0, 3, 2, 1, 384, 2088, 0, 0, 3),
+        (11, 11, 0, 14, 3, 2, 1361, 7809, 0, 0, 1),
+        (45, 45, 0, 46, 12, 8, 1931, 11165, 0, 0, 1),
+        (9, 9, 0, 2, 6, 8, 326, 1859, 0, 0, 1),
+        (10, 10, 0, 7, 8, 3, 530, 2875, 0, 0, 1),
+        (17, 17, 0, 6, 14, 24, 173, 991, 0, 0, 1),
+        (5, 5, 0, 1, 2, 1, 384, 2088, 0, 0, 1),
     ],
 }
 
@@ -207,3 +216,66 @@ def test_no_stream_is_read_when_no_route_can_complete(options):
     assert result.routes == []
     assert result.stats.routes_enqueued == 0
     assert result.stats.routes_pruned_on_insert == 0
+
+
+def _sibling_network(with_a2: bool = True):
+    """Undirected: ``s`` reaches Ramen PoIs a1 and a2 at 1 and a3 at 2;
+    a1 reaches the Gift PoI b1 at 1, a2 the Gift PoI b2 at 3, and a3
+    the Gift PoI b3 at 1 (so every Ramen PoI's to-go value is 1, but
+    a2's, which is 3)."""
+    from repro.graph.road_network import RoadNetwork
+
+    from .conftest import small_forest
+
+    forest = small_forest()
+    net = RoadNetwork()
+    s = net.add_vertex()
+    pois = {}
+    for name, gift, weight, leg in [
+        ("a1", "b1", 1.0, 1.0),
+        ("a2", "b2", 1.0, 3.0),
+        ("a3", "b3", 2.0, 1.0),
+    ]:
+        if name == "a2" and not with_a2:
+            continue
+        pois[name] = net.add_poi(forest.resolve("Ramen"))
+        pois[gift] = net.add_poi(forest.resolve("Gift"))
+        net.add_edge(s, pois[name], weight)
+        net.add_edge(pois[name], pois[gift], leg)
+    return net, forest, s, pois
+
+
+def _triples(routes):
+    return [(r.pois, r.length, r.semantic) for r in routes]
+
+
+def test_a_sibling_is_read_at_the_thresholds_of_its_own_turn():
+    """a1 and a2 tie at distance 1, so the empty route's cursor hands
+    out ⟨a1⟩ first (by vertex id).  ⟨a1⟩'s subtree completes ⟨a1, b1⟩ at
+    length 2 before the cursor pops again, which drops the threshold
+    from infinity to 2.  Then a2 is read (its key 1 is within the budget
+    2 − 1, position 0's reserve being the least to-go value) and cut: its
+    floor 1 + 3 exceeds 2.  It is parked under the empty route as a
+    ``(PoI, length)`` pair and never built, so ⟨a1⟩ is the only route
+    queued; a3 (key 2) is past the budget and never read.  Built when
+    the empty route was first expanded, at an infinite threshold, ⟨a2⟩
+    and ⟨a3⟩ would have been queued and pruned on pop."""
+    net, forest, s, pois = _sibling_network()
+    compiled = SkySREngine(net, forest).compile(s, ["Ramen", "Gift"])
+    search = BSSRSearch(
+        net, compiled, options=BSSROptions(initial_search=False)
+    )
+    routes, stats = search.run()
+    assert _triples(routes) == _triples(
+        brute_force_skyband(net, compiled, 1)
+    )
+    assert [r.pois for r in routes] == [(pois["a1"], pois["b1"])]
+    assert stats.routes_enqueued == 1
+    assert stats.routes_pruned_on_insert == 1
+    assert stats.routes_pruned_on_pop == 0
+    # the empty route, parked where the budget stopped its one level,
+    # holding a2 as a cut pair
+    parked = [d for d in search.state.deferred if not d.route.pois]
+    assert [(d.consumed, d.cut) for d in parked] == [
+        ((2,), [(pois["a2"], 1.0)])
+    ]

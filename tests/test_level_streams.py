@@ -81,31 +81,28 @@ def _level_reads(stream, budget_of, keys):
     keys within the budget, as contiguous segments from the offset."""
     levels = len(stream.levels)
     for level in range(levels):
-        for callable_budget in (False, True):
-            budget = budget_of(level)
-            offsets = [0] * levels
-            for offset in range(len(stream.levels[level][1]) + 1):
-                offsets[level] = offset
-                budgets = [-math.inf] * levels
-                budgets[level] = budget
-                if callable_budget:
-                    budgets = [lambda b=b: b for b in budgets]
-                segments = list(
-                    stream.scored_until(budgets, start=tuple(offsets))
-                )
-                positions = stream.levels[level][1]
-                expected = offset
-                while (
-                    expected < len(positions)
-                    and keys[positions[expected]] <= budget
-                ):
-                    expected += 1
-                covered = offset
-                for found_level, lo, hi in segments:
-                    assert found_level == level
-                    assert lo == covered < hi
-                    covered = hi
-                assert covered == expected, (level, offset, budget)
+        budget = budget_of(level)
+        offsets = [0] * levels
+        for offset in range(len(stream.levels[level][1]) + 1):
+            offsets[level] = offset
+            budgets = [lambda: -math.inf] * levels
+            budgets[level] = lambda: budget
+            segments = list(
+                stream.scored_until(budgets, start=tuple(offsets))
+            )
+            positions = stream.levels[level][1]
+            expected = offset
+            while (
+                expected < len(positions)
+                and keys[positions[expected]] <= budget
+            ):
+                expected += 1
+            covered = offset
+            for found_level, lo, hi in segments:
+                assert found_level == level
+                assert lo == covered < hi
+                covered = hi
+            assert covered == expected, (level, offset, budget)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -234,7 +231,7 @@ def test_modified_dijkstra_level_views_under_a_to_go_potential(
             levels = len(spec.levels)
             list(
                 drained.scored_until(
-                    [math.inf] * levels, start=(0,) * levels
+                    [lambda: math.inf] * levels, start=(0,) * levels
                 )
             )
             assert drained.exhausted

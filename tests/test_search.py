@@ -38,9 +38,12 @@ def _line_instance():
 
 def _read(search, budget, start=None):
     """``(distance, vid, sim)`` of every candidate ``scored_until`` hands
-    out, in stream order, with the same ``budget`` (a float or a
-    callable) at every level, from per-level offsets ``start``."""
+    out, in stream order, with the same ``budget`` (a float, or a
+    callable read before every segment) at every level, from per-level
+    offsets ``start``."""
     levels = len(search.levels)
+    if not callable(budget):
+        budget = (lambda b=budget: b)
     found = []
     for level, lo, hi in search.scored_until(
         [budget] * levels, start=start or (0,) * levels
@@ -195,11 +198,11 @@ def test_compiled_query_end_to_end():
     assert [v for _, v, _ in _read(s1, math.inf)] == [gift]
 
 
-def test_float_budget_settles_a_burst_and_callable_budget_one_match():
-    """A constant budget is one segment per level after one burst of
-    settles; a callable one is a segment per match.  Both settle the
-    same vertices.  Three Ramen PoIs on a line make one level, so the
-    level is the whole stream."""
+def test_budget_hands_out_one_match_per_segment():
+    """A budget is re-read before every segment, and the search stops at
+    each match, so each segment holds one candidate and the search
+    settles only as far as the last one read.  Three Ramen PoIs on a
+    line make one level, so the level is the whole stream."""
     forest = small_forest()
     net = RoadNetwork()
     start = net.add_vertex()
@@ -210,31 +213,31 @@ def test_float_budget_settles_a_burst_and_callable_budget_one_match():
         PoIIndex(net, forest), HierarchyWuPalmer(), 0
     )
     assert spec.levels == (1.0,)
-    burst_stats, single_stats = SearchStats(), SearchStats()
-    burst = PoICandidateSearch(net, spec, start, stats=burst_stats)
-    single = PoICandidateSearch(net, spec, start, stats=single_stats)
-    assert list(burst.scored_until([2.5], start=(0,))) == [(0, 0, 2)]
-    assert list(single.scored_until([lambda: 2.5], start=(0,))) == [
-        (0, 0, 1),
+    stats = SearchStats()
+    single = PoICandidateSearch(net, spec, start, stats=stats)
+    reads = single.scored_until([lambda: 2.5], start=(0,))
+    assert next(reads) == (0, 0, 1)
+    # start and the first PoI: the second one waits for the next read
+    assert stats.settled == 2 and single.candidates == ramen[:1]
+    assert list(reads) == [(0, 1, 2)]
+    assert stats.settled == 3  # the third PoI (3.0) is past the budget
+    assert single.dists == [1.0, 2.0]
+    assert single.candidates == ramen[:2]
+    # a resumed consumer gets the replay, then the new match
+    assert list(single.scored_until([lambda: math.inf], start=(1,))) == [
         (0, 1, 2),
+        (0, 2, 3),
     ]
-    assert burst_stats == single_stats
-    assert burst.dists == single.dists == [1.0, 2.0]
-    assert burst.candidates == single.candidates == ramen[:2]
-    # a resumed consumer gets the replay and the new burst as one segment
-    assert list(burst.scored_until([math.inf], start=(1,))) == [(0, 1, 3)]
-    assert list(burst.scored_until([math.inf], start=(3,))) == []
+    assert list(single.scored_until([lambda: math.inf], start=(3,))) == []
 
 
-@pytest.mark.parametrize("callable_budget", [False, True])
-def test_budget_is_closed(callable_budget):
+def test_budget_is_closed():
     """A candidate exactly at the budget is within it: it can still tie
     the threshold.  The search settles up to the budget and no further."""
     net, spec, ids = _line_instance()
     stats = SearchStats()
     search = PoICandidateSearch(net, spec, ids["start"], stats=stats)
-    budget = (lambda: 2.0) if callable_budget else 2.0
-    found = _read(search, budget)
+    found = _read(search, 2.0)
     assert [(d, v) for d, v, _ in found] == [
         (1.0, ids["weak"]),
         (2.0, ids["perfect"]),
@@ -267,16 +270,28 @@ def test_ch_stream_bisects_once_per_budget():
     )
     # the budget is closed: both candidates at exactly 2.0 are within it,
     # and the row grows only that far
-    assert list(stream.scored_until([2.0], start=(0,))) == [(0, 0, 3)]
+    assert list(stream.scored_until([lambda: 2.0], start=(0,))) == [
+        (0, 0, 3)
+    ]
     assert list(stream.candidates) == [7, 3, 9]
     assert stream.radius == 2.0 and not stream.exhausted
-    assert list(stream.scored_until([1.5], start=(0,))) == [(0, 0, 1)]
-    assert list(stream.scored_until([3.0], start=(1,))) == [(0, 1, 3)]
+    assert list(stream.scored_until([lambda: 1.5], start=(0,))) == [
+        (0, 0, 1)
+    ]
+    assert list(stream.scored_until([lambda: 3.0], start=(1,))) == [
+        (0, 1, 3)
+    ]
+    # one bisect per budget value read: the second read finds nothing
     budgets = iter([3.0, 3.0])
     assert list(
         stream.scored_until([lambda: next(budgets)], start=(0,))
     ) == [(0, 0, 3)]
-    assert list(stream.scored_until([math.inf], start=(4,))) == []
+    # the budget is read again after each segment: a rising one reads on
+    budgets = iter([1.0, 2.0, 2.0])
+    assert list(
+        stream.scored_until([lambda: next(budgets)], start=(0,))
+    ) == [(0, 0, 1), (0, 1, 3)]
+    assert list(stream.scored_until([lambda: math.inf], start=(4,))) == []
     assert stream.exhausted and list(stream.candidates) == [7, 3, 9, 4]
 
 

@@ -14,11 +14,13 @@ Evidence that the service tier is genuinely stateless:
 from __future__ import annotations
 
 import itertools
+from dataclasses import asdict
 
 import pytest
 
 from repro.datasets.presets import mini_city
 from repro.service import API_VERSION, SessionApi, SkySRService
+from repro.service.api import PageResource
 from repro.store import DiskSessionStore, InMemorySessionStore
 
 CATS = ["Asian Restaurant", "Arts & Entertainment", "Gift Shop"]
@@ -98,6 +100,33 @@ def test_pages_match_in_process_oracle_session(api, service, city):
         assert body["exhausted"] == page.exhausted
         if page.exhausted:
             break
+
+
+def test_page_body_is_the_deep_copied_resource(api, service, city):
+    """Each route card's dict is built once and the page passes it
+    through: the body still equals the old form, a dataclass copy of the
+    page over dataclass copies of its cards, ``pois`` tuples included."""
+    sid = _create(api, city).body["session_id"]
+    oracle = service.engine.session(city.landmarks["vq"], CATS, page_size=2)
+    for _ in range(2):
+        body = api.dispatch("POST", f"/v1/sessions/{sid}/pages").body
+        page = oracle.next_page()
+        cards = service._capped(
+            service._cards(oracle.to_result(page), first_rank=page.first_rank)
+        )
+        old = asdict(
+            PageResource(
+                session_id=sid,
+                page=page.number,
+                first_rank=page.first_rank,
+                routes=[asdict(card) for card in cards],
+                resumed=page.resumed,
+                exhausted=page.exhausted,
+            )
+        )
+        assert body["routes"]
+        assert body == old
+        assert all(type(r["pois"]) is tuple for r in body["routes"])
 
 
 def test_two_api_instances_share_sessions_via_the_store(service, city):

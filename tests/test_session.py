@@ -110,6 +110,40 @@ def test_session_with_destination_matches_oracle(seed):
     assert scores(served) == scores(brute_force_topk(network, compiled, 4))
 
 
+@pytest.mark.parametrize(
+    "options",
+    [BSSROptions(), BSSROptions(use_contraction=True)],
+    ids=["default", "ch"],
+)
+def test_a_parent_whose_cursor_a_budget_stopped_resumes_exactly(options):
+    """Without a2 (see ``_sibling_network``), once ⟨a1, b1⟩ sets the
+    threshold to 2 the empty route's cursor stops at a3: its key 2 is
+    past the budget 2 − 1, and nothing was cut.  The cursor parks the
+    empty route at that offset, and the next page resumes it there:
+    pages of one route equal the one-shot ``k'`` runs rank for rank,
+    and page 2 is ⟨a3, b3⟩ (length 3), which only that parent reaches."""
+    from .test_expansion import _sibling_network, _triples
+
+    net, forest, s, pois = _sibling_network(with_a2=False)
+    engine = SkySREngine(net, forest)
+    cats = ["Ramen", "Gift"]
+    session = engine.session(s, cats, page_size=1, options=options)
+    served = list(session.next_page().routes)
+    parked = [
+        d for d in session._search.state.deferred if not d.route.pois
+    ]
+    assert [(d.consumed, d.cut) for d in parked] == [((1,), [])]
+    for k in range(2, 5):
+        page = session.next_page()
+        served += page.routes
+        one_shot = engine.query(s, cats, options=options.but(k=k))
+        assert _triples(served) == _triples(one_shot.topk(k)), k
+    assert [r.pois for r in served[:2]] == [
+        (pois["a1"], pois["b1"]),
+        (pois["a3"], pois["b3"]),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # resume efficiency (the benchmark acceptance, pinned as a property)
 

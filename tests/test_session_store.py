@@ -69,6 +69,8 @@ def page_fingerprint(page):
         "pois": [r.pois for r in page.routes],
         "first_rank": page.first_rank,
         "pops": page.stats.routes_expanded,
+        # a parked parent a resume pops again reads on from its offsets
+        "continued": page.stats.routes_continued,
         "exhausted": page.exhausted,
     }
 
@@ -387,6 +389,7 @@ print(json.dumps({
     "pois": [list(r.pois) for r in page.routes],
     "first_rank": page.first_rank,
     "pops": page.stats.routes_expanded,
+    "continued": page.stats.routes_continued,
 }))
 """
 
@@ -423,6 +426,7 @@ def test_cross_process_round_trip(tmp_path: Path):
     assert child["pois"] == [list(r.pois) for r in oracle_page2.routes]
     assert child["first_rank"] == oracle_page2.first_rank
     assert child["pops"] == oracle_page2.stats.routes_expanded
+    assert child["continued"] == oracle_page2.stats.routes_continued
     fresh = engine.query(start, cats, options=BSSROptions().but(k=4))
     assert child["pops"] < fresh.stats.routes_expanded
 

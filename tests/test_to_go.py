@@ -138,10 +138,13 @@ def test_floor_is_admissible_for_every_completion(seed, directed, destination):
 
 def _read(search, budget, start=None):
     """The stream positions ``scored_until`` hands out, in stream order,
-    with ``budget`` at every level, from per-level offsets ``start``."""
+    with the constant ``budget`` at every level, from per-level offsets
+    ``start``."""
     levels = len(search.levels)
     segments = list(
-        search.scored_until([budget] * levels, start=start or (0,) * levels)
+        search.scored_until(
+            [lambda: budget] * levels, start=start or (0,) * levels
+        )
     )
     return sorted(
         i for level, lo, hi in segments for i in search.levels[level][1][lo:hi]
@@ -170,8 +173,7 @@ def test_a_stream_on_a_to_go_row_is_keyed_by_the_remaining_route(
     next row's value (the destination leg at the last position);
     ``scored_until(B)`` covers exactly the candidates keyed at most
     ``B``, on a fresh stream and on one already drained past ``B``; a
-    burst, a callable budget read one candidate at a time and a fresh
-    instance replayed from an offset hand out the same stream."""
+    fresh instance replayed from an offset hands out the same stream."""
     network, _, compiled = _query(
         seed, directed, size=4, destination=destination
     )
@@ -205,17 +207,12 @@ def test_a_stream_on_a_to_go_row_is_keyed_by_the_remaining_route(
             budgets = [-1.0, *keys, *midpoints]
             for budget in budgets:
                 within = [t for t in full if t[1] <= budget]
-                burst, _ = _stream(network, spec, source, field, budget)
-                assert burst == within, (j, source, budget)
-                # a stream another consumer drained past the budget
-                # hands out the same prefix, burst or one at a time
-                for cut in (budget, lambda b=budget: b):
-                    reread = _read(warm, cut)
-                    assert reread == list(range(len(within))), (j, budget)
-                single, _ = _stream(
-                    network, spec, source, field, lambda b=budget: b
-                )
+                single, _ = _stream(network, spec, source, field, budget)
                 assert single == within, (j, source, budget)
+                # a stream another consumer drained past the budget
+                # hands out the same prefix
+                reread = _read(warm, budget)
+                assert reread == list(range(len(within))), (j, budget)
                 # a fresh instance replayed from per-level offsets: half
                 # of each level's candidates within the budget
                 level_of = [

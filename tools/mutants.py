@@ -64,8 +64,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "bisect-dists-not-keys",
         "src/repro/core/search.py",
-        "            key = keys.__getitem__\n",
-        "            key = self.dists.__getitem__\n",
+        "                if keys[positions[i]] > limit:\n",
+        "                if self.dists[positions[i]] > limit:\n",
         (
             "tests/test_level_streams.py::"
             "test_modified_dijkstra_level_views_under_a_to_go_potential",
@@ -125,10 +125,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "level-budgets-at-the-lowest-level",
         "src/repro/core/bssr.py",
-        "                threshold(semantic) - length - reserve\n"
-        "                for semantic in semantics\n",
-        "                threshold(semantics[-1]) - length - reserve\n"
-        "                for semantic in semantics\n",
+        "            lambda semantic=semantic: threshold(semantic)"
+        " - length - reserve\n",
+        "            lambda semantic=semantic: threshold(semantics[-1])"
+        " - length - reserve\n",
         ("tests/test_differential.py",),
     ),
     Mutant(
@@ -150,6 +150,45 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_session_store.py::"
             "test_ch_restored_pages_do_not_depend_on_stream_growth",
+        ),
+    ),
+    Mutant(
+        "replay-keeps-every-cut-child",
+        "src/repro/core/bssr.py",
+        "                if prunable(length, semantic, state, vid):\n"
+        "                    kept.append((vid, length))\n",
+        "                if True:\n"
+        "                    kept.append((vid, length))\n",
+        (
+            "tests/test_session.py::"
+            "test_concatenated_pages_match_brute_force_oracle",
+            "tests/test_session_store.py::"
+            "test_skyband_members_are_archived_and_restored_resumes_are_exact",
+        ),
+    ),
+    Mutant(
+        "replay-keeps-every-cut-completion",
+        "src/repro/core/bssr.py",
+        "                if length > threshold(semantic):\n"
+        "                    skyline.rejects += 1\n",
+        "                if True:\n"
+        "                    skyline.rejects += 1\n",
+        (
+            "tests/test_session_store.py::"
+            "test_skyband_members_are_archived_and_restored_resumes_are_exact",
+        ),
+    ),
+    Mutant(
+        "cursor-end-drops-a-stopped-parent",
+        "src/repro/core/bssr.py",
+        "                )\n"
+        "        self._park(route, search, offsets, cut)\n",
+        "                )\n"
+        "        if cut:\n"
+        "            self._park(route, search, offsets, cut)\n",
+        (
+            "tests/test_session.py::"
+            "test_a_parent_whose_cursor_a_budget_stopped_resumes_exactly",
         ),
     ),
     Mutant(
