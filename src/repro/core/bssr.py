@@ -303,8 +303,6 @@ class BSSRSearch:
         # per position, each level's aggregator state and semantic score
         # by the aggregator state of the route extended there
         self._level_scores: list[dict] = [{} for _ in query.specs]
-        # cursor entries on the queue (``max_queue_size`` counts routes)
-        self._cursors = 0
 
     # Durable checkpoints ----------------------------------------------
 
@@ -353,7 +351,9 @@ class BSSRSearch:
             self._finish(started)
             return [], self.stats
 
-        if self.query.destination is not None:
+        if self.query.destination is not None and self.dest_dist is None:
+            # a caller may hand in the field of an earlier search to the
+            # same destination (the orders of an unordered query)
             self.state.dest_dist = self._make_dest_dist()  # type: ignore[assignment]
 
         if self.options.initial_search:
@@ -537,7 +537,6 @@ class BSSRSearch:
             if consumed is None:
                 # a cursor: ``cut`` is the generator over the parent's
                 # stream
-                self._cursors -= 1
                 stats.routes_continued += 1
                 self._advance(route, cut)
                 continue
@@ -836,8 +835,8 @@ class BSSRSearch:
             queue, (priority, self.state.next_serial(), route, consumed, cut)
         )
         self.stats.routes_enqueued += 1
-        if len(queue) - self._cursors > self.stats.max_queue_size:
-            self.stats.max_queue_size = len(queue) - self._cursors
+        if len(queue) > self.stats.max_queue_size:
+            self.stats.max_queue_size = len(queue)
         return priority
 
     def _advance(
@@ -851,11 +850,13 @@ class BSSRSearch:
         if child is None:
             return
         priority = self._push(child, self._fresh[child.size])
+        queue = self.state.queue
         heapq.heappush(
-            self.state.queue,
-            (priority, self.state.next_serial(), route, None, cursor),
+            queue, (priority, self.state.next_serial(), route, None, cursor)
         )
-        self._cursors += 1
+        # ``max_queue_size`` counts every entry, cursors included
+        if len(queue) > self.stats.max_queue_size:
+            self.stats.max_queue_size = len(queue)
 
     def _candidate_search(
         self, route: PartialRoute, position: int

@@ -46,6 +46,7 @@ class SearchStats:
     #: one-shot queries included: pruned on pop, budget-truncated, or
     #: holding the children or completions their prune test cut
     routes_deferred: int = 0
+    #: the most entries ``Q_b`` held at once, routes and cursors alike
     max_queue_size: int = 0
 
     # skyline set

@@ -17,7 +17,8 @@ itself).
 
 Every order's search starts from the skyband the earlier orders left,
 and the last one's skyband is the answer; NNinit seeds it only while it
-is still empty.  This is exact: BSSR prunes a
+is still empty.  The distances to a destination are built by the first
+order and handed to the later ones.  This is exact: BSSR prunes a
 route only when ``k`` routes already in the skyband are no longer and
 no worse, and every member is a real unordered route, whichever order
 found it; :meth:`~repro.core.dominance.SkybandSet.update` keeps the same
@@ -85,6 +86,7 @@ def run_unordered_skysr(
     stats = SearchStats(algorithm="unordered-bssr")
     started = perf_counter()
     skyband = SkybandSet(options.k)
+    dest_dist = None
     for ordered in category_orders(query):
         if limit is not None:
             options = options.but(
@@ -98,7 +100,10 @@ def run_unordered_skysr(
             network, ordered, aggregator, options, shared_cache=distance_cache
         )
         search.state.skyband = skyband
+        # one field to the destination serves every order
+        search.state.dest_dist = dest_dist
         _, order_stats = search.run()
+        dest_dist = search.state.dest_dist
         stats.merge(order_stats)
     stats.elapsed = perf_counter() - started
     stats.result_size = len(skyband)

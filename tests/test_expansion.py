@@ -82,23 +82,24 @@ def test_one_shot_and_checkpointable_runs_count_the_same_work(seed, name, k):
 #: position a cursor hands the children out one at a time, each read at
 #: the thresholds of its own turn, and each is popped right after it is
 #: queued: so no route is pruned on pop, and the queue holds one route
-#: at a time besides the cursors.
+#: at a time besides the cursors, one per position below the final
+#: (``max_queue_size`` counts both, so it reads |Sq| = 3).
 GOLDEN_WORK = {
     "default": [
-        (7, 7, 0, 6, 2, 2, 308, 1186, 353, 8, 1),
-        (41, 41, 0, 2, 9, 6, 4586, 17390, 5918, 32, 1),
-        (8, 8, 0, 1, 6, 6, 972, 3701, 793, 7, 1),
-        (7, 7, 0, 5, 4, 3, 2149, 8065, 1892, 7, 1),
-        (17, 17, 0, 4, 14, 24, 2786, 10481, 2626, 12, 1),
-        (4, 4, 0, 0, 2, 1, 234, 880, 118, 4, 1),
+        (7, 7, 0, 6, 2, 2, 308, 1186, 353, 8, 3),
+        (41, 41, 0, 2, 9, 6, 4586, 17390, 5918, 32, 3),
+        (8, 8, 0, 1, 6, 6, 972, 3701, 793, 7, 3),
+        (7, 7, 0, 5, 4, 3, 2149, 8065, 1892, 7, 3),
+        (17, 17, 0, 4, 14, 24, 2786, 10481, 2626, 12, 3),
+        (4, 4, 0, 0, 2, 1, 234, 880, 118, 4, 3),
     ],
     "ch": [
-        (11, 11, 0, 14, 3, 2, 1361, 7809, 0, 0, 1),
-        (45, 45, 0, 46, 12, 8, 1931, 11165, 0, 0, 1),
-        (9, 9, 0, 2, 6, 8, 326, 1859, 0, 0, 1),
-        (10, 10, 0, 7, 8, 3, 530, 2875, 0, 0, 1),
-        (17, 17, 0, 6, 14, 24, 173, 991, 0, 0, 1),
-        (5, 5, 0, 1, 2, 1, 384, 2088, 0, 0, 1),
+        (11, 11, 0, 14, 3, 2, 1361, 7809, 0, 0, 3),
+        (45, 45, 0, 46, 12, 8, 1931, 11165, 0, 0, 3),
+        (9, 9, 0, 2, 6, 8, 326, 1859, 0, 0, 3),
+        (10, 10, 0, 7, 8, 3, 530, 2875, 0, 0, 3),
+        (17, 17, 0, 6, 14, 24, 173, 991, 0, 0, 3),
+        (5, 5, 0, 1, 2, 1, 384, 2088, 0, 0, 3),
     ],
 }
 

@@ -126,3 +126,37 @@ def test_expansion_cap_covers_every_order():
             compiled,
             options=BSSROptions(max_routes_expanded=total - 1),
         )
+
+
+def test_every_order_shares_one_destination_field(monkeypatch):
+    """An unordered query runs the reverse Dijkstra to its destination
+    once, not once per category order, and still answers exactly."""
+    import repro.core.bssr as bssr
+    from repro import SkySREngine
+    from repro.datasets import generate_workload, tokyo_like
+
+    calls = []
+    sweep = bssr.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(bssr, "dijkstra", counted)
+    dataset = tokyo_like(scale=0.12)
+    network = dataset.network
+    engine = SkySREngine(network, dataset.forest)
+    queries = generate_workload(dataset, 3, 5, seed=3)
+    for i, q in enumerate(queries):
+        destination = (q.start + 97 * (i + 1)) % network.num_vertices
+        del calls[:]
+        result = engine.query(
+            q.start, list(q.categories), destination=destination,
+            ordered=False,
+        )
+        assert len(calls) == 1
+        compiled = engine.compile(
+            q.start, list(q.categories), destination=destination
+        )
+        expected = brute_force_unordered(network, compiled)
+        assert _rows(result.routes) == _rows(expected)

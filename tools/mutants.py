@@ -192,6 +192,20 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "witness-only-strictly-below-the-shortcut",
+        "src/repro/graph/contraction.py",
+        "                        if nd <= open_.get(b, -1.0):\n",
+        "                        if nd < open_.get(b, -1.0):\n",
+        ("tests/test_hierarchy_pin.py",),
+    ),
+    Mutant(
+        "witness-search-stops-at-its-first-decision",
+        "src/repro/graph/contraction.py",
+        "            while heap and cap and open_:\n",
+        "            while heap and cap and len(open_) == len(weights):\n",
+        ("tests/test_hierarchy_pin.py",),
+    ),
+    Mutant(
         "docstring-only-control",
         "src/repro/core/bssr.py",
         "offered is archived first.",
