@@ -53,14 +53,18 @@ parks its parent once the stream is done.  Every cursor runs out inside
 the drain that queued it, so a drained search — a checkpoint — holds
 no cursor, only parked parents with their offsets and cut pairs.
 :meth:`BSSRSearch.resume` widens the skyband to a larger ``k'``,
-recomputes the (now looser) lower bounds, re-tests every parked pair
-against them, pushes the children that pass (offers the completions to
-the skyband), re-enqueues every prefix whose stream was cut, and drains
-the queue again.  Resume is exact: the prune tests
-are monotone and thresholds only fall within a drain, so a pair that
-fails its re-test would fail at pop too, and a completion above the
-threshold has ``k'`` strictly shorter members with a semantic score no
-worse.  Every route of the fresh ``k'`` search is thus already
+recomputes the (now looser) lower bounds, queues every parked parent
+again as an ordinary route carrying its offsets and cut pairs, and
+drains the queue.  A parent still prunable on pop is parked again as it
+stands; one that is expanded hands out its cut pairs first, each
+re-tested at the thresholds of its own turn, through the same cursor
+(or, at the final position, the same completion loop) that then reads
+its stream on from the stored offsets, so children are built and
+completions offered in one place each.  Resume is exact: the prune
+tests are monotone and thresholds only fall within a drain, so a pair
+that fails its re-test would fail at pop too, and a completion above
+the threshold has ``k'`` strictly shorter members with a semantic score
+no worse.  Every route of the fresh ``k'`` search is thus already
 archived, still parked, or reachable from a parked prefix — so
 pagination (ranks ``k+1 .. k'``) never recomputes the routes the first
 pass settled.  This is what :class:`~repro.core.session.PlanningSession`
@@ -139,7 +143,8 @@ class _Deferred:
     position, how far into that level's view of its candidate stream
     the previous pass got before the level's budget (or a prune on pop)
     stopped it; ``None`` when every level was consumed to the end of the
-    stream.  ``cut`` holds each child (or, at the final position, each
+    stream (a resume queues such a parent at ``()`` offsets, and it opens
+    no stream).  ``cut`` holds each child (or, at the final position, each
     completion) the prune test rejected, as ``(PoI, length)``: the rest
     of it follows from the parent.
     """
@@ -163,9 +168,10 @@ class SearchState:
             search one shared band).
         archive: every completed route the search itself offered to the
             skyband, keyed by PoI tuple (which fixes a route's scores).
-            The search records a route here where it offers one, in
-            :meth:`BSSRSearch._complete` and :meth:`BSSRSearch._replay`.
-            NNinit's offers are not recorded, and need not be: a route
+            The search records a route here where it offers one, which
+            is in :meth:`BSSRSearch._complete` only: a fresh completion
+            and a parked one a resume re-admits go through the same
+            loop.  NNinit's offers are not recorded, and need not be: a route
             left in the final k-skyband has fewer than ``k`` members
             dominating it, so its length never exceeds a threshold at
             its semantic score, no prune test or budget cuts one of its
@@ -182,16 +188,19 @@ class SearchState:
             whose stream a level's budget cut, and the children and
             completions their prune tests cut — kept instead of
             discarded so a wider ``k`` can take it up again.
-        queue: the route priority queue ``Q_b`` of ``(priority, serial,
-            route, consumed, cut)`` entries; ``consumed`` is the route's
-            per-level stream offsets (all 0 for a fresh child) and
-            ``cut`` a replayed parent's still-cut pairs, ``None`` for a
-            fresh child.  A *cursor* entry ``(priority, serial, parent,
-            None, cursor)`` sits right behind the child it last handed
-            out (same priority, next serial) and holds the generator
-            over the parent's stream that hands out the next one
-            (:meth:`BSSRSearch._advance`).  Every drain empties the
-            queue, cursors included, so a checkpoint never holds one.
+        queue: the route priority queue ``Q_b``, of two entry shapes.
+            A *route* entry ``(priority, serial, route, consumed,
+            stored)`` holds the route's per-level stream offsets (all 0
+            for a fresh child; ``()`` for a parked parent whose stream
+            was read to its end, which opens no stream) and ``stored``,
+            the cut pairs of a parked parent a resume queued again
+            (``None`` for a fresh child).  A *cursor* entry ``(priority,
+            serial, parent, None, cursor)`` sits right behind the child
+            it last handed out (same priority, next serial) and holds
+            the generator over the parent's candidates that hands out
+            the next one (:meth:`BSSRSearch._advance`).  Every drain
+            empties the queue, cursors included, so a checkpoint never
+            holds one.
         dest_dist: reverse distances to the destination, if any.
         cache: the on-the-fly modified-Dijkstra cache (Section 5.3.4) —
             shared across resumes, which is a large part of why resuming
@@ -209,10 +218,14 @@ class SearchState:
     archive: dict[tuple[int, ...], SkylineRoute] = field(default_factory=dict)
     deferred: list[_Deferred] = field(default_factory=list)
     queue: list[
-        tuple[tuple, int, PartialRoute, tuple[int, ...], Cut | None]
-    ] = field(
-        default_factory=list
-    )
+        tuple[
+            tuple,
+            int,
+            PartialRoute,
+            tuple[int, ...] | None,
+            Cut | Iterator[PartialRoute] | None,
+        ]
+    ] = field(default_factory=list)
     dest_dist: dict[int, float] | None = None
     cache: dict[tuple[int, int], PoICandidateSearch] = field(
         default_factory=dict
@@ -392,9 +405,13 @@ class BSSRSearch:
 
         Rebuilds the skyband from the archive at the larger ``k``,
         recomputes the lower bounds (the ``l̄(ϕ)`` radius grows with the
-        k-th perfect length; the to-go rows are reused), replays every
-        deferred parent (:meth:`_replay`), and drains the queue under the
-        relaxed thresholds.  Returns the full
+        k-th perfect length; the to-go rows are reused), queues every
+        parked parent again as an ordinary route entry carrying its
+        offsets and cut pairs (``()`` offsets for one whose stream was
+        read to its end), and drains the queue under the relaxed
+        thresholds: :meth:`_drain` prune-tests each parent on pop and
+        :meth:`_expand` hands out its cut pairs ahead of the rest of its
+        stream.  Returns the full
         widened skyband plus the stats of *this leg only*, so callers
         can compare resume cost against a from-scratch run.
         """
@@ -427,7 +444,7 @@ class BSSRSearch:
         self._bind_prune_tests()
         deferred, state.deferred = state.deferred, []
         for item in deferred:
-            self._replay(item)
+            self._push(item.route, item.consumed or (), item.cut)
         self.stats.extra["deferred_replayed"] = len(deferred)
         self._drain()
         self._finish(started)
@@ -517,12 +534,21 @@ class BSSRSearch:
         A popped cursor hands out its parent's next child
         (:meth:`_advance`) without a second prune test of the parent or
         the setup of :meth:`_expand`.  A route pruned on pop is parked
-        as it stands, with its offsets and any pairs a replay left cut
-        under it.  A route popped at its fresh offsets opens its stream
+        as it stands, with its offsets and the cut pairs it carries.  A
+        route popped at its fresh offsets opens its stream
         (``routes_expanded``); one popped at stored offsets, a parent a
-        resume re-queued where a budget stopped it, reads on where its
-        earlier pop left off, and counts with the cursors as
+        resume queued again, hands out its cut pairs and reads on where
+        its earlier pop left off, and counts with the cursors as
         ``routes_continued``.
+
+        Under the proposed order a child is popped right after its
+        cursor queues it, at the thresholds it was tested at, so the pop
+        test prunes only parked parents a resume queued again.  Under
+        ``priority_queue=False`` a queued child can wait behind routes
+        whose completions tighten the thresholds, and fresh children are
+        pruned on pop too: on 100 seed-1 ``v1_paging`` sessions (pages
+        of 3) about 6.8 per first page and 6.9 per later page, beside
+        10.7 parents.
         """
         queue = self.state.queue
         deferred = self.state.deferred
@@ -548,7 +574,8 @@ class BSSRSearch:
                 pois[-1] if pois else start,
             ):
                 stats.routes_pruned_on_pop += 1
-                deferred.append(_Deferred(route, consumed, cut or []))
+                # ``()`` offsets mark a parent read to its end
+                deferred.append(_Deferred(route, consumed or None, cut or []))
                 continue
             if consumed != fresh[len(pois)]:
                 stats.routes_continued += 1
@@ -562,7 +589,7 @@ class BSSRSearch:
                     )
             self._expand(route, consumed, cut)
         # run() starts the list empty and resume() takes it over before
-        # replaying, so it holds exactly what this leg parked
+        # queuing its parents, so it holds exactly what this leg parked
         stats.routes_deferred = len(deferred)
 
     def _finish(self, started: float) -> None:
@@ -764,63 +791,6 @@ class BSSRSearch:
 
         return prunable
 
-    def _replay(self, item: _Deferred) -> None:
-        """Take a parked parent up again under the current bounds.
-
-        Each cut ``(PoI, length)`` is re-tested before anything is
-        built: a child that passes is pushed, a completion within the
-        threshold is offered to the skyband, and the rest stay parked
-        under the parent, counted as cut again.  The leg is stored, so
-        no stream is read.  A parent whose stream was cut is pushed
-        with its offset, carrying those pairs, so a parent stays one
-        entry however often it is parked.
-        """
-        route = item.route
-        pois = route.pois
-        sims = route.sims
-        sem_state = route.sem_state
-        extend = self.aggregator.extend
-        score = self.aggregator.score
-        sim_of = self.query.specs[route.size].sim_map.__getitem__
-        kept: Cut = []
-        if route.size + 1 == self.n:
-            skyline = self.skyline
-            threshold = skyline.threshold
-            archive = self.state.archive
-            for vid, length in item.cut:
-                sim = sim_of(vid)
-                semantic = score(extend(sem_state, sim))
-                if length > threshold(semantic):
-                    skyline.rejects += 1
-                    kept.append((vid, length))
-                    continue
-                done = SkylineRoute(
-                    pois + (vid,), length, semantic, sims + (sim,)
-                )
-                archive[done.pois] = done
-                skyline.update(done)
-        else:
-            prunable = self._prune_tests[route.size + 1]
-            fresh = self._fresh[route.size + 1]
-            for vid, length in item.cut:
-                sim = sim_of(vid)
-                state = extend(sem_state, sim)
-                semantic = score(state)
-                if prunable(length, semantic, state, vid):
-                    kept.append((vid, length))
-                    continue
-                self._push(
-                    PartialRoute(
-                        pois + (vid,), length, semantic, state, sims + (sim,)
-                    ),
-                    fresh,
-                )
-            self.stats.routes_pruned_on_insert += len(kept)
-        if item.consumed is not None:
-            self._push(route, item.consumed, kept)
-        elif kept:
-            self.state.deferred.append(_Deferred(route, None, kept))
-
     def _push(
         self,
         route: PartialRoute,
@@ -940,7 +910,7 @@ class BSSRSearch:
         self,
         route: PartialRoute,
         consumed: tuple[int, ...],
-        cut: Cut | None = None,
+        stored: Cut | None = None,
     ) -> None:
         """Algorithm 1 lines 7–9: extend ``route`` at its next position.
 
@@ -970,12 +940,15 @@ class BSSRSearch:
 
         ``consumed`` holds one offset per level: the candidates a
         previous pass already processed (deterministic stream order
-        makes each offset exact).  The route is parked once, when its
-        stream is done (:meth:`_park`): if a budget cut a level short
-        (with the new offsets, so a resumed search picks up the rest)
-        or if any child or completion was cut (as ``(PoI, length)``
-        pairs, re-tested on resume).  ``cut`` holds the pairs a replay
-        left parked, which new ones join.
+        makes each offset exact); ``()`` for a parent whose stream was
+        read to its end, which opens no stream at all.  ``stored`` holds
+        the pairs a parked parent's earlier pass cut: both loops take
+        them up, each re-tested in turn, before the stream
+        (:meth:`_candidates`).  The route is parked once, when its
+        candidates are done (:meth:`_park`): if a budget cut a level
+        short (with the new offsets, so a resumed search picks up the
+        rest) or if any child or completion was cut (as ``(PoI,
+        length)`` pairs, re-tested on resume).
         """
         position = route.size
         reserve = self._reserve[position]
@@ -998,12 +971,12 @@ class BSSRSearch:
                 [self.aggregator.score(state) for state in extended],
             )
         extended, semantics = found
-        if self.options.use_contraction:
+        if not consumed:
+            search = None
+        elif self.options.use_contraction:
             search = self._ch_stream(route, position)
         else:
             search = self._candidate_search(route, position)
-        if cut is None:
-            cut = []
         # Lemma 5.3 break, per level: read only while a candidate at
         # this key could still reach the threshold at the level's
         # semantic score; the stream keeps a candidate exactly at the
@@ -1018,172 +991,192 @@ class BSSRSearch:
             for semantic in semantics
         ]
         if position + 1 == self.n:
-            offsets = list(consumed)  # advanced as levels are read
             self._complete(
-                route, search, consumed, offsets, semantics, budgets, cut
+                route, search, consumed, semantics, budgets, stored
             )
-            self._park(route, search, offsets, cut)
         else:
             cursor = self._cursor(
-                route, search, consumed, extended, semantics, budgets, cut
+                route, search, consumed, extended, semantics, budgets, stored
             )
             self._advance(route, cursor)
 
     def _park(
         self,
         route: PartialRoute,
-        search: CHCandidateStream | PoICandidateSearch,
+        search: CHCandidateStream | PoICandidateSearch | None,
         offsets: list[int],
         cut: Cut,
     ) -> None:
-        """Park ``route`` once its stream is done, if a budget cut a
-        level short or anything was cut.
+        """Park ``route`` once its candidates are done, if a budget cut
+        a level short or anything was cut.
 
         Did a budget cut the stream?  The decision is a function of the
         stream and the final offsets alone (is a candidate left beyond
         them?), so a cached search that another consumer drained past
         the budgets defers exactly like a fresh one rebuilt after a
-        restore, whatever field drove either.  The empty route's stream
-        is the first search: its radius once the run is done with it is
-        the Table 7 weight sum.
+        restore, whatever field drove either; a parent that opened no
+        stream (``search is None``) was read to its end before.  The
+        empty route's stream is the first search: its radius once the
+        run is done with it is the Table 7 weight sum.
         """
-        stopped = any(
-            offset < len(view)
-            for offset, (_, view) in zip(offsets, search.levels)
-        ) or not search.exhausted
+        stopped = search is not None and (
+            any(
+                offset < len(view)
+                for offset, (_, view) in zip(offsets, search.levels)
+            )
+            or not search.exhausted
+        )
         if stopped or cut:
             # park the prefix so a wider search can resume it exactly
             # where this pass stopped
             self.state.deferred.append(
                 _Deferred(route, tuple(offsets) if stopped else None, cut)
             )
-        if not route.pois and not self._first_radius_recorded:
+        if (
+            search is not None
+            and not route.pois
+            and not self._first_radius_recorded
+        ):
             self.stats.first_search_radius = search.radius
             self._first_radius_recorded = True
+
+    def _candidates(
+        self,
+        route: PartialRoute,
+        search: CHCandidateStream | PoICandidateSearch | None,
+        consumed: tuple[int, ...],
+        budgets: list[Callable[[], float]],
+        stored: Cut | None,
+        cut: Cut,
+        leg: Callable[[int, float], float] | None = None,
+    ) -> Iterator[tuple[int, int, float]]:
+        """Yield each candidate of ``route``'s next position still to be
+        tested, as ``(level, PoI, length)``, and park the route
+        (:meth:`_park`) with the consumer's ``cut`` once they run out.
+
+        First come the ``stored`` pairs, a parked parent's earlier cuts,
+        with their lengths as kept (a completion's includes its
+        destination leg).  Then the stream, unless ``search`` is
+        ``None``: from the ``consumed`` offsets on, level by level, each
+        within its level's budget; ``leg`` adds the destination leg at
+        the final position and skips a candidate that cannot reach it.
+        The skyband moves between two candidates (a completion is
+        offered, or a child's subtree runs), so a segment is re-checked
+        against its level's budget once the skyband's version moves.
+        """
+        spec = self.query.specs[route.size]
+        if stored:
+            level_of = {sim: level for level, sim in enumerate(spec.levels)}
+            sim_of = spec.sim_map
+            for vid, length in stored:
+                yield level_of[sim_of[vid]], vid, length
+        offsets = list(consumed)  # advanced as levels are read
+        if search is not None:
+            skyline = self.skyline
+            dists = search.dists
+            keys = search.keys
+            vids = search.candidates
+            views = search.levels
+            pois = route.pois
+            length = route.length
+            for level, lo, hi in search.scored_until(budgets, start=consumed):
+                positions = views[level][1]
+                budget = budgets[level]
+                offsets[level] = hi
+                version = skyline.version
+                limit = math.inf
+                for j in range(lo, hi):
+                    if skyline.version != version:
+                        version = skyline.version
+                        limit = budget()
+                    i = positions[j]
+                    if keys[i] > limit:
+                        offsets[level] = j
+                        break
+                    vid = vids[i]
+                    if vid in pois:
+                        continue  # distinctness (Definition 3.4 iii)
+                    total = length + dists[i]
+                    if leg is not None:
+                        extra = leg(vid, math.inf)
+                        if extra == math.inf:
+                            continue
+                        total = total + extra
+                    yield level, vid, total
+        self._park(route, search, offsets, cut)
 
     def _cursor(
         self,
         route: PartialRoute,
-        search: CHCandidateStream | PoICandidateSearch,
+        search: CHCandidateStream | PoICandidateSearch | None,
         consumed: tuple[int, ...],
         extended: list,
         semantics: list[float],
         budgets: list[Callable[[], float]],
-        cut: Cut,
+        stored: Cut | None,
     ) -> Iterator[PartialRoute]:
-        """Yield the children of ``route`` within their level's budget,
-        one at a time, from the ``consumed`` offsets on; append each one
-        the prune test rejects to ``cut`` as ``(PoI, length)``, and park
-        the route (:meth:`_park`) once the stream is done.
-
-        The skyband moves between two children (the first one's subtree
-        runs in between), so a segment is re-checked against its level's
-        budget once the skyband's version moves, and each child is
-        tested at the thresholds of its own turn.
+        """Yield the children of ``route`` that pass the prune test, one
+        at a time, each tested at the thresholds of its own turn: the
+        ``stored`` pairs first, then the stream from the ``consumed``
+        offsets on (:meth:`_candidates`, which parks the route at the
+        end).  Each child the test rejects is cut as ``(PoI, length)``.
         """
         prunable = self._prune_tests[route.size + 1]
-        skyline = self.skyline
         stats = self.stats
-        dists = search.dists
-        keys = search.keys
-        vids = search.candidates
-        views = search.levels
+        levels = self.query.specs[route.size].levels
         pois = route.pois
         sims = route.sims
-        length = route.length
-        offsets = list(consumed)  # advanced as levels are read
-        for level, lo, hi in search.scored_until(budgets, start=consumed):
-            sim, positions = views[level]
-            state = extended[level]
+        cut: Cut = []
+        for level, vid, length in self._candidates(
+            route, search, consumed, budgets, stored, cut
+        ):
             semantic = semantics[level]
-            budget = budgets[level]
-            child_sims = sims + (sim,)
-            offsets[level] = hi
-            version = skyline.version
-            limit = math.inf
-            for j in range(lo, hi):
-                if skyline.version != version:
-                    version = skyline.version
-                    limit = budget()
-                i = positions[j]
-                if keys[i] > limit:
-                    offsets[level] = j
-                    break
-                vid = vids[i]
-                if vid in pois:
-                    continue  # distinctness (Definition 3.4 iii)
-                child_length = length + dists[i]
-                if prunable(child_length, semantic, state, vid):
-                    cut.append((vid, child_length))
-                    stats.routes_pruned_on_insert += 1
-                    continue
-                yield PartialRoute(
-                    pois + (vid,), child_length, semantic, state, child_sims
-                )
-        self._park(route, search, offsets, cut)
+            state = extended[level]
+            if prunable(length, semantic, state, vid):
+                cut.append((vid, length))
+                stats.routes_pruned_on_insert += 1
+                continue
+            yield PartialRoute(
+                pois + (vid,), length, semantic, state, sims + (levels[level],)
+            )
 
     def _complete(
         self,
         route: PartialRoute,
-        search: CHCandidateStream | PoICandidateSearch,
+        search: CHCandidateStream | PoICandidateSearch | None,
         consumed: tuple[int, ...],
-        offsets: list[int],
         semantics: list[float],
         budgets: list[Callable[[], float]],
-        cut: Cut,
+        stored: Cut | None,
     ) -> None:
-        """Offer ``route``'s completions within their level's budget to
-        the skyband, from the ``consumed`` offsets on, and append each
-        one above the threshold to ``cut`` as ``(PoI, length)``;
-        ``offsets`` advance to where each level stopped.  Each route
+        """Offer ``route``'s completions to the skyband: the ``stored``
+        pairs first, each re-tested, then the stream from the
+        ``consumed`` offsets on (:meth:`_candidates`, which parks the
+        route at the end).  Each completion above the threshold at its
+        semantic score is cut as ``(PoI, length)``; each route
         offered is archived first.
-
-        Every offer may tighten the budgets, so a segment is re-checked
-        against its level's budget once the skyband's version moves.
         """
         skyline = self.skyline
         threshold = skyline.threshold
         update = skyline.update
         archive = self.state.archive
         leg = self.dest_dist.get if self.dest_dist is not None else None
-        dists = search.dists
-        keys = search.keys
-        vids = search.candidates
-        views = search.levels
+        levels = self.query.specs[route.size].levels
         pois = route.pois
         sims = route.sims
-        length = route.length
-        for level, lo, hi in search.scored_until(budgets, start=consumed):
-            sim, positions = views[level]
+        cut: Cut = []
+        for level, vid, total in self._candidates(
+            route, search, consumed, budgets, stored, cut, leg
+        ):
             semantic = semantics[level]
-            budget = budgets[level]
-            done_sims = sims + (sim,)
-            offsets[level] = hi
-            version = skyline.version
-            limit = math.inf
-            for j in range(lo, hi):
-                if skyline.version != version:
-                    version = skyline.version
-                    limit = budget()
-                i = positions[j]
-                if keys[i] > limit:
-                    offsets[level] = j
-                    break
-                vid = vids[i]
-                if vid in pois:
-                    continue  # distinctness (Definition 3.4 iii)
-                total = length + dists[i]
-                if leg is not None:
-                    extra = leg(vid, math.inf)
-                    if extra == math.inf:
-                        continue
-                    total = total + extra
-                if total > threshold(semantic):
-                    # k members are strictly shorter at a semantic score
-                    # no worse: update() would reject it as dominated
-                    skyline.rejects += 1
-                    cut.append((vid, total))
-                    continue
-                done = SkylineRoute(pois + (vid,), total, semantic, done_sims)
-                archive[done.pois] = done
-                update(done)
+            if total > threshold(semantic):
+                # k members are strictly shorter at a semantic score no
+                # worse: update() would reject it as dominated
+                skyline.rejects += 1
+                cut.append((vid, total))
+                continue
+            done = SkylineRoute(
+                pois + (vid,), total, semantic, sims + (levels[level],)
+            )
+            archive[done.pois] = done
+            update(done)

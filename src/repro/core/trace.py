@@ -90,9 +90,9 @@ class _TracingRun(BSSRSearch):
             )
         )
 
-    def _expand(self, route, consumed, cut=None) -> None:  # type: ignore[override]
+    def _expand(self, route, consumed, stored=None) -> None:  # type: ignore[override]
         self._opening = True
-        super()._expand(route, consumed, cut)
+        super()._expand(route, consumed, stored)
         if self._opening:  # no cursor: the final position, or no stream
             self._step(route)
 

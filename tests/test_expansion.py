@@ -124,6 +124,78 @@ def test_work_counters_are_pinned(name):
     assert found == GOLDEN_WORK[name]
 
 
+#: the counters of the queue and the skyband that a resume moves
+RESUME_COUNTERS = (
+    "routes_enqueued",
+    "routes_pruned_on_pop",
+    "routes_pruned_on_insert",
+    "routes_expanded",
+    "routes_continued",
+    "skyline_rejects",
+)
+
+#: RESUME_COUNTERS of ``run()`` at k = 3, then ``resume(6)`` and
+#: ``resume(9)``, for the six GOLDEN_WORK queries.  A resume queues every
+#: parked parent again; one the pop test passes hands out its cut pairs
+#: through its cursor, each re-tested at the thresholds of its own turn,
+#: so what the pop test prunes on a resumed leg is parked parents only.
+GOLDEN_RESUME_WORK = {
+    "default": [
+        ((11, 0, 8, 11, 11, 2), (16, 0, 12, 6, 14, 2), (23, 0, 13, 8, 22, 2)),
+        ((64, 0, 1, 64, 64, 4), (76, 0, 1, 44, 43, 4), (85, 0, 1, 42, 52, 5)),
+        ((15, 0, 0, 15, 15, 7), (18, 1, 0, 5, 14, 2), (19, 0, 0, 8, 13, 0)),
+        ((27, 0, 3, 27, 27, 3), (31, 0, 3, 15, 19, 3), (39, 0, 5, 17, 30, 2)),
+        ((27, 0, 1, 27, 27, 24), (26, 2, 4, 7, 17, 12), (27, 1, 5, 7, 20, 7)),
+        ((5, 0, 1, 5, 5, 1), (15, 0, 1, 9, 15, 0), (20, 0, 1, 7, 18, 0)),
+    ],
+    "ch": [
+        (
+            (14, 0, 17, 14, 14, 2),
+            (19, 0, 21, 6, 17, 2),
+            (33, 0, 28, 16, 31, 2),
+        ),
+        (
+            (66, 0, 54, 66, 66, 8),
+            (78, 1, 65, 37, 51, 9),
+            (87, 1, 66, 38, 57, 8),
+        ),
+        ((16, 0, 3, 16, 16, 8), (17, 1, 3, 5, 12, 3), (19, 0, 3, 8, 13, 0)),
+        (
+            (30, 0, 9, 30, 30, 3),
+            (34, 0, 27, 17, 20, 4),
+            (44, 0, 36, 18, 36, 2),
+        ),
+        ((27, 0, 5, 27, 27, 24), (26, 2, 6, 7, 17, 10), (27, 1, 8, 7, 20, 7)),
+        ((6, 0, 4, 6, 6, 1), (16, 0, 4, 9, 16, 0), (21, 0, 3, 7, 19, 0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RESUME_WORK))
+def test_resume_work_counters_are_pinned(name):
+    """Counters of each leg of ``run()`` → ``resume(6)`` → ``resume(9)``
+    on the GOLDEN_WORK queries; a resume that hands out a parked pair
+    without re-testing it queues more routes and prunes more on pop."""
+    dataset = tokyo_like(scale=0.12)
+    engine = SkySREngine(dataset.network, dataset.forest)
+    options = OPTION_SETS[name].but(k=3)
+    found = []
+    for q in generate_workload(dataset, 3, 6, seed=7):
+        search = BSSRSearch(
+            dataset.network,
+            engine.compile(q.start, list(q.categories)),
+            options=options,
+        )
+        legs = [search.run()[1], search.resume(6)[1], search.resume(9)[1]]
+        found.append(
+            tuple(
+                tuple(getattr(stats, c) for c in RESUME_COUNTERS)
+                for stats in legs
+            )
+        )
+    assert found == GOLDEN_RESUME_WORK[name]
+
+
 @pytest.mark.parametrize(
     "options",
     [

@@ -144,6 +144,58 @@ def test_a_parent_whose_cursor_a_budget_stopped_resumes_exactly(options):
     ]
 
 
+def _read_out_network():
+    """Undirected: ``s`` reaches the Ramen PoIs a1 and a2 at 1 each;
+    a1 reaches the destination ``d`` at 1 and a2 at 3, so ⟨a1⟩ is 2 long
+    and ⟨a2⟩ 4."""
+    from repro.graph.road_network import RoadNetwork
+
+    from .conftest import small_forest
+
+    forest = small_forest()
+    net = RoadNetwork()
+    s = net.add_vertex()
+    d = net.add_vertex()
+    pois = {}
+    for name, leg in [("a1", 1.0), ("a2", 3.0)]:
+        pois[name] = net.add_poi(forest.resolve("Ramen"))
+        net.add_edge(s, pois[name], 1.0)
+        net.add_edge(pois[name], d, leg)
+    return net, forest, s, d, pois
+
+
+def test_a_parent_read_to_its_end_resumes_without_a_stream():
+    """Once ⟨a1⟩ (length 2) sets the threshold, a2 is still inside the
+    budget 2 − 1 (the reserve is the least leg to ``d``), so it is read
+    and its completion, 4 long, is cut.  No Ramen PoI is left, so the
+    empty route is parked read to its end (``consumed is None``) with
+    that one pair.  After a JSON round trip the next page re-tests the
+    pair at k' = 2 and offers it without opening a stream: no modified
+    Dijkstra runs and nothing is settled."""
+    from repro.core.session import PlanningSession
+
+    from .test_expansion import _triples
+
+    net, forest, s, d, pois = _read_out_network()
+    engine = SkySREngine(net, forest)
+    session = engine.session(s, ["Ramen"], destination=d, page_size=1)
+    served = list(session.next_page().routes)
+    parked = session._search.state.deferred
+    assert [(p.route.pois, p.consumed, p.cut) for p in parked] == [
+        ((), None, [(pois["a2"], 4.0)])
+    ]
+    session = PlanningSession.loads(engine, session.dumps())
+    page = session.next_page()
+    served += page.routes
+    one_shot = engine.query(
+        s, ["Ramen"], destination=d, options=BSSROptions(k=2)
+    )
+    assert _triples(served) == _triples(one_shot.topk(2))
+    assert [r.pois for r in served] == [(pois["a1"],), (pois["a2"],)]
+    assert page.stats.mdijkstra_runs == 0
+    assert page.stats.settled == 0
+
+
 # ---------------------------------------------------------------------------
 # resume efficiency (the benchmark acceptance, pinned as a property)
 

@@ -53,9 +53,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "archive-write-in-complete",
         "src/repro/core/bssr.py",
-        "                archive[done.pois] = done\n"
-        "                update(done)\n",
-        "                update(done)\n",
+        "            archive[done.pois] = done\n"
+        "            update(done)\n",
+        "            update(done)\n",
         (
             "tests/test_session_store.py::"
             "test_skyband_members_are_archived_and_restored_resumes_are_exact",
@@ -153,12 +153,12 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "replay-keeps-every-cut-child",
+        "resume-keeps-every-cut-child",
         "src/repro/core/bssr.py",
-        "                if prunable(length, semantic, state, vid):\n"
-        "                    kept.append((vid, length))\n",
-        "                if True:\n"
-        "                    kept.append((vid, length))\n",
+        "            if prunable(length, semantic, state, vid):\n",
+        "            if prunable(length, semantic, state, vid) or (\n"
+        "                stored is not None and (vid, length) in stored\n"
+        "            ):\n",
         (
             "tests/test_session.py::"
             "test_concatenated_pages_match_brute_force_oracle",
@@ -167,23 +167,44 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "replay-keeps-every-cut-completion",
+        "resume-keeps-every-cut-completion",
         "src/repro/core/bssr.py",
-        "                if length > threshold(semantic):\n"
-        "                    skyline.rejects += 1\n",
-        "                if True:\n"
-        "                    skyline.rejects += 1\n",
+        "            if total > threshold(semantic):\n",
+        "            if total > threshold(semantic) or (\n"
+        "                stored is not None and (vid, total) in stored\n"
+        "            ):\n",
         (
             "tests/test_session_store.py::"
             "test_skyband_members_are_archived_and_restored_resumes_are_exact",
         ),
     ),
     Mutant(
+        # exact answers: the pop test prunes what the re-test would have
+        # cut, so only the pinned counters of resumed legs see it
+        "resume-yields-cut-pairs-untested",
+        "src/repro/core/bssr.py",
+        "            if prunable(length, semantic, state, vid):\n",
+        "            if (\n"
+        "                stored is None or (vid, length) not in stored\n"
+        "            ) and prunable(length, semantic, state, vid):\n",
+        ("tests/test_expansion.py::test_resume_work_counters_are_pinned",),
+    ),
+    Mutant(
+        "read-out-parent-opens-a-stream",
+        "src/repro/core/bssr.py",
+        "        if not consumed:\n"
+        "            search = None\n"
+        "        elif self.options.use_contraction:\n",
+        "        if self.options.use_contraction:\n",
+        (
+            "tests/test_session.py::"
+            "test_a_parent_read_to_its_end_resumes_without_a_stream",
+        ),
+    ),
+    Mutant(
         "cursor-end-drops-a-stopped-parent",
         "src/repro/core/bssr.py",
-        "                )\n"
         "        self._park(route, search, offsets, cut)\n",
-        "                )\n"
         "        if cut:\n"
         "            self._park(route, search, offsets, cut)\n",
         (
